@@ -47,7 +47,6 @@ from .decomposition import (
     boundary_surface,
     build_decomposition,
     decomposition_to_dict,
-    edge_classes,
 )
 from .symmetry import (
     AutGroupData,

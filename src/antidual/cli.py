@@ -4,6 +4,10 @@ Every subcommand writes one deterministic report (JSON by default) to
 standard output and exits 0 when all mathematical checks in the requested
 computation pass, 1 when some check fails (a non-canonical verdict, a
 group-order mismatch), and 2 on usage errors.
+
+A survey row's ``valid`` field and the survey's exit code cover geometry,
+canonicality and the census, not ``isom_verdict``: the printed group table
+it audits is wrong on named subcase-2.2 cells (notes/decisions.md).
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .decomposition import (
+    Decomposition,
     angle_sum_check,
     arcs,
     boundary_surface,
@@ -25,6 +30,8 @@ from .decomposition import (
 )
 from .groups import (
     DEFAULT_COSET_CAP,
+    PRINTED_ORDER_OVER_N,
+    EnumerationResult,
     MissingGenerator,
     coset_enumerate,
     format_presentation,
@@ -33,6 +40,7 @@ from .groups import (
 )
 from .realization import (
     RESIDUAL_TOL,
+    Realization,
     build_realization,
     dihedral_angles,
     edge_length,
@@ -77,12 +85,15 @@ def _tilt_dict(tv) -> dict:
 
 
 def cmd_realize(n: int, cfg: RunConfig) -> tuple[dict, bool]:
-    params = solve_parameters(n)
-    real = build_realization(params)
+    return _realize_report(build_realization(solve_parameters(n)), cfg)
+
+
+def _realize_report(real: Realization, cfg: RunConfig) -> tuple[dict, bool]:
+    params = real.params
     report = validate_realization(real, tol=cfg.tolerance)
     ang = dihedral_angles(real)
     payload = {
-        "n": n,
+        "n": params.n,
         "case": params.case.value,
         "c_n": params.c_n,
         "h": params.h,
@@ -110,15 +121,18 @@ def cmd_realize(n: int, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def cmd_tilts(n: int, cfg: RunConfig) -> tuple[dict, bool]:
-    params = solve_parameters(n)
-    real = build_realization(params)
+    return _tilts_report(build_realization(solve_parameters(n)))
+
+
+def _tilts_report(real: Realization) -> tuple[dict, bool]:
+    n, h = real.params.n, real.params.h
     verdict = canonicality_verdict(real)
     conv = convention_report(real)
     payload = {
         "n": n,
         "tilts_gram": _tilt_dict(tilts_from_gram(real)),
-        "tilts_closed_form": _tilt_dict(tilts_closed_form(n, params.h)),
-        "tilts_exact_form": _tilt_dict(tilts_exact_form(n, params.h)),
+        "tilts_closed_form": _tilt_dict(tilts_closed_form(n, h)),
+        "tilts_exact_form": _tilt_dict(tilts_exact_form(n, h)),
         "margin": verdict.margin,
         "is_canonical": verdict.is_canonical,
         "agreement_residual": verdict.agreement_residual,
@@ -135,15 +149,18 @@ def cmd_tilts(n: int, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def cmd_decompose(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[dict, bool]:
-    dec = build_decomposition(n, k)
-    surf = boundary_surface(dec)
     real = build_realization(solve_parameters(n))
-    angles = dihedral_angles(real)
-    angle_report = angle_sum_check(dec, angles, real=real)
+    return _decompose_report(build_decomposition(n, k), real, full)
+
+
+def _decompose_report(dec: Decomposition, real: Realization, full: bool) -> tuple[dict, bool]:
+    n = dec.n
+    surf = boundary_surface(dec)
+    angle_report = angle_sum_check(dec, dihedral_angles(real), real=real)
     genus_expected = n - 3 if n % 3 == 0 else n - 1
     payload = {
         "n": n,
-        "k": k,
+        "k": dec.k,
         "pieces": dec.num_pieces,
         "pairings": len(dec.pairings),
         "edge_classes": [
@@ -202,27 +219,26 @@ def cmd_classify(n: int, cfg: RunConfig) -> tuple[dict, bool]:
     return payload, matches
 
 
-def _theorem_expected_order(n: int, k: int) -> int:
-    if n % 3 == 0 and k % 3 == 1:
-        m, l = n // 3, (k - 1) // 3
-        if m % 2 == 1 and l == (m - 1) // 2:
-            return 48 * m
-        return 24 * m
-    if n % 3 != 0 and n % 2 == 1 and k == (n - 1) // 2:
-        return 4 * n
-    return 2 * n
+def _order_field(enum: EnumerationResult) -> int | str:
+    return enum.order if enum.completed else "cap_exceeded"
 
 
 def cmd_isom_group(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[dict, bool]:
-    dec = build_decomposition(n, k)
+    return _isom_group_report(build_decomposition(n, k), cfg, full)
+
+
+def _isom_group_report(dec: Decomposition, cfg: RunConfig, full: bool) -> tuple[dict, bool]:
+    n, k = dec.n, dec.k
     aut = automorphism_group(dec)
     pres = isometry_presentation(n, k)
-    enum = coset_enumerate(pres, cap=cfg.coset_cap)
-    expected = _theorem_expected_order(n, k)
-    cert_payload: dict = {}
-    cert_ok = False
+    expected = n * PRINTED_ORDER_OVER_N[pres.provenance]
     try:
         cert = verify_isomorphism(pres, aut, dec, cap=cfg.coset_cap)
+    except MissingGenerator as exc:
+        enum = coset_enumerate(pres, cap=cfg.coset_cap)
+        cert_payload = {"missing_generator": str(exc), "verdict": False}
+    else:
+        enum = cert.enumerated
         cert_payload = {
             "relators_hold": cert.relators_hold,
             "relator_results": list(cert.relator_results),
@@ -231,9 +247,6 @@ def cmd_isom_group(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[
             "order_matches": cert.order_matches,
             "verdict": cert.verdict,
         }
-        cert_ok = cert.verdict
-    except MissingGenerator as exc:
-        cert_payload = {"missing_generator": str(exc), "verdict": False}
     payload = {
         "n": n,
         "k": k,
@@ -242,7 +255,7 @@ def cmd_isom_group(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[
             name for name, iso in aut.generators.items() if iso is not None),
         "presentation": format_presentation(pres),
         "presentation_case": pres.provenance,
-        "presentation_order": enum.order if enum.completed else "cap_exceeded",
+        "presentation_order": _order_field(enum),
         "expected_order": expected,
         "aut_matches_expected": aut.order == expected,
         "presentation_matches_aut": enum.completed and enum.order == aut.order,
@@ -250,18 +263,19 @@ def cmd_isom_group(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[
     }
     if full:
         payload["group"] = group_to_dict(aut)
-    ok = payload["aut_matches_expected"] and payload["presentation_matches_aut"] and cert_ok
+    ok = (payload["aut_matches_expected"] and payload["presentation_matches_aut"]
+          and cert_payload["verdict"])
     return payload, ok
 
 
-def _survey_cell(args: tuple[int, int, int]) -> dict:
-    n, k, cap = args
-    cfg = RunConfig(coset_cap=cap)
-    real_payload, valid = cmd_realize(n, cfg)
-    tilt_payload, canonical = cmd_tilts(n, cfg)
-    dec_payload, dec_ok = cmd_decompose(n, k, cfg)
-    group_payload, _ = cmd_isom_group(n, k, cfg)
-    mirror = reflection_iso(build_decomposition(n, k))
+def _survey_cell(args: tuple[int, int, RunConfig]) -> dict:
+    n, k, cfg = args
+    real = build_realization(solve_parameters(n))
+    dec = build_decomposition(n, k)
+    _, valid = _realize_report(real, cfg)
+    tilt_payload, canonical = _tilts_report(real)
+    dec_payload, dec_ok = _decompose_report(dec, real, full=False)
+    group_payload, _ = _isom_group_report(dec, cfg, full=False)
     return {
         "n": n,
         "k": k,
@@ -269,9 +283,9 @@ def _survey_cell(args: tuple[int, int, int]) -> dict:
         "tilt_margin": tilt_payload["margin"],
         "aut_order": group_payload["aut_order"],
         "presentation_order": group_payload["presentation_order"],
-        "isom_verdict": group_payload["certificate"].get("verdict", False),
+        "isom_verdict": group_payload["certificate"]["verdict"],
         "class_representative": min(k, (n - k - 1) % n),
-        "mirror_target_k": mirror.target[1],
+        "mirror_target_k": reflection_iso(dec).target[1],
         "genus": dec_payload["boundary"]["genus"],
     }
 
@@ -283,7 +297,7 @@ SURVEY_FIELDS = [
 
 
 def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
-    cells = [(n, k, cfg.coset_cap) for n in range(n_min, n_max + 1) for k in range(n)]
+    cells = [(n, k, cfg) for n in range(n_min, n_max + 1) for k in range(n)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_survey_cell, cells))
@@ -307,44 +321,37 @@ def cmd_verify_presentations(n_min: int, n_max: int, cfg: RunConfig) -> tuple[di
     entries = []
     discrepancies = []
     all_completed = True
+    special = None
     for n in range(n_min, n_max + 1):
         for k in range(n):
-            dec = build_decomposition(n, k)
-            aut = automorphism_group(dec, verify_closure=False)
+            aut = automorphism_group(build_decomposition(n, k), verify_closure=False)
             pres = isometry_presentation(n, k)
             enum = coset_enumerate(pres, cap=cfg.coset_cap)
             all_completed = all_completed and enum.completed
-            entry = {
+            match = enum.completed and enum.order == aut.order
+            entries.append({
                 "n": n,
                 "k": k,
                 "case": pres.provenance,
-                "presentation_order": enum.order if enum.completed else "cap_exceeded",
+                "presentation_order": _order_field(enum),
                 "aut_order": aut.order,
-                "claimed_order": _theorem_expected_order(n, k),
-                "match": enum.completed and enum.order == aut.order,
-            }
-            entries.append(entry)
-            if not entry["match"]:
+                "claimed_order": n * PRINTED_ORDER_OVER_N[pres.provenance],
+                "match": match,
+            })
+            if not match:
                 discrepancies.append({"n": n, "k": k, "case": pres.provenance})
-    special = None
-    if n_min <= 9 <= n_max:
-        dec = build_decomposition(9, 4)
-        aut = automorphism_group(dec, verify_closure=False)
-        pres = isometry_presentation(9, 4)
-        enum = coset_enumerate(pres, cap=cfg.coset_cap)
-        special = {
-            "n": 9,
-            "k": 4,
-            "presentation": format_presentation(pres),
-            "presentation_order": enum.order if enum.completed else "cap_exceeded",
-            "aut_order": aut.order,
-            "agreement": enum.completed and enum.order == aut.order,
-            "note": (
-                "the self-dual presentation has no parameter dependence, so its "
-                "order cannot track the brute-force group order family"
-                if not (enum.completed and enum.order == aut.order) else ""
-            ),
-        }
+            if (n, k) == (9, 4):
+                special = {
+                    "n": 9,
+                    "k": 4,
+                    "presentation": format_presentation(pres),
+                    "presentation_order": _order_field(enum),
+                    "aut_order": aut.order,
+                    "agreement": match,
+                    "note": "" if match else (
+                        "the self-dual presentation has no parameter dependence, so its "
+                        "order cannot track the brute-force group order family"),
+                }
     payload = {
         "n_min": n_min,
         "n_max": n_max,
@@ -410,8 +417,14 @@ def _make_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand takes only the tuning options it reads
+    tuning = {
+        "--tolerance": {"type": float, "default": RESIDUAL_TOL},
+        "--coset-cap": {"type": int, "default": DEFAULT_COSET_CAP},
+        "--jobs": {"type": int, "default": 1},
+    }
 
-    def common(p, with_k=False, with_range=False):
+    def common(p, *options, with_k=False, with_range=False):
         if with_range:
             p.add_argument("--n-min", type=int, default=4)
             p.add_argument("--n-max", type=int, default=12)
@@ -419,13 +432,14 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True)
         if with_k:
             p.add_argument("--k", type=int, required=True)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--tolerance", type=float, default=RESIDUAL_TOL)
-        p.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
+                       default="json")
+        for option in options:
+            p.add_argument(option, **tuning[option])
         p.add_argument("--out", type=str, default=None)
 
-    common(sub.add_parser("realize", help="solve and validate the wedge geometry"))
+    common(sub.add_parser("realize", help="solve and validate the wedge geometry"),
+           "--tolerance")
     common(sub.add_parser("tilts", help="tilts and canonicality of the cut"))
     p = sub.add_parser("decompose", help="combinatorial decomposition census")
     common(p, with_k=True)
@@ -433,30 +447,30 @@ def _make_parser() -> argparse.ArgumentParser:
                    help="include the full pairing/edge-class JSON")
     common(sub.add_parser("classify", help="isometry classes of steps k"))
     p = sub.add_parser("isom-group", help="isometry group vs presentation")
-    common(p, with_k=True)
+    common(p, "--coset-cap", with_k=True)
     p.add_argument("--full", action="store_true",
                    help="include the permutation realization of the group")
-    common(sub.add_parser("survey", help="grid survey over (n, k)"),
-           with_range=True)
+    common(sub.add_parser("survey", help="grid survey over (n, k)", description=(
+        "A row's valid field and the exit code cover the geometry (realize), "
+        "canonicality (tilts) and the census (decompose), not isom_verdict: the "
+        "printed group table it audits is wrong on named subcase-2.2 cells "
+        "(see notes/decisions.md).")),
+        "--tolerance", "--coset-cap", "--jobs", with_range=True)
     common(sub.add_parser("verify-presentations",
                           help="coset-enumeration audit of the presentations"),
-           with_range=True)
+           "--coset-cap", with_range=True)
     return parser
 
 
 def run_cli(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "survey":
+    if args.fmt == "csv" and args.command != "survey":
         parser.error("csv format is only defined for survey reports")
-    cfg = RunConfig(
-        tolerance=args.tolerance,
-        coset_cap=args.coset_cap,
-        jobs=args.jobs,
-        fmt=args.format,
-        out=args.out,
-    )
+    options = vars(args)
     try:
+        cfg = RunConfig(**{f.name: options[f.name] for f in fields(RunConfig)
+                           if f.name in options})
         if args.command == "realize":
             payload, ok = cmd_realize(args.n, cfg)
         elif args.command == "tilts":

@@ -123,9 +123,6 @@ class EdgeClass:
             counts[role] = counts.get(role, 0) + 1
         return counts
 
-    def contains(self, piece: int, edge: tuple[int, int]) -> bool:
-        return (piece, tuple(sorted(edge))) in set(self.wedges)
-
 
 @dataclass(frozen=True)
 class BoundarySurface:
@@ -136,6 +133,27 @@ class BoundarySurface:
     genus: int
     is_orientable: bool
     is_connected: bool
+
+
+def _union_find(nodes: list, links: list) -> list[list]:
+    """The classes of ``nodes`` under the equivalence the pairs in ``links``
+    generate, each listed in the order of ``nodes``."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    classes: dict = {}
+    for x in nodes:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
 
 
 class Decomposition:
@@ -200,39 +218,20 @@ class Decomposition:
     # -- edge classes ------------------------------------------------------
 
     def _compute_edge_classes(self) -> tuple[EdgeClass, ...]:
-        parent: dict = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        for p in range(self.num_pieces):
-            for e in edges:
-                parent[(p, e)] = (p, e)
+        slots = [(p, e) for p in range(self.num_pieces) for e in edges]
+        links = []
         for fp in self.pairings:
             fwd = fp.forward()
             labels = sorted(fwd)
             for a in range(3):
                 for b in range(a + 1, 3):
                     u, v = labels[a], labels[b]
-                    src = (fp.piece_a, (u, v))
                     img = tuple(sorted((fwd[u], fwd[v])))
-                    union(src, (fp.piece_b, img))
-
-        groups: dict = {}
-        for slot in parent:
-            groups.setdefault(find(slot), []).append(slot)
+                    links.append(((fp.piece_a, (u, v)), (fp.piece_b, img)))
 
         classes = []
-        for members in groups.values():
+        for members in _union_find(slots, links):
             members.sort()
             kinds = {_KIND_BY_ROLE[_ROLE_BY_EDGE[e]] for _, e in members}
             if len(kinds) != 1:
@@ -265,10 +264,6 @@ def build_decomposition(n: int, k: int) -> Decomposition:
     return Decomposition(n, k)
 
 
-def edge_classes(dec: Decomposition) -> tuple[EdgeClass, ...]:
-    return dec.edge_classes
-
-
 def arcs(dec: Decomposition) -> dict[str, int]:
     """Arc labels to edge-class indices.
 
@@ -284,14 +279,6 @@ def arcs(dec: Decomposition) -> dict[str, int]:
     else:
         out["single"] = dec.class_of(0, (0, 1))
     return out
-
-
-def arc_label_of_class(dec: Decomposition, class_index: int) -> str | None:
-    """Inverse of ``arcs``: None for diagonal classes."""
-    for label, idx in arcs(dec).items():
-        if idx == class_index:
-            return label
-    return None
 
 
 def require_div3(dec: Decomposition):
@@ -319,23 +306,8 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
 
     # corner identifications: corner (piece, v, u) = end of edge {v,u} on
     # the truncation triangle of v
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for p, v in tris:
-        for u in range(4):
-            if u != v:
-                parent[(p, v, u)] = (p, v, u)
+    corners = [(p, v, u) for p, v in tris for u in range(4) if u != v]
+    corner_links = []
 
     # each boundary edge slot: (piece, v, w) = the side of triangle (p, v)
     # facing internal face opp w; glued via the pairing at (p, w)
@@ -348,8 +320,8 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
             v2 = fwd[v]
             edge_glue[(p, v, w)] = (p2, v2, w2)
             u1, u2 = [x for x in range(4) if x not in (v, w)]
-            union((p, v, u1), (p2, v2, fwd[u1]))
-            union((p, v, u2), (p2, v2, fwd[u2]))
+            corner_links.append(((p, v, u1), (p2, v2, fwd[u1])))
+            corner_links.append(((p, v, u2), (p2, v2, fwd[u2])))
 
     # manifold check: edge gluing must be a fixed-point-free involution
     for slot, img in edge_glue.items():
@@ -358,7 +330,7 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
 
     face_count = len(tris)
     edge_count = len(edge_glue) // 2
-    vertex_count = len({find(c) for c in parent})
+    vertex_count = len(_union_find(corners, corner_links))
     euler = vertex_count - edge_count + face_count
 
     # orientability: orient each triangle by the sorted cyclic order of its

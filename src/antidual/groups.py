@@ -235,6 +235,17 @@ def format_presentation(g: PresentedGroup) -> str:
 # -- the classification's presentations --------------------------------------
 
 
+# The printed group order over n, per ``isometry_presentation`` provenance tag;
+# the subcase-2.2 entries are wrong on most cells (notes/decisions.md).
+PRINTED_ORDER_OVER_N = {
+    "case1_generic": 2,
+    "subcase21": 2,
+    "case1_selfdual": 4,
+    "subcase22_generic": 8,
+    "subcase22_selfdual": 16,
+}
+
+
 def _w(*factors: tuple[int, int]) -> Word:
     return tuple((g, e) for g, e in factors if e != 0)
 

@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from antidual.cli import run_cli
+import antidual.cli as cli
+import antidual.groups as groups
+from antidual.cli import RunConfig, run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_capture(capsys, argv):
@@ -170,3 +175,94 @@ def test_verify_presentations_clean_range(capsys):
     assert code == 0
     assert payload["discrepancies"] == []
     assert payload["special_case_report"] is None
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["survey", "--n-min", "4", "--n-max", "9"], "survey_4_9.json"),
+    (["verify-presentations", "--n-min", "4", "--n-max", "9"],
+     "verify_presentations_4_9.json"),
+])
+def test_output_matches_golden_bytes(capsys, argv, golden):
+    # the golden files were written before survey cells came to share one
+    # realization and one decomposition; verify-presentations exits 1 on its
+    # (9, k = 1 mod 3) discrepancies
+    code, out = run_capture(capsys, argv)
+    assert out == (GOLDEN / golden).read_text()
+    assert code == (1 if argv[0] == "verify-presentations" else 0)
+
+
+def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(cli, "build_realization"), (cli, "build_decomposition"),
+                         (cli, "coset_enumerate"), (groups, "coset_enumerate")]:
+        count(module, name)
+    per_cell = {}
+    survey_cell = cli._survey_cell
+
+    def counted_cell(args):
+        calls.clear()
+        row = survey_cell(args)
+        per_cell[(row["n"], row["k"])] = sorted(calls)
+        return row
+
+    monkeypatch.setattr(cli, "_survey_cell", counted_cell)
+    assert run_cli(["survey", "--n-min", "4", "--n-max", "6"]) == 0
+    capsys.readouterr()
+    assert not counted_cell((9, 1, RunConfig()))["isom_verdict"]
+    counted_cell((9, 4, RunConfig()))
+
+    cells = [(n, k) for n in range(4, 7) for k in range(n)] + [(9, 1), (9, 4)]
+    assert sorted(per_cell) == sorted(cells)
+    builds = ["antidual.cli.build_decomposition", "antidual.cli.build_realization"]
+    for cell in cells:
+        # (9, 1) has no mirror generator u, so verify_isomorphism raises
+        # MissingGenerator and the report enumerates the presentation itself
+        enumerator = "antidual.cli" if cell == (9, 1) else "antidual.groups"
+        assert per_cell[cell] == builds + [f"{enumerator}.coset_enumerate"], cell
+
+
+def test_survey_honours_tolerance(capsys):
+    code, out = run_capture(capsys, ["realize", "--n", "5", "--tolerance", "1e-30"])
+    assert code == 1
+    assert json.loads(out)["valid"] is False
+    code, out = run_capture(capsys, ["survey", "--n-min", "5", "--n-max", "5",
+                                     "--tolerance", "1e-30"])
+    assert code == 1
+    assert [row["valid"] for row in json.loads(out)["rows"]] == [False] * 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--n-min", "4", "--n-max", "4", "--jobs", "0"],
+    ["isom-group", "--n", "5", "--k", "2", "--coset-cap", "0"],
+    ["realize", "--n", "5", "--tolerance", "0"],
+])
+def test_invalid_config_is_usage_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "antidual.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["tilts", "--n", "4", "--jobs", "2"],
+    ["realize", "--n", "4", "--coset-cap", "10"],
+    ["decompose", "--n", "4", "--k", "0", "--tolerance", "1e-9"],
+    ["classify", "--n", "4", "--jobs", "2"],
+    ["isom-group", "--n", "4", "--k", "0", "--tolerance", "1e-9"],
+    ["verify-presentations", "--jobs", "2"],
+])
+def test_option_a_command_does_not_read_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from antidual.decomposition import build_decomposition
 from antidual.groups import (
+    PRINTED_ORDER_OVER_N,
     MissingGenerator,
     PresentationSyntaxError,
     PresentedGroup,
@@ -97,6 +98,25 @@ def test_isometry_presentation_cases():
     g = isometry_presentation(9, 4)
     assert g.provenance == "subcase22_selfdual"
     assert g.generators == ("s", "t", "u")
+
+
+def test_printed_order_table_follows_the_printed_case_split():
+    # the classification's printed orders, case by case (a test-side copy)
+    def printed(n, k):
+        if n % 3 == 0 and k % 3 == 1:
+            m, l = n // 3, (k - 1) // 3
+            return 48 * m if m % 2 == 1 and l == (m - 1) // 2 else 24 * m
+        if n % 3 != 0 and n % 2 == 1 and k == (n - 1) // 2:
+            return 4 * n
+        return 2 * n
+
+    tags = set()
+    for n in range(4, 31):
+        for k in range(n):
+            tag = isometry_presentation(n, k).provenance
+            tags.add(tag)
+            assert n * PRINTED_ORDER_OVER_N[tag] == printed(n, k), (n, k)
+    assert tags == set(PRINTED_ORDER_OVER_N)
 
 
 @pytest.mark.parametrize("n,k,order", [
