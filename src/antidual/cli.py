@@ -3,7 +3,10 @@
 Every subcommand writes one deterministic report (JSON by default) to
 standard output and exits 0 when all mathematical checks in the requested
 computation pass, 1 when some check fails (a non-canonical verdict, a
-group-order mismatch), and 2 on usage errors.
+group-order mismatch), and 2 on usage errors: unknown or invalid options,
+n < 4, k outside 0..n-1, or --n-min above --n-max.  A computation that
+raises instead (say, a numerically degenerate realization at huge n) exits
+1 with ``antidual: error: <message>`` on stderr and no report.
 
 A survey row's ``valid`` field and the survey's exit code cover geometry,
 canonicality and the census, not ``isom_verdict``: the printed group table
@@ -324,7 +327,7 @@ def cmd_verify_presentations(n_min: int, n_max: int, cfg: RunConfig) -> tuple[di
     special = None
     for n in range(n_min, n_max + 1):
         for k in range(n):
-            aut = automorphism_group(build_decomposition(n, k), verify_closure=False)
+            aut = automorphism_group(build_decomposition(n, k))
             pres = isometry_presentation(n, k)
             enum = coset_enumerate(pres, cap=cfg.coset_cap)
             all_completed = all_completed and enum.completed
@@ -471,6 +474,16 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig(**{f.name: options[f.name] for f in fields(RunConfig)
                            if f.name in options})
+    except ValueError as exc:
+        parser.error(str(exc))
+    n = options.get("n", options.get("n_min"))
+    if n < 4:
+        parser.error(f"n must be >= 4, got {n}")
+    if "k" in options and not 0 <= args.k < args.n:
+        parser.error(f"k must lie in 0..{args.n - 1}, got {args.k}")
+    if "n_max" in options and args.n_min > args.n_max:
+        parser.error(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    try:
         if args.command == "realize":
             payload, ok = cmd_realize(args.n, cfg)
         elif args.command == "tilts":
@@ -486,8 +499,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         else:
             payload, ok = cmd_verify_presentations(args.n_min, args.n_max, cfg)
     except ValueError as exc:
-        parser.error(str(exc))
-        return 2  # unreachable; parser.error exits
+        # every package exception is a ValueError: a failed computation,
+        # not a usage error
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
     text = _emit(payload, cfg)
     sys.stdout.write(text)
     if cfg.out:

@@ -20,6 +20,7 @@ from .symmetry import (
     AutGroupData,
     CombIso,
     flip_iso,
+    generated_subgroup,
     reflection_iso,
     rotation_iso,
 )
@@ -460,22 +461,6 @@ def _evaluate_word(word: Word, images: dict[int, CombIso], identity: CombIso) ->
     return result
 
 
-def _closure_order(generators: list[CombIso], identity: CombIso) -> int:
-    seen = {(identity.pieces, identity.vertex_maps)}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = g.compose(x)
-                key = (y.pieces, y.vertex_maps)
-                if key not in seen:
-                    seen.add(key)
-                    new.append(y)
-        frontier = new
-    return len(seen)
-
-
 def verify_isomorphism(
     group: PresentedGroup,
     aut: AutGroupData,
@@ -498,7 +483,7 @@ def verify_isomorphism(
         _evaluate_word(w, images, identity).is_identity() for w in group.relators
     )
     relators_hold = all(relator_results)
-    generated = _closure_order(list(images.values()), identity)
+    generated = len(generated_subgroup(images.values(), identity)[1])
     surjective = generated == aut.order
     enumerated = coset_enumerate(group, cap=cap)
     order_matches = enumerated.order == aut.order if enumerated.completed else None

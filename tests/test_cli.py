@@ -179,6 +179,7 @@ def test_verify_presentations_clean_range(capsys):
 
 @pytest.mark.parametrize("argv,golden", [
     (["survey", "--n-min", "4", "--n-max", "9"], "survey_4_9.json"),
+    (["survey", "--n-min", "4", "--n-max", "9", "--jobs", "2"], "survey_4_9.json"),
     (["verify-presentations", "--n-min", "4", "--n-max", "9"],
      "verify_presentations_4_9.json"),
 ])
@@ -266,3 +267,33 @@ def test_option_a_command_does_not_read_is_usage_error(argv, capsys):
         run_cli(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--n", "100000"],
+    ["tilts", "--n", "100000"],
+])
+def test_failed_computation_exits_one(argv):
+    # plane_normal raises DegenerateSpan: a mathematical failure, not misuse
+    proc = subprocess.run([sys.executable, "-m", "antidual.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "antidual: error: spanning vectors are numerically dependent\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["realize", "--n", "3"], "n must be >= 4, got 3"),
+    (["decompose", "--n", "4", "--k", "9"], "k must lie in 0..3, got 9"),
+    (["survey", "--n-min", "4", "--n-max", "3"], "--n-min 4 exceeds --n-max 3"),
+    (["verify-presentations", "--n-min", "5", "--n-max", "4"],
+     "--n-min 5 exceeds --n-max 4"),
+])
+def test_out_of_range_arguments_are_usage_errors(argv, message):
+    proc = subprocess.run([sys.executable, "-m", "antidual.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ")
+    assert proc.stderr.endswith(f"antidual: error: {message}\n")

@@ -1,10 +1,13 @@
 import itertools
+import math
 
 import pytest
 
+import antidual.symmetry as symmetry
 from antidual.decomposition import WrongCase, build_decomposition
 from antidual.symmetry import (
     CANDIDATE_SEEDS,
+    ClosureFailure,
     CombIso,
     arc_permutation,
     automorphism_group,
@@ -15,6 +18,7 @@ from antidual.symmetry import (
     enumerate_isomorphisms,
     extend_seed,
     flip_iso,
+    generated_subgroup,
     group_to_dict,
     is_isomorphism,
     reflection_iso,
@@ -73,7 +77,7 @@ KNOWN_ORDERS = {
 
 @pytest.mark.parametrize("n,k", sorted(KNOWN_ORDERS))
 def test_automorphism_orders(n, k):
-    aut = automorphism_group(build_decomposition(n, k), verify_closure=(n <= 7))
+    aut = automorphism_group(build_decomposition(n, k), verify_closure=True)
     assert aut.order == KNOWN_ORDERS[(n, k)]
     assert (2 * n * 24) % aut.order == 0  # the search-space bound
 
@@ -93,6 +97,49 @@ def test_group_closure_inverses_identity():
         inv = e.inverse()
         assert (inv.pieces, inv.vertex_maps) in keys
         assert e.compose(inv).is_identity()
+
+
+def _drop_identity(elements):
+    return [e for e in elements if not e.is_identity()]
+
+
+def _drop_middle_non_identity(elements):
+    i = len(elements) // 2
+    assert not elements[i].is_identity()
+    return elements[:i] + elements[i + 1:]
+
+
+@pytest.mark.parametrize("n,k", [(9, 4), (6, 1)])
+@pytest.mark.parametrize("drop", [
+    _drop_identity,
+    _drop_middle_non_identity,
+    lambda elements: elements[:-1],
+    lambda elements: [],
+], ids=["identity", "non-identity", "last", "all"])
+def test_closure_check_catches_a_broken_set(monkeypatch, n, k, drop):
+    enumerate_all = symmetry.enumerate_isomorphisms
+    monkeypatch.setattr(symmetry, "enumerate_isomorphisms",
+                        lambda a, b: drop(enumerate_all(a, b)))
+    dec = build_decomposition(n, k)
+    with pytest.raises(ClosureFailure, match=r"not enumerated|generated"):
+        automorphism_group(dec)
+    # the same broken set passes when closure is not checked
+    assert automorphism_group(dec, verify_closure=False).order == len(
+        drop(enumerate_all(dec, dec)))
+
+
+@pytest.mark.parametrize("n,k,order", [(6, 1, 48), (9, 4, 144), (16, 5, 32),
+                                       (27, 13, 432)])
+def test_greedy_generators_reach_the_group(n, k, order):
+    dec = build_decomposition(n, k)
+    aut = automorphism_group(dec, verify_closure=False)
+    keys = {(e.pieces, e.vertex_maps) for e in aut.elements}
+    gens, reached = generated_subgroup(aut.elements, CombIso.identity(dec), keys)
+    assert aut.order == order
+    assert 1 <= len(gens) <= math.log2(order)
+    assert reached.keys() == keys
+    # without a bounding set the helper still generates the same group
+    assert len(generated_subgroup(gens, CombIso.identity(dec))[1]) == order
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 9, 12])
