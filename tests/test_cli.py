@@ -179,9 +179,9 @@ def test_verify_presentations_clean_range(capsys):
 
 @pytest.mark.parametrize("argv,golden", [
     (["survey", "--n-min", "4", "--n-max", "9"], "survey_4_9.json"),
-    (["survey", "--n-min", "4", "--n-max", "9", "--jobs", "2"], "survey_4_9.json"),
     (["verify-presentations", "--n-min", "4", "--n-max", "9"],
      "verify_presentations_4_9.json"),
+    (["survey", "--n-min", "4", "--n-max", "9", "--jobs", "2"], "survey_4_9.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
