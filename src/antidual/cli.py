@@ -4,7 +4,8 @@ Every subcommand writes one deterministic report (JSON by default) to
 standard output and exits 0 when all mathematical checks in the requested
 computation pass, 1 when some check fails (a non-canonical verdict, a
 group-order mismatch), and 2 on usage errors: unknown or invalid options,
-n < 4, k outside 0..n-1, or --n-min above --n-max.  A computation that
+n < 4, k outside 0..n-1, --n-min above --n-max, or an --out path that cannot
+be written (no report then reaches standard output).  A computation that
 raises instead (say, a numerically degenerate realization at huge n) exits
 1 with ``antidual: error: <message>`` on stderr and no report.
 
@@ -504,10 +505,14 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
     text = _emit(payload, cfg)
-    sys.stdout.write(text)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        # written before stdout, so an unwritable path prints no report
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out {cfg.out}: {exc.strerror}")
+    sys.stdout.write(text)
     return 0 if ok else 1
 
 

@@ -25,6 +25,7 @@ Internal edges fall into three families, each closed under the pairings:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -135,24 +136,59 @@ class BoundarySurface:
     is_connected: bool
 
 
-def _union_find(nodes: list, links: list) -> list[list]:
-    """The classes of ``nodes`` under the equivalence the pairs in ``links``
-    generate, each listed in the order of ``nodes``."""
-    parent = {x: x for x in nodes}
+_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_EDGE_INDEX = {e: i for i, e in enumerate(_EDGES)}
+_KIND_OF_EDGE = tuple(_KIND_BY_ROLE[_ROLE_BY_EDGE[e]] for e in _EDGES)
+_KIND_ORDER = {"axis": 0, "poly": 1, "diagonal": 2}
+# the two labels other than v and w, at 4*v + w
+_OTHER = tuple(tuple(x for x in range(4) if x not in (v, w))
+               for v in range(4) for w in range(4))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
+def _direction(v: int, u1: int, u2: int) -> int:
+    ring = [x for x in range(4) if x != v]
+    return 1 if (ring.index(u2) - ring.index(u1)) % 3 == 1 else -1
+
+
+# +1 when the side u1 -> u2 of the triangle at v runs along the sorted cyclic
+# order of its corner tags, at 16*v + 4*u1 + u2 (0 where undefined)
+_DIRECTION = tuple(_direction(v, a, b) if len({v, a, b}) == 3 else 0
+                   for v in range(4) for a in range(4) for b in range(4))
+
+
+def _edge_links(vertex_map) -> tuple[tuple[int, int], ...]:
+    fwd = dict(vertex_map)
+    return tuple((_EDGE_INDEX[(a, b)], _EDGE_INDEX[tuple(sorted((fwd[a], fwd[b])))])
+                 for a, b in itertools.combinations(sorted(fwd), 2))
+
+
+# the three (edge index, image edge index) links of each label map the step
+# rule glues with; the links of any other map are derived when it occurs
+_EDGE_LINKS = {vm: _edge_links(vm)
+               for vm in (_SIDE_LOWER_MAP, _SIDE_UPPER_MAP, _QUAD_MAP)}
+
+
+def _union_find(size: int, links) -> list[list[int]]:
+    """The classes of range(size) under the equivalence the pairs in
+    ``links`` generate, ascending within and ordered by least member."""
+    parent = list(range(size))
     for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    classes: dict = {}
-    for x in nodes:
-        classes.setdefault(find(x), []).append(x)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # every parent is below its child, so one ascending pass finds the roots
+    classes: dict[int, list[int]] = {}
+    for x in range(size):
+        root = parent[x] = parent[parent[x]]
+        if root == x:
+            classes[x] = [x]
+        else:
+            classes[root].append(x)
     return list(classes.values())
 
 
@@ -218,29 +254,22 @@ class Decomposition:
     # -- edge classes ------------------------------------------------------
 
     def _compute_edge_classes(self) -> tuple[EdgeClass, ...]:
-        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        slots = [(p, e) for p in range(self.num_pieces) for e in edges]
-        links = []
-        for fp in self.pairings:
-            fwd = fp.forward()
-            labels = sorted(fwd)
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    u, v = labels[a], labels[b]
-                    img = tuple(sorted((fwd[u], fwd[v])))
-                    links.append(((fp.piece_a, (u, v)), (fp.piece_b, img)))
-
+        # wedge slot 6*piece + index of the edge in _EDGES, so a class's
+        # members come out in (piece, edge) order
+        links = [(6 * fp.piece_a + ea, 6 * fp.piece_b + eb)
+                 for fp in self.pairings
+                 for ea, eb in (_EDGE_LINKS.get(fp.vertex_map)
+                                or _edge_links(fp.vertex_map))]
         classes = []
-        for members in _union_find(slots, links):
-            members.sort()
-            kinds = {_KIND_BY_ROLE[_ROLE_BY_EDGE[e]] for _, e in members}
+        for members in _union_find(6 * self.num_pieces, links):
+            wedges = tuple((x // 6, _EDGES[x % 6]) for x in members)
+            kinds = {_KIND_OF_EDGE[x % 6] for x in members}
             if len(kinds) != 1:
                 raise DecompositionError(
-                    f"edge class mixes families {kinds}: {members[:4]}..."
+                    f"edge class mixes families {kinds}: {list(wedges[:4])}..."
                 )
-            classes.append(EdgeClass(wedges=tuple(members), kind=kinds.pop()))
-        order = {"axis": 0, "poly": 1, "diagonal": 2}
-        classes.sort(key=lambda c: (order[c.kind], c.wedges[0]))
+            classes.append(EdgeClass(wedges=wedges, kind=kinds.pop()))
+        classes.sort(key=lambda c: (_KIND_ORDER[c.kind], c.wedges[0]))
         return tuple(classes)
 
     def class_of(self, piece: int, edge: tuple[int, int]) -> int:
@@ -289,81 +318,64 @@ def require_div3(dec: Decomposition):
 # -- boundary surface -------------------------------------------------------
 
 
-def _boundary_triangles(dec: Decomposition):
-    # one truncation triangle per (piece, vertex); its corners are the ends
-    # of the three edges at that vertex, tagged by the other endpoint
-    return [(p, v) for p in range(dec.num_pieces) for v in range(4)]
-
-
 def boundary_surface(dec: Decomposition) -> BoundarySurface:
     """Euler characteristic, genus, orientability of the quotient boundary.
 
     The boundary is assembled from the 8n truncation triangles; each
     internal pairing glues the triangle edges lying on the identified faces.
     """
-    tris = _boundary_triangles(dec)
-    tri_index = {t: i for i, t in enumerate(tris)}
-
-    # corner identifications: corner (piece, v, u) = end of edge {v,u} on
-    # the truncation triangle of v
-    corners = [(p, v, u) for p, v in tris for u in range(4) if u != v]
+    # triangle t = 4*piece + v owns the slots 4*t .. 4*t + 3: slot 4*t + w
+    # is its side facing internal face opp w and also its corner at the end
+    # of edge {v, w}; the slots 4*t + v are unused
+    tris = 4 * dec.num_pieces
+    glue = [-1] * (4 * tris)
+    twist = [0] * (4 * tris)
     corner_links = []
-
-    # each boundary edge slot: (piece, v, w) = the side of triangle (p, v)
-    # facing internal face opp w; glued via the pairing at (p, w)
-    edge_glue = {}
-    for p, v in tris:
+    for p in range(dec.num_pieces):
         for w in range(4):
-            if w == v:
-                continue
             p2, w2, fwd = dec.pairing_at(p, w)
-            v2 = fwd[v]
-            edge_glue[(p, v, w)] = (p2, v2, w2)
-            u1, u2 = [x for x in range(4) if x not in (v, w)]
-            corner_links.append(((p, v, u1), (p2, v2, fwd[u1])))
-            corner_links.append(((p, v, u2), (p2, v2, fwd[u2])))
+            for v, v2 in fwd.items():
+                u1, u2 = _OTHER[4 * v + w]
+                x1, x2 = fwd[u1], fwd[u2]
+                base, base2 = 16 * p + 4 * v, 16 * p2 + 4 * v2
+                glue[base + w] = base2 + w2
+                corner_links += ((base + u1, base2 + x1), (base + u2, base2 + x2))
+                # orient each triangle by the sorted cyclic order of its
+                # corner tags; a glued side must be run in opposite directions
+                twist[base + w] = -_DIRECTION[16 * v + 4 * u1 + u2] * _DIRECTION[
+                    16 * v2 + 4 * x1 + x2]
 
     # manifold check: edge gluing must be a fixed-point-free involution
-    for slot, img in edge_glue.items():
-        if edge_glue[img] != slot or img == slot:
-            raise NonManifold(f"boundary edge {slot} glued inconsistently")
+    for side, img in enumerate(glue):
+        if side % 4 != side // 4 % 4 and (glue[img] != side or img == side):
+            raise NonManifold(f"boundary edge {(side // 16, side // 4 % 4, side % 4)}"
+                              " glued inconsistently")
 
-    face_count = len(tris)
-    edge_count = len(edge_glue) // 2
-    vertex_count = len(_union_find(corners, corner_links))
-    euler = vertex_count - edge_count + face_count
+    edge_count = 3 * tris // 2
+    vertex_count = len(_union_find(4 * tris, corner_links)) - tris
+    euler = vertex_count - edge_count + tris
 
-    # orientability: orient each triangle by the sorted cyclic order of its
-    # corner tags and 2-colour so glued edges receive opposite directions
-    def direction(v, u1, u2):
-        ring = [x for x in range(4) if x != v]
-        i1, i2 = ring.index(u1), ring.index(u2)
-        return 1 if (i2 - i1) % 3 == 1 else -1
-
-    orientation = {}
+    # orientability by 2-colouring the triangles across their glued sides
+    orientation = [0] * tris
     is_orientable = True
     components = 0
-    for start in tris:
-        if start in orientation:
+    for start in range(tris):
+        if orientation[start]:
             continue
         components += 1
         orientation[start] = 1
         stack = [start]
         while stack:
-            p, v = stack.pop()
-            for w in range(4):
-                if w == v:
+            t = stack.pop()
+            for side in range(4 * t, 4 * t + 4):
+                if side % 4 == t % 4:
                     continue
-                p2, w2, fwd = dec.pairing_at(p, w)
-                v2 = fwd[v]
-                u1, u2 = [x for x in range(4) if x not in (v, w)]
-                d1 = direction(v, u1, u2)
-                d2 = direction(v2, fwd[u1], fwd[u2])
-                needed = -orientation[(p, v)] * d1 * d2
-                if (p2, v2) not in orientation:
-                    orientation[(p2, v2)] = needed
-                    stack.append((p2, v2))
-                elif orientation[(p2, v2)] != needed:
+                t2 = glue[side] // 4
+                needed = orientation[t] * twist[side]
+                if not orientation[t2]:
+                    orientation[t2] = needed
+                    stack.append(t2)
+                elif orientation[t2] != needed:
                     is_orientable = False
 
     is_connected = components == 1
@@ -371,7 +383,7 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
     return BoundarySurface(
         vertex_count=vertex_count,
         edge_count=edge_count,
-        face_count=face_count,
+        face_count=tris,
         euler_characteristic=euler,
         genus=genus,
         is_orientable=is_orientable,

@@ -182,11 +182,14 @@ def test_verify_presentations_clean_range(capsys):
     (["verify-presentations", "--n-min", "4", "--n-max", "9"],
      "verify_presentations_4_9.json"),
     (["survey", "--n-min", "4", "--n-max", "9", "--jobs", "2"], "survey_4_9.json"),
+    (["decompose", "--n", "12", "--k", "5", "--full"], "decompose_12_5_full.json"),
+    (["decompose", "--n", "9", "--k", "4"], "decompose_9_4.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
-    # realization and one decomposition; verify-presentations exits 1 on its
-    # (9, k = 1 mod 3) discrepancies
+    # realization and one decomposition, and the decompose ones before the
+    # decomposition kernels moved to integer slot indices; verify-presentations
+    # exits 1 on its (9, k = 1 mod 3) discrepancies
     code, out = run_capture(capsys, argv)
     assert out == (GOLDEN / golden).read_text()
     assert code == (1 if argv[0] == "verify-presentations" else 0)
@@ -297,3 +300,16 @@ def test_out_of_range_arguments_are_usage_errors(argv, message):
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: ")
     assert proc.stderr.endswith(f"antidual: error: {message}\n")
+
+
+def test_unwritable_out_is_usage_error(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    proc = subprocess.run([sys.executable, "-m", "antidual.cli", "realize",
+                           "--n", "4", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ")
+    assert proc.stderr.endswith(
+        f"antidual: error: cannot write --out {out}: No such file or directory\n")
+    assert not out.parent.exists()

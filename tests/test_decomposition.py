@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,9 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antidual.decomposition import (
+    BoundarySurface,
     Decomposition,
+    DecompositionError,
+    EdgeClass,
     FacePairing,
     InvalidStep,
+    NonManifold,
     WrongCase,
     angle_sum_check,
     arcs,
@@ -200,6 +205,176 @@ def test_diagonal_classes_meet_four_pieces_along_the_step():
         expected = {2 * i, 2 * i + 1,
                     (2 * i + 2 * k + 1) % (2 * n), (2 * i + 2 * k + 2) % (2 * n)}
         assert pieces == expected
+
+
+# -- a tuple-keyed oracle for the integer-indexed kernels -------------------
+#
+# These are the dict-and-tuple forms the package used before its kernels
+# moved to flat slot indices; the package must agree with them exactly.
+
+_ORACLE_KIND = {(0, 3): "axis", (0, 1): "poly", (2, 3): "poly", (1, 2): "poly",
+                (0, 2): "diagonal", (1, 3): "diagonal"}
+
+
+def _oracle_union_find(nodes, links):
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    classes = {}
+    for x in nodes:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
+def _oracle_edge_classes(dec):
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    slots = [(p, e) for p in range(dec.num_pieces) for e in edges]
+    links = []
+    for fp in dec.pairings:
+        fwd = fp.forward()
+        labels = sorted(fwd)
+        for a in range(3):
+            for b in range(a + 1, 3):
+                u, v = labels[a], labels[b]
+                img = tuple(sorted((fwd[u], fwd[v])))
+                links.append(((fp.piece_a, (u, v)), (fp.piece_b, img)))
+    classes = []
+    for members in _oracle_union_find(slots, links):
+        members.sort()
+        kinds = {_ORACLE_KIND[e] for _, e in members}
+        assert len(kinds) == 1
+        classes.append(EdgeClass(wedges=tuple(members), kind=kinds.pop()))
+    order = {"axis": 0, "poly": 1, "diagonal": 2}
+    classes.sort(key=lambda c: (order[c.kind], c.wedges[0]))
+    return tuple(classes)
+
+
+def _oracle_boundary_surface(dec):
+    tris = [(p, v) for p in range(dec.num_pieces) for v in range(4)]
+    corners = [(p, v, u) for p, v in tris for u in range(4) if u != v]
+    corner_links = []
+    edge_glue = {}
+    for p, v in tris:
+        for w in range(4):
+            if w == v:
+                continue
+            p2, w2, fwd = dec.pairing_at(p, w)
+            v2 = fwd[v]
+            edge_glue[(p, v, w)] = (p2, v2, w2)
+            u1, u2 = [x for x in range(4) if x not in (v, w)]
+            corner_links.append(((p, v, u1), (p2, v2, fwd[u1])))
+            corner_links.append(((p, v, u2), (p2, v2, fwd[u2])))
+    for slot, img in edge_glue.items():
+        assert edge_glue[img] == slot and img != slot
+    face_count = len(tris)
+    edge_count = len(edge_glue) // 2
+    vertex_count = len(_oracle_union_find(corners, corner_links))
+    euler = vertex_count - edge_count + face_count
+
+    def direction(v, u1, u2):
+        ring = [x for x in range(4) if x != v]
+        i1, i2 = ring.index(u1), ring.index(u2)
+        return 1 if (i2 - i1) % 3 == 1 else -1
+
+    orientation = {}
+    is_orientable = True
+    components = 0
+    for start in tris:
+        if start in orientation:
+            continue
+        components += 1
+        orientation[start] = 1
+        stack = [start]
+        while stack:
+            p, v = stack.pop()
+            for w in range(4):
+                if w == v:
+                    continue
+                p2, w2, fwd = dec.pairing_at(p, w)
+                v2 = fwd[v]
+                u1, u2 = [x for x in range(4) if x not in (v, w)]
+                needed = (-orientation[(p, v)] * direction(v, u1, u2)
+                          * direction(v2, fwd[u1], fwd[u2]))
+                if (p2, v2) not in orientation:
+                    orientation[(p2, v2)] = needed
+                    stack.append((p2, v2))
+                elif orientation[(p2, v2)] != needed:
+                    is_orientable = False
+    is_connected = components == 1
+    genus = (2 - euler) // 2 if is_orientable and is_connected else -1
+    return BoundarySurface(vertex_count, edge_count, face_count, euler, genus,
+                           is_orientable, is_connected)
+
+
+@pytest.mark.parametrize("n", range(4, 21))
+def test_kernels_match_the_tuple_keyed_oracle(n):
+    for k in range(n):
+        dec = build_decomposition(n, k)
+        assert dec.edge_classes == _oracle_edge_classes(dec), (n, k)
+        assert boundary_surface(dec) == _oracle_boundary_surface(dec), (n, k)
+        for idx, cls in enumerate(dec.edge_classes):
+            assert all(dec.class_of(p, e[::-1]) == idx for p, e in cls.wedges)
+
+
+# -- the guards, fed broken gluings -----------------------------------------
+
+
+class _Regluing(Decomposition):
+    """The (n, k) complex with the label map of its first pairing out of
+    face ``face_a`` replaced."""
+
+    def __init__(self, n, k, face_a, vertex_map):
+        self._regluing = (face_a, vertex_map)
+        super().__init__(n, k)
+
+    def _build_pairings(self):
+        face_a, vertex_map = self._regluing
+        pairings = list(super()._build_pairings())
+        i = next(i for i, fp in enumerate(pairings) if fp.face_a == face_a)
+        pairings[i] = dataclasses.replace(pairings[i], vertex_map=vertex_map)
+        return tuple(pairings)
+
+
+def test_non_involutive_edge_gluing_is_non_manifold():
+    dec = build_decomposition(7, 2)
+    # slot (0, 3) now points at the lower quad of the next upper quad, whose
+    # own pairing still points elsewhere
+    p2, w2, fwd = dec.pairing_at(0, 3)
+    dec._slot[(0, 3)] = ((p2 + 2) % dec.num_pieces, w2, fwd)
+    with pytest.raises(NonManifold, match="glued inconsistently"):
+        boundary_surface(dec)
+    with pytest.raises(AssertionError):
+        _oracle_boundary_surface(dec)
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (6, 1), (9, 4)])
+def test_a_transposed_label_map_makes_the_boundary_non_orientable(n, k):
+    # the quad map 0->1, 1->2, 2->3 composed with the transposition (0 2)
+    # still sends polyhedron edges to polyhedron edges and the cut diagonal
+    # to the cut diagonal, so the complex builds, but that one gluing now
+    # reverses orientation
+    dec = _Regluing(n, k, 3, ((0, 3), (1, 2), (2, 1)))
+    surf = boundary_surface(dec)
+    assert surf.is_orientable is False
+    assert surf.genus == -1
+    assert surf == _oracle_boundary_surface(dec)
+
+
+def test_a_link_from_an_axis_slot_to_a_diagonal_slot_is_refused():
+    # the side map, the identity on {0, 2, 3}, composed with (2 3) sends the
+    # axis edge {0, 3} of piece 0 onto the diagonal {0, 2} of piece 1
+    with pytest.raises(DecompositionError, match="edge class mixes families") as exc:
+        _Regluing(5, 1, 1, ((0, 0), (2, 3), (3, 2)))
+    assert "'axis'" in str(exc.value) and "'diagonal'" in str(exc.value)
 
 
 def test_nonmanifold_guard_is_not_triggered_on_valid_input():
