@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .minkowski import mink_inner
 from .realization import DihedralAngles, Realization
@@ -156,16 +157,30 @@ _DIRECTION = tuple(_direction(v, a, b) if len({v, a, b}) == 3 else 0
                    for v in range(4) for a in range(4) for b in range(4))
 
 
-def _edge_links(vertex_map) -> tuple[tuple[int, int], ...]:
-    fwd = dict(vertex_map)
-    return tuple((_EDGE_INDEX[(a, b)], _EDGE_INDEX[tuple(sorted((fwd[a], fwd[b])))])
-                 for a, b in itertools.combinations(sorted(fwd), 2))
+# the 24 label permutations (perm[x] is the image of x) in lexicographic
+# order, the index of each, and at 24*a + b the index of a o b (b first)
+PERMS = tuple(itertools.permutations(range(4)))
+PERM_INDEX = {perm: i for i, perm in enumerate(PERMS)}
+PERM_PRODUCT = tuple(PERM_INDEX[tuple(a[x] for x in b)] for a in PERMS for b in PERMS)
+_INVERSE = tuple(PERM_PRODUCT[24 * i:24 * i + 24].index(0) for i in range(24))
+# EDGE_IMAGE[i][e] is the index in _EDGES of the image of edge e under PERMS[i]
+EDGE_IMAGE = tuple(tuple(_EDGE_INDEX[tuple(sorted((p[a], p[b])))] for a, b in _EDGES)
+                   for p in PERMS)
+# the three labels of face f, and the indices of its three edges
+_FACE_LABELS = tuple(tuple(x for x in range(4) if x != f) for f in range(4))
+_FACE_EDGES = tuple(tuple(i for i, e in enumerate(_EDGES) if f not in e) for f in range(4))
+# the label map across a slot of face f glued by PERMS[i], at 4*i + f
+_LABEL_MAPS = tuple(MappingProxyType({x: p[x] for x in _FACE_LABELS[f]})
+                    for p in PERMS for f in range(4))
 
 
-# the three (edge index, image edge index) links of each label map the step
-# rule glues with; the links of any other map are derived when it occurs
-_EDGE_LINKS = {vm: _edge_links(vm)
-               for vm in (_SIDE_LOWER_MAP, _SIDE_UPPER_MAP, _QUAD_MAP)}
+def _slot_perm(fp: FacePairing) -> int | None:
+    """Index of the full label map across a pairing, face_a -> face_b
+    filled in; None unless it maps the face's labels bijectively."""
+    image = [fp.face_b] * 4
+    for x, y in fp.vertex_map:
+        image[x] = y
+    return PERM_INDEX.get(tuple(image)) if image[fp.face_a] == fp.face_b else None
 
 
 def _union_find(size: int, links) -> list[list[int]]:
@@ -204,12 +219,21 @@ class Decomposition:
         self.k = k
         self.num_pieces = 2 * n
         self.pairings = self._build_pairings()
-        self._slot = {}
+        # slot s = 4*piece + face: slot_nbr[s] is the slot glued to it and
+        # slot_lmap[s] the index in PERMS of the label map across the gluing
+        self.slot_nbr = [-1] * (4 * self.num_pieces)
+        self.slot_lmap = [0] * (4 * self.num_pieces)
         for fp in self.pairings:
-            fwd = fp.forward()
-            self._slot[(fp.piece_a, fp.face_a)] = (fp.piece_b, fp.face_b, fwd)
-            self._slot[(fp.piece_b, fp.face_b)] = (
-                fp.piece_a, fp.face_a, fp.backward())
+            sa, sb = 4 * fp.piece_a + fp.face_a, 4 * fp.piece_b + fp.face_b
+            i = _slot_perm(fp)
+            if i is None:
+                raise DecompositionError(f"pairing {fp} is not a bijection of face labels")
+            for s, s2, lmap in ((sa, sb, i), (sb, sa, _INVERSE[i])):
+                if self.slot_nbr[s] >= 0:
+                    raise NonManifold(f"slot {divmod(s, 4)} is paired twice")
+                self.slot_nbr[s], self.slot_lmap[s] = s2, lmap
+        if -1 in self.slot_nbr:
+            raise NonManifold(f"slot {divmod(self.slot_nbr.index(-1), 4)} is unpaired")
         self._check_descent()
         self.edge_classes = self._compute_edge_classes()
         self._class_of_slot = {
@@ -234,32 +258,31 @@ class Decomposition:
         # opp-3 faces; the step rule must send it onto the {1,3} diagonal of
         # the receiving lower quad, otherwise the quad identification does
         # not descend to the cut triangles
-        for fp in self.pairings:
-            if fp.face_a != 3:
-                continue
-            fwd = fp.forward()
-            image = {fwd[0], fwd[2]}
-            if image != {1, 3}:
+        for s in range(3, len(self.slot_lmap), 4):
+            image = _EDGES[EDGE_IMAGE[self.slot_lmap[s]][_EDGE_INDEX[(0, 2)]]]
+            if image != (1, 3):
                 raise DescentFailure(
-                    f"pairing {fp} carries the upper diagonal to {sorted(image)}"
-                )
+                    f"slot {divmod(s, 4)} carries the upper diagonal to {list(image)}")
 
     def pairing_at(self, piece: int, face: int):
         """(other piece, other face, label map) across an internal slot."""
-        return self._slot[(piece, face)]
+        s = 4 * piece + face
+        if not (0 <= face < 4 and 0 <= s < len(self.slot_nbr)):
+            raise KeyError((piece, face))
+        s2 = self.slot_nbr[s]
+        return s2 >> 2, s2 & 3, _LABEL_MAPS[4 * self.slot_lmap[s] + face]
 
     def slots(self):
-        return self._slot.keys()
+        return [divmod(s, 4) for s in range(len(self.slot_nbr))]
 
     # -- edge classes ------------------------------------------------------
 
     def _compute_edge_classes(self) -> tuple[EdgeClass, ...]:
         # wedge slot 6*piece + index of the edge in _EDGES, so a class's
         # members come out in (piece, edge) order
-        links = [(6 * fp.piece_a + ea, 6 * fp.piece_b + eb)
-                 for fp in self.pairings
-                 for ea, eb in (_EDGE_LINKS.get(fp.vertex_map)
-                                or _edge_links(fp.vertex_map))]
+        nbr, lmap = self.slot_nbr, self.slot_lmap
+        links = [(6 * (s >> 2) + e, 6 * (nbr[s] >> 2) + EDGE_IMAGE[lmap[s]][e])
+                 for s in range(len(nbr)) if s < nbr[s] for e in _FACE_EDGES[s & 3]]
         classes = []
         for members in _union_find(6 * self.num_pieces, links):
             wedges = tuple((x // 6, _EDGES[x % 6]) for x in members)
@@ -326,24 +349,24 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
     """
     # triangle t = 4*piece + v owns the slots 4*t .. 4*t + 3: slot 4*t + w
     # is its side facing internal face opp w and also its corner at the end
-    # of edge {v, w}; the slots 4*t + v are unused
+    # of edge {v, w}; the slots 4*t + v are unused.  Face slot s of the
+    # complex glues the three triangles at its labels v.
     tris = 4 * dec.num_pieces
     glue = [-1] * (4 * tris)
     twist = [0] * (4 * tris)
     corner_links = []
-    for p in range(dec.num_pieces):
-        for w in range(4):
-            p2, w2, fwd = dec.pairing_at(p, w)
-            for v, v2 in fwd.items():
-                u1, u2 = _OTHER[4 * v + w]
-                x1, x2 = fwd[u1], fwd[u2]
-                base, base2 = 16 * p + 4 * v, 16 * p2 + 4 * v2
-                glue[base + w] = base2 + w2
-                corner_links += ((base + u1, base2 + x1), (base + u2, base2 + x2))
-                # orient each triangle by the sorted cyclic order of its
-                # corner tags; a glued side must be run in opposite directions
-                twist[base + w] = -_DIRECTION[16 * v + 4 * u1 + u2] * _DIRECTION[
-                    16 * v2 + 4 * x1 + x2]
+    for s, s2 in enumerate(dec.slot_nbr):
+        w, w2, perm = s & 3, s2 & 3, PERMS[dec.slot_lmap[s]]
+        for v in _FACE_LABELS[w]:
+            u1, u2 = _OTHER[4 * v + w]
+            v2, x1, x2 = perm[v], perm[u1], perm[u2]
+            base, base2 = 4 * (s - w + v), 4 * (s2 - w2 + v2)
+            glue[base + w] = base2 + w2
+            corner_links += ((base + u1, base2 + x1), (base + u2, base2 + x2))
+            # orient each triangle by the sorted cyclic order of its
+            # corner tags; a glued side must be run in opposite directions
+            twist[base + w] = -_DIRECTION[16 * v + 4 * u1 + u2] * _DIRECTION[
+                16 * v2 + 4 * x1 + x2]
 
     # manifold check: edge gluing must be a fixed-point-free involution
     for side, img in enumerate(glue):

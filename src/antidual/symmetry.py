@@ -3,11 +3,13 @@
 An isomorphism is a bijection of pieces together with a vertex-label
 bijection per piece, commuting with every face pairing.  Because the
 pairing graph is connected, such a map is determined by its value on piece
-0, so the full search space is (2n pieces) x (24 label bijections); every
-seed is propagated breadth-first and kept only if globally consistent.  No
-geometric shortcut prunes the seed space: the classical restrictions (axis
-preservation, the eight candidate seeds) come out of the search rather
-than going in.
+0, so the full search space is (2n pieces) x (24 label bijections).  A seed
+is propagated breadth-first only if it carries the edge classes at piece 0's
+six edges onto classes of the same wedge counts, an isomorphism invariant
+rather than a geometric assumption, and is kept only if globally
+consistent.  No geometric shortcut prunes the seed space: the classical
+restrictions (axis preservation, the eight candidate seeds) come out of the
+search rather than going in.
 
 Isometry classification reduces to this search: two quotients with the same
 n are isometric iff their decompositions are isomorphic, and the isometry
@@ -17,12 +19,16 @@ group is the automorphism group of the decomposition.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
-from .decomposition import Decomposition, arcs, require_div3
+from .decomposition import (
+    _EDGES, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition, arcs,
+    require_div3,
+)
 
-_ALL_VERTEX_MAPS = tuple(itertools.permutations(range(4)))
+# a o b (b first) for every pair of label maps
+_COMPOSE = {(a, b): PERMS[PERM_PRODUCT[24 * i + j]]
+            for i, a in enumerate(PERMS) for j, b in enumerate(PERMS)}
 
 
 class SymmetryError(ValueError):
@@ -59,11 +65,8 @@ class CombIso:
             raise SymmetryError(
                 f"cannot compose: {other.target} -> {self.source} mismatch")
         pieces = tuple(self.pieces[p] for p in other.pieces)
-        vmaps = tuple(
-            tuple(self.vertex_maps[other.pieces[j]][other.vertex_maps[j][x]]
-                  for x in range(4))
-            for j in range(len(other.pieces))
-        )
+        vm = self.vertex_maps
+        vmaps = tuple(_COMPOSE[vm[p], v] for p, v in zip(other.pieces, other.vertex_maps))
         return CombIso(pieces, vmaps, other.source, self.target)
 
     def inverse(self) -> "CombIso":
@@ -98,69 +101,59 @@ def is_isomorphism(iso: CombIso, a: Decomposition, b: Decomposition) -> bool:
         return False
     if sorted(iso.pieces) != list(range(a.num_pieces)):
         return False
+    pieces, vmaps = iso.pieces, iso.vertex_maps
     for fp in a.pairings:
-        src_piece, src_face = fp.piece_a, fp.face_a
-        fwd = fp.forward()
-        ip, iface = iso.apply_slot(src_piece, src_face)
+        vm_a, vm_b = vmaps[fp.piece_a], vmaps[fp.piece_b]
         try:
-            tp, tface, tmap = b.pairing_at(ip, iface)
+            tp, tface, tmap = b.pairing_at(pieces[fp.piece_a], vm_a[fp.face_a])
         except KeyError:
             return False
-        if (tp, tface) != iso.apply_slot(fp.piece_b, fp.face_b):
+        if tp != pieces[fp.piece_b] or tface != vm_b[fp.face_b]:
             return False
-        vm_a = iso.vertex_maps[src_piece]
-        vm_b = iso.vertex_maps[fp.piece_b]
-        for x in fwd:
-            if tmap[vm_a[x]] != vm_b[fwd[x]]:
+        for x, y in fp.vertex_map:
+            if tmap[vm_a[x]] != vm_b[y]:
                 return False
     return True
 
 
 def _propagate(a: Decomposition, b: Decomposition,
                seed_piece: int, seed_vmap: tuple[int, ...]) -> CombIso | None:
-    """Extend a piece-0 seed over the pairing graph; None if inconsistent."""
+    """Extend a piece-0 seed over the pairing graph; None if inconsistent.
+
+    Label maps are indices into PERMS.  Across slot s of a, glued by S, whose
+    image slot t of b is glued by T, the map V of piece j forces T o V o S^-1
+    on the neighbour; S^-1 is the label map across the partner slot of s.
+    """
+    a_nbr, a_lmap, b_nbr, b_lmap = a.slot_nbr, a.slot_lmap, b.slot_nbr, b.slot_lmap
     m = a.num_pieces
-    pieces: list = [None] * m
-    vmaps: list = [None] * m
+    pieces = [-1] * m
+    vmaps = [0] * m
     used = [False] * m
-    pieces[0] = seed_piece
-    vmaps[0] = tuple(seed_vmap)
+    pieces[0], vmaps[0] = seed_piece, PERM_INDEX[tuple(seed_vmap)]
     used[seed_piece] = True
-    queue = deque([0])
-    while queue:
-        j = queue.popleft()
-        vm = vmaps[j]
-        pj = pieces[j]
+    queue = [0]
+    for j in queue:  # appended to while it is walked: breadth first
+        v = vmaps[j]
+        vm, base = PERMS[v], 4 * pieces[j]
         for face in range(4):
-            j2, face2, smap = a.pairing_at(j, face)
-            try:
-                tp, tface, tmap = b.pairing_at(pj, vm[face])
-            except KeyError:
-                return None
-            # image of piece j2 and its labels are forced
-            new_vm = [None] * 4
-            new_vm[face2] = tface
-            ok = True
-            for x, y in smap.items():
-                img = tmap.get(vm[x])
-                if img is None:
-                    ok = False
-                    break
-                new_vm[y] = img
-            if not ok:
-                return None
-            if pieces[j2] is None:
+            s2, t = a_nbr[4 * j + face], base + vm[face]
+            j2, tp = s2 >> 2, b_nbr[t] >> 2
+            new = PERM_PRODUCT[24 * PERM_PRODUCT[24 * b_lmap[t] + v] + a_lmap[s2]]
+            if pieces[j2] < 0:
                 if used[tp]:
                     return None
-                pieces[j2] = tp
-                vmaps[j2] = tuple(new_vm)
+                pieces[j2], vmaps[j2] = tp, new
                 used[tp] = True
                 queue.append(j2)
-            else:
-                if pieces[j2] != tp or vmaps[j2] != tuple(new_vm):
-                    return None
-    iso = CombIso(tuple(pieces), tuple(vmaps), (a.n, a.k), (b.n, b.k))
+            elif pieces[j2] != tp or vmaps[j2] != new:
+                return None
+    iso = CombIso(tuple(pieces), tuple(PERMS[v] for v in vmaps), (a.n, a.k), (b.n, b.k))
     return iso if is_isomorphism(iso, a, b) else None
+
+
+def _wedge_counts(dec: Decomposition, piece: int) -> tuple[int, ...]:
+    """Wedge counts of the edge classes at the six edges of ``piece``."""
+    return tuple(dec.edge_classes[dec.class_of(piece, e)].wedge_count for e in _EDGES)
 
 
 def enumerate_isomorphisms(
@@ -169,14 +162,22 @@ def enumerate_isomorphisms(
     """All combinatorial isomorphisms a -> b, in deterministic seed order.
 
     Different n never admit isomorphisms (the piece counts differ), so the
-    search is skipped.  With ``find_all=False`` the list holds at most one
-    element (useful when only existence matters).
+    search is skipped.  A seed is propagated only if it keeps the wedge
+    counts of the edge classes at piece 0's edges, which every isomorphism
+    does.  With ``find_all=False`` the list holds at most one element
+    (useful when only existence matters).
     """
     if a.n != b.n:
         return []
     out = []
+    want = _wedge_counts(a, 0)
+    kept: dict[tuple, list] = {}  # wedge counts at a piece of b -> the maps keeping them
     for seed_piece in range(a.num_pieces):
-        for vmap in _ALL_VERTEX_MAPS:
+        have = _wedge_counts(b, seed_piece)
+        if have not in kept:
+            kept[have] = [vm for vm, image in zip(PERMS, EDGE_IMAGE)
+                          if tuple(have[e] for e in image) == want]
+        for vmap in kept[have]:
             iso = _propagate(a, b, seed_piece, vmap)
             if iso is not None:
                 out.append(iso)

@@ -59,6 +59,9 @@ def test_every_internal_slot_paired_once():
     assert set(dec.slots()) == {
         (p, f) for p in range(dec.num_pieces) for f in range(4)
     }
+    for piece, face in [(0, 4), (0, -1), (dec.num_pieces, 0), (-1, 3)]:
+        with pytest.raises(KeyError):
+            dec.pairing_at(piece, face)
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 0), (8, 3), (10, 7)])
@@ -348,12 +351,38 @@ def test_non_involutive_edge_gluing_is_non_manifold():
     dec = build_decomposition(7, 2)
     # slot (0, 3) now points at the lower quad of the next upper quad, whose
     # own pairing still points elsewhere
-    p2, w2, fwd = dec.pairing_at(0, 3)
-    dec._slot[(0, 3)] = ((p2 + 2) % dec.num_pieces, w2, fwd)
+    p2, w2, _ = dec.pairing_at(0, 3)
+    dec.slot_nbr[3] = 4 * ((p2 + 2) % dec.num_pieces) + w2
     with pytest.raises(NonManifold, match="glued inconsistently"):
         boundary_surface(dec)
     with pytest.raises(AssertionError):
         _oracle_boundary_surface(dec)
+
+
+class _Repairing(Decomposition):
+    """The (5, 1) complex with its pairing table edited by ``edit``."""
+
+    def __init__(self, edit):
+        self._edit = edit
+        super().__init__(5, 1)
+
+    def _build_pairings(self):
+        return tuple(self._edit(list(super()._build_pairings())))
+
+
+def test_an_unpaired_slot_is_non_manifold():
+    with pytest.raises(NonManifold, match=r"slot \(0, 1\) is unpaired"):
+        _Repairing(lambda pairings: pairings[1:])
+
+
+def test_a_slot_paired_twice_is_non_manifold():
+    # the first pairing, (0, 1) <-> (1, 1), also in the place of the second
+    def duplicate(pairings):
+        pairings[1] = pairings[0]
+        return pairings
+
+    with pytest.raises(NonManifold, match=r"slot \(0, 1\) is paired twice"):
+        _Repairing(duplicate)
 
 
 @pytest.mark.parametrize("n,k", [(5, 1), (6, 1), (9, 4)])
@@ -375,6 +404,11 @@ def test_a_link_from_an_axis_slot_to_a_diagonal_slot_is_refused():
     with pytest.raises(DecompositionError, match="edge class mixes families") as exc:
         _Regluing(5, 1, 1, ((0, 0), (2, 3), (3, 2)))
     assert "'axis'" in str(exc.value) and "'diagonal'" in str(exc.value)
+
+
+def test_a_label_map_that_is_not_a_bijection_is_refused():
+    with pytest.raises(DecompositionError, match="not a bijection of face labels"):
+        _Regluing(5, 1, 1, ((0, 0), (2, 0), (3, 3)))
 
 
 def test_nonmanifold_guard_is_not_triggered_on_valid_input():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 
 import pytest
 
@@ -64,6 +65,91 @@ def brute_force_order(dec):
 
     bt(0, {}, set())
     return count
+
+
+def _oracle_propagate(a, b, slots_a, slots_b, seed_piece, seed_vmap):
+    """The dict-keyed propagation the flat search replaced."""
+    m = a.num_pieces
+    pieces = [None] * m
+    vmaps = [None] * m
+    used = [False] * m
+    pieces[0] = seed_piece
+    vmaps[0] = tuple(seed_vmap)
+    used[seed_piece] = True
+    queue = deque([0])
+    while queue:
+        j = queue.popleft()
+        vm = vmaps[j]
+        pj = pieces[j]
+        for face in range(4):
+            j2, face2, smap = slots_a[(j, face)]
+            tp, tface, tmap = slots_b[(pj, vm[face])]
+            new_vm = [None] * 4
+            new_vm[face2] = tface
+            for x, y in smap.items():
+                new_vm[y] = tmap[vm[x]]
+            if pieces[j2] is None:
+                if used[tp]:
+                    return None
+                pieces[j2] = tp
+                vmaps[j2] = tuple(new_vm)
+                used[tp] = True
+                queue.append(j2)
+            elif pieces[j2] != tp or vmaps[j2] != tuple(new_vm):
+                return None
+    iso = CombIso(tuple(pieces), tuple(vmaps), (a.n, a.k), (b.n, b.k))
+    return iso if is_isomorphism(iso, a, b) else None
+
+
+def _oracle_enumerate(a, b):
+    """Every one of the 2n x 24 seeds through the dict-keyed propagation,
+    over slot dicts built from the pairing table alone."""
+    if a.n != b.n:
+        return []
+    slots = []
+    for dec in (a, b):
+        slots.append({})
+        for fp in dec.pairings:
+            slots[-1][(fp.piece_a, fp.face_a)] = (fp.piece_b, fp.face_b, fp.forward())
+            slots[-1][(fp.piece_b, fp.face_b)] = (fp.piece_a, fp.face_a, fp.backward())
+    out = []
+    for seed_piece in range(a.num_pieces):
+        for vmap in itertools.permutations(range(4)):
+            iso = _oracle_propagate(a, b, *slots, seed_piece, vmap)
+            if iso is not None:
+                out.append(iso)
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_flat_search_matches_the_dict_keyed_oracle(n):
+    decs = [build_decomposition(n, k) for k in range(n)]
+    for a in decs:
+        for b in (decs if n <= 9 else [a]):
+            assert enumerate_isomorphisms(a, b) == _oracle_enumerate(a, b), (n, a.k, b.k)
+
+
+@pytest.mark.parametrize("n,k,seeds", [(9, 1, 144), (16, 5, 64), (24, 7, 384)])
+def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, seeds):
+    propagate = symmetry._propagate
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return propagate(*args)
+
+    monkeypatch.setattr(symmetry, "_propagate", counted)
+    automorphism_group(build_decomposition(n, k))
+    assert len(calls) == seeds
+
+
+def test_table_composition_matches_the_label_formula():
+    elements = automorphism_group(build_decomposition(6, 1)).elements
+    for x in elements:
+        for y in elements:
+            vmaps = tuple(tuple(x.vertex_maps[y.pieces[j]][y.vertex_maps[j][v]]
+                                for v in range(4)) for j in range(len(y.pieces)))
+            assert x.compose(y).vertex_maps == vmaps
 
 
 # orders from the seed search; the backtracking oracle below confirms the
