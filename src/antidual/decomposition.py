@@ -21,6 +21,9 @@ Internal edges fall into three families, each closed under the pairings:
   otherwise three classes of 2n wedges);
 * the quad diagonals {0,2} and {1,3} created by the cutting (n classes of
   4 wedges each; they contribute to the boundary genus).
+
+The vertices of the boundary surface are the ends of these edge classes, so
+the one union-find that finds the classes also counts the vertices.
 """
 
 from __future__ import annotations
@@ -93,16 +96,6 @@ _ROLE_BY_EDGE = {
     (1, 3): "diag_lower",
 }
 
-_KIND_BY_ROLE = {
-    "axis": "axis",
-    "slant_upper": "poly",
-    "slant_lower": "poly",
-    "equator": "poly",
-    "diag_upper": "diagonal",
-    "diag_lower": "diagonal",
-}
-
-
 @dataclass(frozen=True)
 class EdgeClass:
     """An orbit of (piece, edge) wedge slots under the pairing action."""
@@ -139,22 +132,9 @@ class BoundarySurface:
 
 _EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _EDGE_INDEX = {e: i for i, e in enumerate(_EDGES)}
-_KIND_OF_EDGE = tuple(_KIND_BY_ROLE[_ROLE_BY_EDGE[e]] for e in _EDGES)
+# the family of each edge of _EDGES: slants and equator are polyhedron edges
+_KIND_OF_EDGE = ("poly", "diagonal", "axis", "poly", "diagonal", "poly")
 _KIND_ORDER = {"axis": 0, "poly": 1, "diagonal": 2}
-# the two labels other than v and w, at 4*v + w
-_OTHER = tuple(tuple(x for x in range(4) if x not in (v, w))
-               for v in range(4) for w in range(4))
-
-
-def _direction(v: int, u1: int, u2: int) -> int:
-    ring = [x for x in range(4) if x != v]
-    return 1 if (ring.index(u2) - ring.index(u1)) % 3 == 1 else -1
-
-
-# +1 when the side u1 -> u2 of the triangle at v runs along the sorted cyclic
-# order of its corner tags, at 16*v + 4*u1 + u2 (0 where undefined)
-_DIRECTION = tuple(_direction(v, a, b) if len({v, a, b}) == 3 else 0
-                   for v in range(4) for a in range(4) for b in range(4))
 
 
 # the 24 label permutations (perm[x] is the image of x) in lexicographic
@@ -163,15 +143,31 @@ PERMS = tuple(itertools.permutations(range(4)))
 PERM_INDEX = {perm: i for i, perm in enumerate(PERMS)}
 PERM_PRODUCT = tuple(PERM_INDEX[tuple(a[x] for x in b)] for a in PERMS for b in PERMS)
 _INVERSE = tuple(PERM_PRODUCT[24 * i:24 * i + 24].index(0) for i in range(24))
-# EDGE_IMAGE[i][e] is the index in _EDGES of the image of edge e under PERMS[i]
+# EDGE_IMAGE[i][e] is the index in _EDGES of the image of edge e under PERMS[i],
+# and _EDGE_FLIP[i][e] is 1 when PERMS[i] reverses the sorted order of its ends
 EDGE_IMAGE = tuple(tuple(_EDGE_INDEX[tuple(sorted((p[a], p[b])))] for a, b in _EDGES)
                    for p in PERMS)
-# the three labels of face f, and the indices of its three edges
-_FACE_LABELS = tuple(tuple(x for x in range(4) if x != f) for f in range(4))
+_EDGE_FLIP = tuple(tuple(int(p[a] > p[b]) for a, b in _EDGES) for p in PERMS)
+# the indices of the three edges of face f
 _FACE_EDGES = tuple(tuple(i for i, e in enumerate(_EDGES) if f not in e) for f in range(4))
 # the label map across a slot of face f glued by PERMS[i], at 4*i + f
-_LABEL_MAPS = tuple(MappingProxyType({x: p[x] for x in _FACE_LABELS[f]})
+_LABEL_MAPS = tuple(MappingProxyType({x: p[x] for x in range(4) if x != f})
                     for p in PERMS for f in range(4))
+
+
+def _twist(p: tuple[int, ...], v: int) -> int:
+    # each truncation triangle is oriented by the sorted cyclic order of its
+    # corner tags and a glued side must be run in opposite directions, so
+    # the orientations agree across every side glued by p unless p keeps
+    # that order
+    image = [p[x] for x in range(4) if x != v]
+    ring = sorted(image)
+    return -1 if image in (ring, ring[1:] + ring[:1], ring[2:] + ring[:2]) else 1
+
+
+# across a slot glued by PERMS[i], at 4*i + v: the label of the truncation
+# triangle the one at v is glued to, and the twist of that gluing
+_TRIANGLE_GLUE = tuple((p[v], _twist(p, v)) for p in PERMS for v in range(4))
 
 
 def _slot_perm(fp: FacePairing) -> int | None:
@@ -181,30 +177,6 @@ def _slot_perm(fp: FacePairing) -> int | None:
     for x, y in fp.vertex_map:
         image[x] = y
     return PERM_INDEX.get(tuple(image)) if image[fp.face_a] == fp.face_b else None
-
-
-def _union_find(size: int, links) -> list[list[int]]:
-    """The classes of range(size) under the equivalence the pairs in
-    ``links`` generate, ascending within and ordered by least member."""
-    parent = list(range(size))
-    for a, b in links:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    # every parent is below its child, so one ascending pass finds the roots
-    classes: dict[int, list[int]] = {}
-    for x in range(size):
-        root = parent[x] = parent[parent[x]]
-        if root == x:
-            classes[x] = [x]
-        else:
-            classes[root].append(x)
-    return list(classes.values())
 
 
 class Decomposition:
@@ -279,14 +251,50 @@ class Decomposition:
 
     def _compute_edge_classes(self) -> tuple[EdgeClass, ...]:
         # wedge slot 6*piece + index of the edge in _EDGES, so a class's
-        # members come out in (piece, edge) order
+        # members come out in (piece, edge) order.  flip[x] is 1 when the
+        # gluings carry wedge x onto its parent with its ends swapped; a
+        # class closed by a loop of odd parity has both ends on one boundary
+        # vertex, any other class has two
         nbr, lmap = self.slot_nbr, self.slot_lmap
-        links = [(6 * (s >> 2) + e, 6 * (nbr[s] >> 2) + EDGE_IMAGE[lmap[s]][e])
-                 for s in range(len(nbr)) if s < nbr[s] for e in _FACE_EDGES[s & 3]]
+        size = 6 * self.num_pieces
+        parent = list(range(size))
+        flip = [0] * size
+        odd = [0] * size
+        for s, s2 in enumerate(nbr):
+            if s2 < s:
+                continue
+            image, turn = EDGE_IMAGE[lmap[s]], _EDGE_FLIP[lmap[s]]
+            base, base2 = 6 * (s >> 2), 6 * (s2 >> 2)
+            for e in _FACE_EDGES[s & 3]:
+                a, b, bit = base + e, base2 + image[e], turn[e]
+                # halve both paths; bit becomes the parity between the roots
+                while parent[a] != a:
+                    flip[a] ^= flip[parent[a]]
+                    bit ^= flip[a]
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    flip[b] ^= flip[parent[b]]
+                    bit ^= flip[b]
+                    parent[b] = b = parent[parent[b]]
+                if a == b:
+                    odd[a] |= bit
+                    continue
+                if b < a:
+                    a, b = b, a
+                parent[b], flip[b], odd[a] = a, bit, odd[a] | odd[b]
+        # every parent is below its child, so one ascending pass finds the roots
+        members: dict[int, list[int]] = {}
+        for x in range(size):
+            root = parent[x] = parent[parent[x]]
+            if root == x:
+                members[x] = [x]
+            else:
+                members[root].append(x)
+        self._boundary_vertex_count = sum(2 - odd[r] for r in members)
         classes = []
-        for members in _union_find(6 * self.num_pieces, links):
-            wedges = tuple((x // 6, _EDGES[x % 6]) for x in members)
-            kinds = {_KIND_OF_EDGE[x % 6] for x in members}
+        for cls in members.values():
+            wedges = tuple((x // 6, _EDGES[x % 6]) for x in cls)
+            kinds = {_KIND_OF_EDGE[x % 6] for x in cls}
             if len(kinds) != 1:
                 raise DecompositionError(
                     f"edge class mixes families {kinds}: {list(wedges[:4])}..."
@@ -346,39 +354,23 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
 
     The boundary is assembled from the 8n truncation triangles; each
     internal pairing glues the triangle edges lying on the identified faces.
+    Its vertices are the ends of the internal edge classes, so their count
+    comes from the edge-class union-find of ``dec``: two per class, one
+    where the gluings close a class up with its ends swapped.
     """
-    # triangle t = 4*piece + v owns the slots 4*t .. 4*t + 3: slot 4*t + w
-    # is its side facing internal face opp w and also its corner at the end
-    # of edge {v, w}; the slots 4*t + v are unused.  Face slot s of the
-    # complex glues the three triangles at its labels v.
+    nbr, lmap = dec.slot_nbr, dec.slot_lmap
+    # the boundary edge gluing is a fixed-point-free involution exactly when
+    # each slot is glued to another that is glued back by the inverse map
+    for s, s2 in enumerate(nbr):
+        if s2 == s or nbr[s2] != s or lmap[s2] != _INVERSE[lmap[s]]:
+            raise NonManifold(f"boundary edges on slot {divmod(s, 4)} glued inconsistently")
+
     tris = 4 * dec.num_pieces
-    glue = [-1] * (4 * tris)
-    twist = [0] * (4 * tris)
-    corner_links = []
-    for s, s2 in enumerate(dec.slot_nbr):
-        w, w2, perm = s & 3, s2 & 3, PERMS[dec.slot_lmap[s]]
-        for v in _FACE_LABELS[w]:
-            u1, u2 = _OTHER[4 * v + w]
-            v2, x1, x2 = perm[v], perm[u1], perm[u2]
-            base, base2 = 4 * (s - w + v), 4 * (s2 - w2 + v2)
-            glue[base + w] = base2 + w2
-            corner_links += ((base + u1, base2 + x1), (base + u2, base2 + x2))
-            # orient each triangle by the sorted cyclic order of its
-            # corner tags; a glued side must be run in opposite directions
-            twist[base + w] = -_DIRECTION[16 * v + 4 * u1 + u2] * _DIRECTION[
-                16 * v2 + 4 * x1 + x2]
-
-    # manifold check: edge gluing must be a fixed-point-free involution
-    for side, img in enumerate(glue):
-        if side % 4 != side // 4 % 4 and (glue[img] != side or img == side):
-            raise NonManifold(f"boundary edge {(side // 16, side // 4 % 4, side % 4)}"
-                              " glued inconsistently")
-
     edge_count = 3 * tris // 2
-    vertex_count = len(_union_find(4 * tris, corner_links)) - tris
-    euler = vertex_count - edge_count + tris
+    euler = dec._boundary_vertex_count - edge_count + tris
 
-    # orientability by 2-colouring the triangles across their glued sides
+    # orientability by 2-colouring the triangles t = 4*piece + v across
+    # their glued sides; the side facing face w lies on slot 4*piece + w
     orientation = [0] * tris
     is_orientable = True
     components = 0
@@ -390,11 +382,13 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
         stack = [start]
         while stack:
             t = stack.pop()
-            for side in range(4 * t, 4 * t + 4):
-                if side % 4 == t % 4:
+            v = t & 3
+            for s in range(t - v, t - v + 4):
+                if s == t:
                     continue
-                t2 = glue[side] // 4
-                needed = orientation[t] * twist[side]
+                v2, twist = _TRIANGLE_GLUE[4 * lmap[s] + v]
+                t2 = (nbr[s] & ~3) + v2
+                needed = orientation[t] * twist
                 if not orientation[t2]:
                     orientation[t2] = needed
                     stack.append(t2)
@@ -404,7 +398,7 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
     is_connected = components == 1
     genus = (2 - euler) // 2 if is_orientable and is_connected else -1
     return BoundarySurface(
-        vertex_count=vertex_count,
+        vertex_count=dec._boundary_vertex_count,
         edge_count=edge_count,
         face_count=tris,
         euler_characteristic=euler,

@@ -186,14 +186,17 @@ def test_verify_presentations_clean_range(capsys):
     (["decompose", "--n", "9", "--k", "4"], "decompose_9_4.json"),
     (["isom-group", "--n", "6", "--k", "1", "--full"], "isom_group_6_1_full.json"),
     (["classify", "--n", "12"], "classify_12.json"),
+    (["decompose", "--n", "40", "--k", "17"], "decompose_40_17.json"),
+    (["decompose", "--n", "39", "--k", "19"], "decompose_39_19.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
     # realization and one decomposition, the decompose ones before the
     # decomposition kernels moved to integer slot indices, and the isom-group
     # (whose 48 elements pin their order) and classify ones before the
-    # isomorphism search did; verify-presentations exits 1 on its
-    # (9, k = 1 mod 3) discrepancies
+    # isomorphism search did, and the two at the top of the census range
+    # before the boundary vertices came from the edge-class union-find;
+    # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies
     code, out = run_capture(capsys, argv)
     assert out == (GOLDEN / golden).read_text()
     assert code == (1 if argv[0] == "verify-presentations" else 0)

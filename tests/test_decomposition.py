@@ -15,6 +15,8 @@ from antidual.decomposition import (
     FacePairing,
     InvalidStep,
     NonManifold,
+    PERM_INDEX,
+    PERMS,
     WrongCase,
     angle_sum_check,
     arcs,
@@ -359,6 +361,21 @@ def test_non_involutive_edge_gluing_is_non_manifold():
         _oracle_boundary_surface(dec)
 
 
+def test_a_label_map_not_inverted_across_its_slot_is_non_manifold():
+    dec = build_decomposition(7, 2)
+    # slot (0, 3) still goes to face 0 of its partner, which still points
+    # back, but two of its label images are swapped, so the partner's map
+    # is no longer the inverse
+    perm = list(PERMS[dec.slot_lmap[3]])
+    perm[0], perm[1] = perm[1], perm[0]
+    assert perm[3] == 0
+    dec.slot_lmap[3] = PERM_INDEX[tuple(perm)]
+    with pytest.raises(NonManifold, match="glued inconsistently"):
+        boundary_surface(dec)
+    with pytest.raises(AssertionError):
+        _oracle_boundary_surface(dec)
+
+
 class _Repairing(Decomposition):
     """The (5, 1) complex with its pairing table edited by ``edit``."""
 
@@ -395,6 +412,9 @@ def test_a_transposed_label_map_makes_the_boundary_non_orientable(n, k):
     surf = boundary_surface(dec)
     assert surf.is_orientable is False
     assert surf.genus == -1
+    # and some edge class now closes up with its ends swapped, so it has
+    # one boundary vertex, not two
+    assert surf.vertex_count < 2 * len(dec.edge_classes)
     assert surf == _oracle_boundary_surface(dec)
 
 
