@@ -195,9 +195,15 @@ class Decomposition:
         # slot_lmap[s] the index in PERMS of the label map across the gluing
         self.slot_nbr = [-1] * (4 * self.num_pieces)
         self.slot_lmap = [0] * (4 * self.num_pieces)
+        # the step rule reuses a handful of label maps; a corrupted one is
+        # still its own key
+        perms: dict = {}
         for fp in self.pairings:
             sa, sb = 4 * fp.piece_a + fp.face_a, 4 * fp.piece_b + fp.face_b
-            i = _slot_perm(fp)
+            key = (fp.face_a, fp.face_b, fp.vertex_map)
+            if key not in perms:
+                perms[key] = _slot_perm(fp)
+            i = perms[key]
             if i is None:
                 raise DecompositionError(f"pairing {fp} is not a bijection of face labels")
             for s, s2, lmap in ((sa, sb, i), (sb, sa, _INVERSE[i])):
@@ -208,9 +214,6 @@ class Decomposition:
             raise NonManifold(f"slot {divmod(self.slot_nbr.index(-1), 4)} is unpaired")
         self._check_descent()
         self.edge_classes = self._compute_edge_classes()
-        self._class_of_slot = {
-            w: idx for idx, cls in enumerate(self.edge_classes) for w in cls.wedges
-        }
 
     # -- construction -----------------------------------------------------
 
@@ -291,21 +294,29 @@ class Decomposition:
             else:
                 members[root].append(x)
         self._boundary_vertex_count = sum(2 - odd[r] for r in members)
+        labels = [(p, e) for p in range(self.num_pieces) for e in _EDGES]
         classes = []
         for cls in members.values():
-            wedges = tuple((x // 6, _EDGES[x % 6]) for x in cls)
+            wedges = tuple([labels[x] for x in cls])
             kinds = {_KIND_OF_EDGE[x % 6] for x in cls}
             if len(kinds) != 1:
                 raise DecompositionError(
                     f"edge class mixes families {kinds}: {list(wedges[:4])}..."
                 )
-            classes.append(EdgeClass(wedges=wedges, kind=kinds.pop()))
-        classes.sort(key=lambda c: (_KIND_ORDER[c.kind], c.wedges[0]))
-        return tuple(classes)
+            classes.append((EdgeClass(wedges=wedges, kind=kinds.pop()), cls))
+        classes.sort(key=lambda c: (_KIND_ORDER[c[0].kind], c[0].wedges[0]))
+        # _wedge_class[6*piece + edge index] is the index of the wedge's class
+        self._wedge_class = [0] * size
+        for idx, (_, cls) in enumerate(classes):
+            for x in cls:
+                self._wedge_class[x] = idx
+        return tuple(c for c, _ in classes)
 
     def class_of(self, piece: int, edge: tuple[int, int]) -> int:
         """Index of the edge class containing the given wedge slot."""
-        return self._class_of_slot[(piece, tuple(sorted(edge)))]
+        if not 0 <= piece < self.num_pieces:
+            raise KeyError((piece, edge))
+        return self._wedge_class[6 * piece + _EDGE_INDEX[tuple(sorted(edge))]]
 
     @property
     def axis_class(self) -> EdgeClass:

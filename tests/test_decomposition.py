@@ -66,6 +66,14 @@ def test_every_internal_slot_paired_once():
             dec.pairing_at(piece, face)
 
 
+def test_class_of_refuses_a_wedge_outside_the_complex():
+    # piece -1 must not wrap round to the last piece
+    dec = build_decomposition(7, 3)
+    for piece, edge in [(-1, (0, 1)), (dec.num_pieces, (0, 1)), (0, (1, 1)), (0, (0, 4))]:
+        with pytest.raises(KeyError):
+            dec.class_of(piece, edge)
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 0), (8, 3), (10, 7)])
 def test_not_div3_census(n, k):
     dec = build_decomposition(n, k)

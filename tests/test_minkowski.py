@@ -175,3 +175,55 @@ def test_plane_normal_orthogonality_property(p, q, r, witness):
         assert abs(mink_inner(w, v)) < 1e-8 * max(scale, 1.0)
     assert mink_inner(w, w) == pytest.approx(1.0, abs=1e-9)
     assert mink_inner(w, witness) < 0
+
+
+# -- bit identity with the per-minor cofactor route ---------------------------
+
+
+def _oracle_plane_normal(p, q, r, interior, degeneracy_tol=1e-10, orientation_tol=1e-12):
+    # one np.delete and one det per 3x3 minor, as plane_normal once did
+    rows = np.vstack([p.as_array(), q.as_array(), r.as_array()])
+    cof = np.empty(4)
+    for i in range(4):
+        minor = np.delete(rows, i, axis=1)
+        cof[i] = ((-1) ** i) * np.linalg.det(minor)
+    w = np.array([-1.0, 1.0, 1.0, 1.0]) * cof
+    scale = max(np.max(np.abs(v.as_array())) for v in (p, q, r)) ** 3
+    if np.max(np.abs(w)) <= degeneracy_tol * max(scale, 1.0):
+        raise DegenerateSpan("spanning vectors are numerically dependent")
+    wv = normalize_spacelike(MinkVec.from_array(w))
+    side = mink_inner(wv, interior)
+    if abs(side) <= orientation_tol:
+        raise AmbiguousOrientation("interior witness lies on the plane")
+    return -wv if side > 0 else wv
+
+
+def test_realization_normals_are_bit_identical_to_the_oracle(monkeypatch):
+    import antidual.realization as realization
+
+    calls = []
+
+    def recording(*args):
+        out = plane_normal(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(realization, "plane_normal", recording)
+    for n in range(4, 401):
+        calls.clear()
+        build_realization(solve_parameters(n))
+        assert len(calls) == 4
+        for args, out in calls:
+            assert out == _oracle_plane_normal(*args), n
+
+
+@given(vec, vec, vec, vec)
+def test_plane_normal_is_bit_identical_to_the_oracle(p, q, r, witness):
+    try:
+        expected = _oracle_plane_normal(p, q, r, witness)
+    except MinkowskiError as exc:
+        with pytest.raises(MinkowskiError) as raised:
+            plane_normal(p, q, r, witness)
+        assert raised.type is type(exc)
+        return
+    assert plane_normal(p, q, r, witness) == expected
