@@ -30,7 +30,6 @@ from .tilt import (
     CanonicalityVerdict,
     TiltVector,
     canonicality_verdict,
-    convention_report,
     gram_matrix,
     support_hull_margins,
     tilts_closed_form,

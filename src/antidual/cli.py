@@ -52,14 +52,7 @@ from .realization import (
     validate_realization,
 )
 from .symmetry import automorphism_group, classify, group_to_dict, reflection_iso
-from .tilt import (
-    canonicality_verdict,
-    convention_report,
-    support_hull_margins,
-    tilts_closed_form,
-    tilts_exact_form,
-    tilts_from_gram,
-)
+from .tilt import canonicality_verdict, support_hull_margins
 
 
 @dataclass(frozen=True)
@@ -129,24 +122,17 @@ def cmd_tilts(n: int, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _tilts_report(real: Realization) -> tuple[dict, bool]:
-    n, h = real.params.n, real.params.h
     verdict = canonicality_verdict(real)
-    conv = convention_report(real)
     payload = {
-        "n": n,
-        "tilts_gram": _tilt_dict(tilts_from_gram(real)),
-        "tilts_closed_form": _tilt_dict(tilts_closed_form(n, h)),
-        "tilts_exact_form": _tilt_dict(tilts_exact_form(n, h)),
+        "n": real.params.n,
+        "tilts_gram": _tilt_dict(verdict.gram),
+        "tilts_closed_form": _tilt_dict(verdict.reference),
+        "tilts_exact_form": _tilt_dict(verdict.exact),
         "margin": verdict.margin,
         "is_canonical": verdict.is_canonical,
         "agreement_residual": verdict.agreement_residual,
         "exact_agreement_residual": verdict.exact_agreement_residual,
-        "convention": {
-            "residual_direct": conv.residual_direct,
-            "residual_far_equals_near": conv.residual_far_equals_near,
-            "signs_agree": conv.signs_agree,
-            "matching_convention": conv.matching_convention,
-        },
+        "signs_agree": verdict.signs_agree,
         "hull_margins": support_hull_margins(real),
     }
     return payload, verdict.is_canonical
@@ -272,19 +258,26 @@ def _isom_group_report(dec: Decomposition, cfg: RunConfig, full: bool) -> tuple[
     return payload, ok
 
 
-def _survey_cell(args: tuple[int, int, RunConfig]) -> dict:
-    n, k, cfg = args
+def _survey_geometry(n: int, cfg: RunConfig) -> tuple[Realization, bool, float]:
+    """One n's realization, whether it passes `realize` and `tilts`, and its
+    tilt margin: the part of a survey row that does not depend on k."""
     real = build_realization(solve_parameters(n))
-    dec = build_decomposition(n, k)
     _, valid = _realize_report(real, cfg)
     tilt_payload, canonical = _tilts_report(real)
+    return real, valid and canonical, tilt_payload["margin"]
+
+
+def _survey_cell(args: tuple[int, tuple[Realization, bool, float], RunConfig]) -> dict:
+    k, (real, geometry_ok, tilt_margin), cfg = args
+    n = real.params.n
+    dec = build_decomposition(n, k)
     dec_payload, dec_ok = _decompose_report(dec, real, full=False)
     group_payload, _ = _isom_group_report(dec, cfg, full=False)
     return {
         "n": n,
         "k": k,
-        "valid": valid and canonical and dec_ok,
-        "tilt_margin": tilt_payload["margin"],
+        "valid": geometry_ok and dec_ok,
+        "tilt_margin": tilt_margin,
         "aut_order": group_payload["aut_order"],
         "presentation_order": group_payload["presentation_order"],
         "isom_verdict": group_payload["certificate"]["verdict"],
@@ -301,7 +294,11 @@ SURVEY_FIELDS = [
 
 
 def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
-    cells = [(n, k, cfg) for n in range(n_min, n_max + 1) for k in range(n)]
+    # the geometry depends on n only: built here once, shared by n's cells
+    cells = []
+    for n in range(n_min, n_max + 1):
+        geometry = _survey_geometry(n, cfg)
+        cells += [(k, geometry, cfg) for k in range(n)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_survey_cell, cells))

@@ -15,9 +15,9 @@ Two independent routes are provided:
   ``(c - sqrt(1-c))``, while ``tilts_exact_form`` evaluates the reduction of
   the Gram route, with factors ``(1-c)(1+c)(2c-1)`` and ``(2c-1)``.  The two
   variants have the same signs for n >= 4 but different values; the exact
-  forms agree with the Gram route to rounding, the reference forms do not.
-  ``convention_report`` records all of this, including the variant where the
-  far-side normal is replaced by the near-side one inside the Gram matrix.
+  forms agree with the Gram route to rounding, the reference forms do not
+  (notes/decisions.md, section 2).  ``canonicality_verdict`` evaluates each
+  route once and records both residuals and the sign agreement.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .realization import NumericalDegeneracy, Realization, UnsupportedN
 
 SINGULAR_TOL = 1e-12
 TILT_SYMMETRY_TOL = 1e-9
-AGREEMENT_REPORT_TOL = 1e-6
 
 
 class SingularPairing(ValueError):
@@ -53,7 +52,6 @@ class TiltVector:
     t_lower: float
     t_near: float
     t_far: float
-    method: str
     common_factor: float | None = None
     upper_scale_denom: float | None = None
 
@@ -67,10 +65,21 @@ class TiltVector:
 
 @dataclass(frozen=True)
 class CanonicalityVerdict:
+    """The verdict from the Gram route, with the three tilt routes it read.
+
+    The two residuals are the max-abs differences of the reference and the
+    exact closed forms from the Gram tilts; ``signs_agree`` records whether
+    the reference forms have the signs of the Gram tilts.
+    """
+
     is_canonical: bool
     margin: float
     agreement_residual: float
     exact_agreement_residual: float
+    signs_agree: bool
+    gram: TiltVector
+    reference: TiltVector
+    exact: TiltVector
 
 
 def _face_pole_pairs(real: Realization) -> tuple[tuple[MinkVec, MinkVec], ...]:
@@ -84,16 +93,10 @@ def _face_pole_pairs(real: Realization) -> tuple[tuple[MinkVec, MinkVec], ...]:
     )
 
 
-def gram_matrix(real: Realization, far_equals_near: bool = False) -> np.ndarray:
+def gram_matrix(real: Realization) -> np.ndarray:
     """Pairwise inner products of the face normals (order: upper, lower,
-    near, far), with unit diagonal.
-
-    ``far_equals_near`` substitutes the near-side normal for the far-side
-    one, a deliberately wrong convention kept for comparison reports.
-    """
-    normals = list(real.face_normals())
-    if far_equals_near:
-        normals[3] = normals[2]
+    near, far), with unit diagonal."""
+    normals = real.face_normals()
     g = np.empty((4, 4))
     for i in range(4):
         for j in range(4):
@@ -101,30 +104,23 @@ def gram_matrix(real: Realization, far_equals_near: bool = False) -> np.ndarray:
     return g
 
 
-def tilts_from_gram(
-    real: Realization,
-    far_equals_near: bool = False,
-    singular_tol: float = SINGULAR_TOL,
-) -> TiltVector:
+def tilts_from_gram(real: Realization) -> TiltVector:
     """Tilt vector from the Gram-matrix equation.
 
     t = G . (-1 / <face_i, pole_i>) where pole_i is the truncation pole the
-    face looks at.  The pole pairings always use the directly computed
-    normals: substituting the near normal for the far one there would pair a
-    face with a pole lying on its own plane (an exactly zero inner product).
+    face looks at.
     """
-    g = gram_matrix(real, far_equals_near=far_equals_near)
+    g = gram_matrix(real)
     rhs = np.empty(4)
     for i, (face, pole) in enumerate(_face_pole_pairs(real)):
         inner = mink_inner(face, pole)
-        if abs(inner) < singular_tol:
+        if abs(inner) < SINGULAR_TOL:
             raise SingularPairing(f"face/pole pairing {i} is orthogonal")
         rhs[i] = -1.0 / inner
     t = g @ rhs
     return TiltVector(
         t_upper=float(t[0]), t_lower=float(t[1]),
         t_near=float(t[2]), t_far=float(t[3]),
-        method="gram",
     )
 
 
@@ -155,7 +151,6 @@ def _closed_form(n: int, h: float, reduced: bool) -> TiltVector:
     t_near = -math.sqrt(common) * math.sqrt(1 - c) * math.sqrt(1 + c) * scalar
     return TiltVector(
         t_upper=t_upper, t_lower=t_upper, t_near=t_near, t_far=t_near,
-        method="closed_form_reduced" if reduced else "closed_form",
         common_factor=common, upper_scale_denom=denom,
     )
 
@@ -185,49 +180,13 @@ def canonicality_verdict(real: Realization) -> CanonicalityVerdict:
         margin=margin,
         agreement_residual=_max_abs_diff(gram, reference),
         exact_agreement_residual=_max_abs_diff(gram, exact),
-    )
-
-
-@dataclass(frozen=True)
-class ConventionReport:
-    """Residuals of the reference closed forms against each Gram variant."""
-
-    residual_direct: float
-    residual_far_equals_near: float
-    residual_exact_vs_direct: float
-    signs_agree: bool
-    matching_convention: str | None
-
-
-def convention_report(
-    real: Realization, tol: float = AGREEMENT_REPORT_TOL
-) -> ConventionReport:
-    """Which Gram convention, if any, reproduces the reference closed forms.
-
-    Also records that the reduced closed forms match the direct Gram route,
-    and whether the reference forms at least have the right signs.
-    """
-    direct = tilts_from_gram(real)
-    substituted = tilts_from_gram(real, far_equals_near=True)
-    reference = tilts_closed_form(real.params.n, real.params.h)
-    exact = tilts_exact_form(real.params.n, real.params.h)
-    res_direct = _max_abs_diff(direct, reference)
-    res_sub = _max_abs_diff(substituted, reference)
-    matching = None
-    if res_direct < tol:
-        matching = "direct"
-    elif res_sub < tol:
-        matching = "far_equals_near"
-    signs = all(
-        (x < 0) == (y < 0)
-        for x, y in zip(direct.as_tuple(), reference.as_tuple())
-    )
-    return ConventionReport(
-        residual_direct=res_direct,
-        residual_far_equals_near=res_sub,
-        residual_exact_vs_direct=_max_abs_diff(direct, exact),
-        signs_agree=signs,
-        matching_convention=matching,
+        signs_agree=all(
+            (x < 0) == (y < 0)
+            for x, y in zip(gram.as_tuple(), reference.as_tuple())
+        ),
+        gram=gram,
+        reference=reference,
+        exact=exact,
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import antidual.cli as cli
 import antidual.groups as groups
+import antidual.tilt as tilt
 from antidual.cli import RunConfig, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,7 +35,8 @@ def test_tilts_json(capsys):
     payload = json.loads(out)
     assert payload["is_canonical"] is True
     assert payload["margin"] < 0
-    assert payload["convention"]["matching_convention"] is None
+    assert payload["signs_agree"] is True
+    assert "convention" not in payload
     assert all(v > 0 for v in payload["hull_margins"].values())
 
 
@@ -188,6 +190,7 @@ def test_verify_presentations_clean_range(capsys):
     (["classify", "--n", "12"], "classify_12.json"),
     (["decompose", "--n", "40", "--k", "17"], "decompose_40_17.json"),
     (["decompose", "--n", "39", "--k", "19"], "decompose_39_19.json"),
+    (["tilts", "--n", "7"], "tilts_7.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
@@ -200,6 +203,21 @@ def test_output_matches_golden_bytes(capsys, argv, golden):
     code, out = run_capture(capsys, argv)
     assert out == (GOLDEN / golden).read_text()
     assert code == (1 if argv[0] == "verify-presentations" else 0)
+
+
+def test_tilts_report_evaluates_each_route_once(monkeypatch, capsys):
+    calls = []
+    for name in ("tilts_from_gram", "tilts_closed_form", "tilts_exact_form"):
+        original = getattr(tilt, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(tilt, name, counted)
+    assert run_cli(["tilts", "--n", "7"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["tilts_closed_form", "tilts_exact_form", "tilts_from_gram"]
 
 
 def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
@@ -221,25 +239,28 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
     survey_cell = cli._survey_cell
 
     def counted_cell(args):
-        calls.clear()
+        start = len(calls)
         row = survey_cell(args)
-        per_cell[(row["n"], row["k"])] = sorted(calls)
+        per_cell[(row["n"], row["k"])] = sorted(calls[start:])
         return row
 
     monkeypatch.setattr(cli, "_survey_cell", counted_cell)
     assert run_cli(["survey", "--n-min", "4", "--n-max", "6"]) == 0
     capsys.readouterr()
-    assert not counted_cell((9, 1, RunConfig()))["isom_verdict"]
-    counted_cell((9, 4, RunConfig()))
+    # one realization per n, built outside the cells
+    assert calls.count("antidual.cli.build_realization") == 3
+    geometry = cli._survey_geometry(9, RunConfig())
+    assert not counted_cell((1, geometry, RunConfig()))["isom_verdict"]
+    counted_cell((4, geometry, RunConfig()))
 
     cells = [(n, k) for n in range(4, 7) for k in range(n)] + [(9, 1), (9, 4)]
     assert sorted(per_cell) == sorted(cells)
-    builds = ["antidual.cli.build_decomposition", "antidual.cli.build_realization"]
     for cell in cells:
         # (9, 1) has no mirror generator u, so verify_isomorphism raises
         # MissingGenerator and the report enumerates the presentation itself
         enumerator = "antidual.cli" if cell == (9, 1) else "antidual.groups"
-        assert per_cell[cell] == builds + [f"{enumerator}.coset_enumerate"], cell
+        assert per_cell[cell] == ["antidual.cli.build_decomposition",
+                                  f"{enumerator}.coset_enumerate"], cell
 
 
 def test_survey_honours_tolerance(capsys):
