@@ -16,14 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .symmetry import (
-    AutGroupData,
-    CombIso,
-    flip_iso,
-    generated_subgroup,
-    reflection_iso,
-    rotation_iso,
-)
+from .symmetry import AutGroupData, CombIso, generated_subgroup
 from .decomposition import Decomposition
 
 DEFAULT_COSET_CAP = 10**6
@@ -429,25 +422,19 @@ def concrete_generator(name: str, dec: Decomposition, aut: AutGroupData) -> Comb
     """The automorphism a presentation generator names, from its geometry.
 
     r is the rotation, t the top-bottom flip, u the cutting-plane mirror,
-    s the half-turn through the slant-edge midpoints of piece 0.
+    s the half-turn through the slant-edge midpoints of piece 0; each is
+    read from ``aut.generators``, which ``automorphism_group`` identifies.
     """
-    if name == "r":
-        image = rotation_iso(dec)
-    elif name == "t":
-        image = flip_iso(dec)
-    elif name == "u":
-        image = reflection_iso(dec)
-        if image.target != image.source:
-            raise MissingGenerator(
-                f"mirror u maps step {dec.k} to step {image.target[1]}, "
-                f"not an automorphism")
-    elif name == "s":
-        image = aut.generators.get("s")
-        if image is None:
-            raise MissingGenerator("half-turn s is not an automorphism here")
-    else:
+    if name not in aut.generators:
         raise MissingGenerator(f"no concrete automorphism known for {name!r}")
-    if not aut.contains(image):
+    mirror_k = (dec.n - dec.k - 1) % dec.n
+    if name == "u" and mirror_k != dec.k:
+        raise MissingGenerator(
+            f"mirror u maps step {dec.k} to step {mirror_k}, not an automorphism")
+    image = aut.generators[name]
+    if image is None:
+        if name == "s":
+            raise MissingGenerator("half-turn s is not an automorphism here")
         raise MissingGenerator(f"generator {name!r} not in the enumerated group")
     return image
 

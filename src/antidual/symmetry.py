@@ -6,10 +6,14 @@ pairing graph is connected, such a map is determined by its value on piece
 0, so the full search space is (2n pieces) x (24 label bijections).  A seed
 is propagated breadth-first only if it carries the edge classes at piece 0's
 six edges onto classes of the same wedge counts, an isomorphism invariant
-rather than a geometric assumption, and is kept only if globally
-consistent.  No geometric shortcut prunes the seed space: the classical
-restrictions (axis preservation, the eight candidate seeds) come out of the
-search rather than going in.
+rather than a geometric assumption.  The walk compares the forced piece and
+label map across every slot of every piece it reaches, and keeps a seed only
+if it reaches all pieces, so it is its own consistency check;
+``is_isomorphism`` is the independent check that the tests run on found
+maps.  Label maps are indices into ``PERMS`` throughout.  No geometric
+shortcut prunes the seed space: the classical restrictions (axis
+preservation, the eight candidate seeds) come out of the search rather than
+going in.
 
 Isometry classification reduces to this search: two quotients with the same
 n are isometric iff their decompositions are isomorphic, and the isometry
@@ -22,13 +26,12 @@ import itertools
 from dataclasses import dataclass
 
 from .decomposition import (
-    _EDGES, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition, arcs,
-    require_div3,
+    _EDGES, _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition,
+    arcs, require_div3,
 )
 
-# a o b (b first) for every pair of label maps
-_COMPOSE = {(a, b): PERMS[PERM_PRODUCT[24 * i + j]]
-            for i, a in enumerate(PERMS) for j, b in enumerate(PERMS)}
+_FLIP = PERM_INDEX[(3, 2, 1, 0)]
+_HALF_TURN = PERM_INDEX[(1, 0, 3, 2)]
 
 
 class SymmetryError(ValueError):
@@ -43,20 +46,25 @@ class ClosureFailure(SymmetryError):
 class CombIso:
     """A combinatorial isomorphism between two decompositions.
 
-    ``pieces[j]`` is the image piece of j; ``vertex_maps[j][x]`` the image
-    label of x in piece j.  Source and target are (n, k) tags.
+    ``pieces[j]`` is the image piece of j and ``lmaps[j]`` the index in
+    PERMS of its label map, so ``vertex_maps[j][x]`` is the image label of
+    x in piece j.  Source and target are (n, k) tags.
     """
 
     pieces: tuple[int, ...]
-    vertex_maps: tuple[tuple[int, int, int, int], ...]
+    lmaps: tuple[int, ...]
     source: tuple[int, int]
     target: tuple[int, int]
 
+    @property
+    def vertex_maps(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(PERMS[v] for v in self.lmaps)
+
     def apply_slot(self, piece: int, face: int) -> tuple[int, int]:
-        return self.pieces[piece], self.vertex_maps[piece][face]
+        return self.pieces[piece], PERMS[self.lmaps[piece]][face]
 
     def apply_edge(self, piece: int, edge: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-        vm = self.vertex_maps[piece]
+        vm = PERMS[self.lmaps[piece]]
         return self.pieces[piece], tuple(sorted((vm[edge[0]], vm[edge[1]])))
 
     def compose(self, other: "CombIso") -> "CombIso":
@@ -64,35 +72,27 @@ class CombIso:
         if other.target != self.source:
             raise SymmetryError(
                 f"cannot compose: {other.target} -> {self.source} mismatch")
-        pieces = tuple(self.pieces[p] for p in other.pieces)
-        vm = self.vertex_maps
-        vmaps = tuple(_COMPOSE[vm[p], v] for p, v in zip(other.pieces, other.vertex_maps))
-        return CombIso(pieces, vmaps, other.source, self.target)
+        pieces, lmaps = self.pieces, self.lmaps
+        return CombIso(tuple(pieces[p] for p in other.pieces),
+                       tuple(PERM_PRODUCT[24 * lmaps[p] + v]
+                             for p, v in zip(other.pieces, other.lmaps)),
+                       other.source, self.target)
 
     def inverse(self) -> "CombIso":
         m = len(self.pieces)
-        inv_pieces = [0] * m
-        inv_vmaps: list = [None] * m
-        for j in range(m):
-            pj = self.pieces[j]
-            inv_pieces[pj] = j
-            vm = self.vertex_maps[j]
-            inv = [0, 0, 0, 0]
-            for x in range(4):
-                inv[vm[x]] = x
-            inv_vmaps[pj] = tuple(inv)
-        return CombIso(tuple(inv_pieces), tuple(inv_vmaps),
-                       self.target, self.source)
+        pieces, lmaps = [0] * m, [0] * m
+        for j, (p, v) in enumerate(zip(self.pieces, self.lmaps)):
+            pieces[p], lmaps[p] = j, _INVERSE[v]
+        return CombIso(tuple(pieces), tuple(lmaps), self.target, self.source)
 
     @classmethod
     def identity(cls, dec: Decomposition) -> "CombIso":
         m = dec.num_pieces
-        return cls(tuple(range(m)), ((0, 1, 2, 3),) * m,
-                   (dec.n, dec.k), (dec.n, dec.k))
+        return cls(tuple(range(m)), (0,) * m, (dec.n, dec.k), (dec.n, dec.k))
 
     def is_identity(self) -> bool:
         return (self.pieces == tuple(range(len(self.pieces)))
-                and all(v == (0, 1, 2, 3) for v in self.vertex_maps))
+                and not any(self.lmaps))
 
 
 def is_isomorphism(iso: CombIso, a: Decomposition, b: Decomposition) -> bool:
@@ -117,23 +117,26 @@ def is_isomorphism(iso: CombIso, a: Decomposition, b: Decomposition) -> bool:
 
 
 def _propagate(a: Decomposition, b: Decomposition,
-               seed_piece: int, seed_vmap: tuple[int, ...]) -> CombIso | None:
+               seed_piece: int, seed_lmap: int) -> CombIso | None:
     """Extend a piece-0 seed over the pairing graph; None if inconsistent.
 
     Label maps are indices into PERMS.  Across slot s of a, glued by S, whose
     image slot t of b is glued by T, the map V of piece j forces T o V o S^-1
     on the neighbour; S^-1 is the label map across the partner slot of s.
+    Every slot of every reached piece is compared with the map forced across
+    it, and a seed that does not reach all pieces is rejected, so a returned
+    map commutes with every pairing.
     """
     a_nbr, a_lmap, b_nbr, b_lmap = a.slot_nbr, a.slot_lmap, b.slot_nbr, b.slot_lmap
     m = a.num_pieces
     pieces = [-1] * m
-    vmaps = [0] * m
+    lmaps = [0] * m
     used = [False] * m
-    pieces[0], vmaps[0] = seed_piece, PERM_INDEX[tuple(seed_vmap)]
+    pieces[0], lmaps[0] = seed_piece, seed_lmap
     used[seed_piece] = True
     queue = [0]
     for j in queue:  # appended to while it is walked: breadth first
-        v = vmaps[j]
+        v = lmaps[j]
         vm, base = PERMS[v], 4 * pieces[j]
         for face in range(4):
             s2, t = a_nbr[4 * j + face], base + vm[face]
@@ -142,13 +145,14 @@ def _propagate(a: Decomposition, b: Decomposition,
             if pieces[j2] < 0:
                 if used[tp]:
                     return None
-                pieces[j2], vmaps[j2] = tp, new
+                pieces[j2], lmaps[j2] = tp, new
                 used[tp] = True
                 queue.append(j2)
-            elif pieces[j2] != tp or vmaps[j2] != new:
+            elif pieces[j2] != tp or lmaps[j2] != new:
                 return None
-    iso = CombIso(tuple(pieces), tuple(PERMS[v] for v in vmaps), (a.n, a.k), (b.n, b.k))
-    return iso if is_isomorphism(iso, a, b) else None
+    if len(queue) < m:
+        return None
+    return CombIso(tuple(pieces), tuple(lmaps), (a.n, a.k), (b.n, b.k))
 
 
 def _wedge_counts(dec: Decomposition, piece: int) -> tuple[int, ...]:
@@ -175,10 +179,10 @@ def enumerate_isomorphisms(
     for seed_piece in range(a.num_pieces):
         have = _wedge_counts(b, seed_piece)
         if have not in kept:
-            kept[have] = [vm for vm, image in zip(PERMS, EDGE_IMAGE)
+            kept[have] = [v for v, image in enumerate(EDGE_IMAGE)
                           if tuple(have[e] for e in image) == want]
-        for vmap in kept[have]:
-            iso = _propagate(a, b, seed_piece, vmap)
+        for v in kept[have]:
+            iso = _propagate(a, b, seed_piece, v)
             if iso is not None:
                 out.append(iso)
                 if not find_all:
@@ -193,7 +197,7 @@ def rotation_iso(dec: Decomposition, steps: int = 1) -> CombIso:
     """The 2*pi/n rotation about the axis: piece j -> j + 2*steps."""
     m = dec.num_pieces
     pieces = tuple((j + 2 * steps) % m for j in range(m))
-    return CombIso(pieces, ((0, 1, 2, 3),) * m, (dec.n, dec.k), (dec.n, dec.k))
+    return CombIso(pieces, (0,) * m, (dec.n, dec.k), (dec.n, dec.k))
 
 
 def flip_iso(dec: Decomposition) -> CombIso:
@@ -203,7 +207,7 @@ def flip_iso(dec: Decomposition) -> CombIso:
     """
     m = dec.num_pieces
     pieces = tuple((-j) % m for j in range(m))
-    return CombIso(pieces, ((3, 2, 1, 0),) * m, (dec.n, dec.k), (dec.n, dec.k))
+    return CombIso(pieces, (_FLIP,) * m, (dec.n, dec.k), (dec.n, dec.k))
 
 
 def reflection_iso(dec: Decomposition) -> CombIso:
@@ -214,8 +218,7 @@ def reflection_iso(dec: Decomposition) -> CombIso:
     """
     m = dec.num_pieces
     pieces = tuple((1 - j) % m for j in range(m))
-    return CombIso(pieces, ((0, 1, 2, 3),) * m,
-                   (dec.n, dec.k), (dec.n, (dec.n - dec.k - 1) % dec.n))
+    return CombIso(pieces, (0,) * m, (dec.n, dec.k), (dec.n, (dec.n - dec.k - 1) % dec.n))
 
 
 @dataclass(frozen=True)
@@ -226,22 +229,19 @@ class AutGroupData:
     order: int
     generators: dict
 
-    def contains(self, iso: CombIso) -> bool:
-        key = (iso.pieces, iso.vertex_maps)
-        return any((e.pieces, e.vertex_maps) == key for e in self.elements)
-
 
 def generated_subgroup(candidates, identity: CombIso, within: set | None = None):
     """Greedy generators from ``candidates`` and the elements they generate.
 
     A candidate not yet reached becomes a generator (each at least doubles the
     set, so at most log2|G| of them); BFS by full left products adds the rest.
-    A product keyed (pieces, vertex_maps) outside ``within`` raises ClosureFailure.
+    Elements are keyed (pieces, lmaps); a product outside ``within`` raises
+    ClosureFailure.
     """
-    reached = {(identity.pieces, identity.vertex_maps): identity}
+    reached = {(identity.pieces, identity.lmaps): identity}
     gens: list[CombIso] = []
     for c in candidates:
-        if (c.pieces, c.vertex_maps) in reached:
+        if (c.pieces, c.lmaps) in reached:
             continue
         gens.append(c)
         frontier, multipliers = list(reached.values()), [c]  # closed under gens[:-1]
@@ -249,7 +249,7 @@ def generated_subgroup(candidates, identity: CombIso, within: set | None = None)
             new = []
             for x, g in itertools.product(frontier, multipliers):
                 y = g.compose(x)
-                key = (y.pieces, y.vertex_maps)
+                key = (y.pieces, y.lmaps)
                 if key not in reached:
                     if within is not None and key not in within:
                         raise ClosureFailure(f"{g.pieces} o {x.pieces} not enumerated")
@@ -274,28 +274,18 @@ def automorphism_group(dec: Decomposition, verify_closure: bool = True) -> AutGr
     (9,1), (12,1) and (15,1).
     """
     elements = enumerate_isomorphisms(dec, dec)
-    elements.sort(key=lambda e: (e.pieces, e.vertex_maps))
-    keyset = {(e.pieces, e.vertex_maps) for e in elements}
+    elements.sort(key=lambda e: (e.pieces, e.lmaps))  # PERMS is lexicographic
+    by_key = {(e.pieces, e.lmaps): e for e in elements}
 
     if verify_closure:
-        _, reached = generated_subgroup(elements, CombIso.identity(dec), keyset)
-        if reached.keys() != keyset:
-            raise ClosureFailure(f"{len(reached)} generated, {len(keyset)} enumerated")
+        _, reached = generated_subgroup(elements, CombIso.identity(dec), by_key.keys())
+        if reached.keys() != by_key.keys():
+            raise ClosureFailure(f"{len(reached)} generated, {len(by_key)} enumerated")
 
-    def lookup(candidate: CombIso) -> CombIso | None:
-        key = (candidate.pieces, candidate.vertex_maps)
-        return candidate if key in keyset else None
-
-    gens = {
-        "r": lookup(rotation_iso(dec)),
-        "t": lookup(flip_iso(dec)),
-        "u": lookup(reflection_iso(dec)),
-    }
-    s_candidates = [
-        e for e in elements
-        if e.pieces[0] == 0 and e.vertex_maps[0] == (1, 0, 3, 2)
-    ]
-    gens["s"] = s_candidates[0] if s_candidates else None
+    gens = {name: by_key.get((c.pieces, c.lmaps)) for name, c in
+            (("r", rotation_iso(dec)), ("t", flip_iso(dec)), ("u", reflection_iso(dec)))}
+    gens["s"] = next((e for e in elements
+                      if e.pieces[0] == 0 and e.lmaps[0] == _HALF_TURN), None)
     return AutGroupData(elements=tuple(elements), order=len(elements),
                         generators=gens)
 
@@ -329,9 +319,10 @@ class CandidateReport:
 
 def extend_seed(dec: Decomposition, seed_piece: int, seed_vmap: tuple[int, ...]):
     """Try the seed against every step target; (iso, k') or (None, None)."""
+    seed_lmap = PERM_INDEX[tuple(seed_vmap)]
     for k2 in range(dec.n):
         target = dec if k2 == dec.k else Decomposition(dec.n, k2)
-        iso = _propagate(dec, target, seed_piece, tuple(seed_vmap))
+        iso = _propagate(dec, target, seed_piece, seed_lmap)
         if iso is not None:
             return iso, k2
     return None, None
@@ -385,7 +376,7 @@ def candidate_composition_identities(dec: Decomposition) -> dict[str, bool | Non
     def equal(a: CombIso | None, b: CombIso | None) -> bool | None:
         if a is None or b is None:
             return None
-        return (a.pieces, a.vertex_maps, a.target) == (b.pieces, b.vertex_maps, b.target)
+        return (a.pieces, a.lmaps, a.target) == (b.pieces, b.lmaps, b.target)
 
     return {
         "phi3 = phi1 . phi2": equal(ext(3), after(1, ext(2))),

@@ -191,6 +191,7 @@ def test_verify_presentations_clean_range(capsys):
     (["decompose", "--n", "40", "--k", "17"], "decompose_40_17.json"),
     (["decompose", "--n", "39", "--k", "19"], "decompose_39_19.json"),
     (["tilts", "--n", "7"], "tilts_7.json"),
+    (["isom-group", "--n", "9", "--k", "1"], "isom_group_9_1.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
@@ -199,10 +200,12 @@ def test_output_matches_golden_bytes(capsys, argv, golden):
     # (whose 48 elements pin their order) and classify ones before the
     # isomorphism search did, and the two at the top of the census range
     # before the boundary vertices came from the edge-class union-find;
-    # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies
+    # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies, and
+    # isom-group (9, 1) on its missing half-turn
     code, out = run_capture(capsys, argv)
     assert out == (GOLDEN / golden).read_text()
-    assert code == (1 if argv[0] == "verify-presentations" else 0)
+    assert code == (1 if argv[0] == "verify-presentations" or golden == "isom_group_9_1.json"
+                    else 0)
 
 
 def test_tilts_report_evaluates_each_route_once(monkeypatch, capsys):

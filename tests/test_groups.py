@@ -7,13 +7,14 @@ from antidual.groups import (
     MissingGenerator,
     PresentationSyntaxError,
     PresentedGroup,
+    concrete_generator,
     coset_enumerate,
     format_presentation,
     isometry_presentation,
     parse_presentation,
     verify_isomorphism,
 )
-from antidual.symmetry import automorphism_group
+from antidual.symmetry import AutGroupData, automorphism_group
 
 
 def test_parse_and_format_round_trip():
@@ -162,12 +163,21 @@ def test_verify_isomorphism_negative_control():
 def test_verify_isomorphism_missing_generator():
     dec = build_decomposition(9, 1)
     aut = automorphism_group(dec, verify_closure=False)
-    with pytest.raises(MissingGenerator):
+    with pytest.raises(MissingGenerator) as exc:
         verify_isomorphism(isometry_presentation(9, 1), aut, dec)
+    assert str(exc.value) == "half-turn s is not an automorphism here"
+    with pytest.raises(MissingGenerator) as exc:
+        verify_isomorphism(parse_presentation("gens: r,v ; rels: v^2"), aut, dec)
+    assert str(exc.value) == "no concrete automorphism known for 'v'"
     dec = build_decomposition(6, 2)
     aut = automorphism_group(dec, verify_closure=False)
-    with pytest.raises(MissingGenerator):
+    with pytest.raises(MissingGenerator) as exc:
         verify_isomorphism(isometry_presentation(5, 2), aut, dec)  # wants u
+    assert str(exc.value) == "mirror u maps step 2 to step 3, not an automorphism"
+    unidentified = AutGroupData(elements=(), order=0, generators=dict.fromkeys("rtus"))
+    with pytest.raises(MissingGenerator) as exc:
+        concrete_generator("r", dec, unidentified)
+    assert str(exc.value) == "generator 'r' not in the enumerated group"
 
 
 def test_selfdual_subcase22_certificate_records_failures():

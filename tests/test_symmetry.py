@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 
 import antidual.symmetry as symmetry
-from antidual.decomposition import WrongCase, build_decomposition
+from antidual.decomposition import PERM_INDEX, PERM_PRODUCT, WrongCase, build_decomposition
 from antidual.symmetry import (
     CANDIDATE_SEEDS,
     ClosureFailure,
@@ -97,7 +97,7 @@ def _oracle_propagate(a, b, slots_a, slots_b, seed_piece, seed_vmap):
                 queue.append(j2)
             elif pieces[j2] != tp or vmaps[j2] != tuple(new_vm):
                 return None
-    iso = CombIso(tuple(pieces), tuple(vmaps), (a.n, a.k), (b.n, b.k))
+    iso = CombIso(tuple(pieces), tuple(PERM_INDEX[v] for v in vmaps), (a.n, a.k), (b.n, b.k))
     return iso if is_isomorphism(iso, a, b) else None
 
 
@@ -143,6 +143,30 @@ def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, seeds):
     assert len(calls) == seeds
 
 
+def _corrupt_lmap(tau):
+    def corrupt(target, t):
+        target.slot_lmap[t] = PERM_PRODUCT[24 * tau + target.slot_lmap[t]]
+    return corrupt
+
+
+def _corrupt_nbr(target, t):
+    target.slot_nbr[t] = (target.slot_nbr[t] + 4) % len(target.slot_nbr)
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (7, 3), (9, 4)])
+@pytest.mark.parametrize("corrupt", [_corrupt_lmap(1), _corrupt_lmap(6), _corrupt_nbr],
+                         ids=["lmap-(2 3)", "lmap-(0 1)", "nbr+1"])
+def test_search_walk_checks_every_slot(n, k, corrupt):
+    # the walk is the search's only check on a found map: one wrong slot of
+    # the target, whichever of the 8n it is, must reject the rotation seed
+    dec = build_decomposition(n, k)
+    assert symmetry._propagate(dec, build_decomposition(n, k), 2, 0) == rotation_iso(dec)
+    for t in range(4 * dec.num_pieces):
+        target = build_decomposition(n, k)
+        corrupt(target, t)
+        assert symmetry._propagate(dec, target, 2, 0) is None, t
+
+
 def test_table_composition_matches_the_label_formula():
     elements = automorphism_group(build_decomposition(6, 1)).elements
     for x in elements:
@@ -175,14 +199,17 @@ def test_search_agrees_with_backtracking_oracle(n, k):
 
 
 def test_group_closure_inverses_identity():
-    aut = automorphism_group(build_decomposition(6, 1))  # closure verified inside
-    keys = {(e.pieces, e.vertex_maps) for e in aut.elements}
-    identity = CombIso.identity(build_decomposition(6, 1))
-    assert (identity.pieces, identity.vertex_maps) in keys
-    for e in aut.elements[:12]:
-        inv = e.inverse()
-        assert (inv.pieces, inv.vertex_maps) in keys
-        assert e.compose(inv).is_identity()
+    for n, k in [(6, 1), (9, 4)]:
+        aut = automorphism_group(build_decomposition(n, k))  # closure verified inside
+        keys = {(e.pieces, e.vertex_maps) for e in aut.elements}
+        identity = CombIso.identity(build_decomposition(n, k))
+        assert (identity.pieces, identity.vertex_maps) in keys
+        for e in aut.elements:
+            inv = e.inverse()
+            assert (inv.pieces, inv.vertex_maps) in keys
+            assert e.compose(inv).is_identity()
+            assert inv.compose(e).is_identity()
+            assert inv.inverse() == e
 
 
 def _drop_identity(elements):
@@ -219,7 +246,7 @@ def test_closure_check_catches_a_broken_set(monkeypatch, n, k, drop):
 def test_greedy_generators_reach_the_group(n, k, order):
     dec = build_decomposition(n, k)
     aut = automorphism_group(dec, verify_closure=False)
-    keys = {(e.pieces, e.vertex_maps) for e in aut.elements}
+    keys = {(e.pieces, e.lmaps) for e in aut.elements}
     gens, reached = generated_subgroup(aut.elements, CombIso.identity(dec), keys)
     assert aut.order == order
     assert 1 <= len(gens) <= math.log2(order)
