@@ -152,7 +152,7 @@ def _decompose_report(dec: Decomposition, real: Realization, full: bool) -> tupl
         "n": n,
         "k": dec.k,
         "pieces": dec.num_pieces,
-        "pairings": len(dec.pairings),
+        "pairings": len(dec.slot_nbr) // 2,
         "edge_classes": [
             {
                 "kind": cls.kind,

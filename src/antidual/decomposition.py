@@ -10,8 +10,8 @@ lower-to-upper edge) is 2i+1.  Within a piece the vertex labels are
 and faces are addressed by their opposite vertex.  The step-k rule matches
 the upper quad through pieces (2i, 2i+1) with the lower quad through pieces
 (2(i+k)+1, 2(i+k)+2); together with the side cuts this yields 4n internal
-triangle pairings, each an involution carrying a bijection of the three
-shared vertex labels.
+triangle gluings, each a permutation of the four labels carrying one face
+onto the other, and the complex keeps them as two tables indexed by slot.
 
 Internal edges fall into three families, each closed under the pairings:
 
@@ -59,19 +59,14 @@ class NonManifold(DecompositionError):
     """An external edge of the boundary complex is not shared by 2 faces."""
 
 
-# label maps of the two pairing families; faces are {0,1,2,3} minus the
-# opposite vertex, maps are stored as (source label -> target label)
-_SIDE_LOWER_MAP = ((0, 0), (2, 2), (3, 3))   # faces opp 1, shared lower-mid
-_SIDE_UPPER_MAP = ((0, 0), (1, 1), (3, 3))   # faces opp 2, shared upper-mid
-_QUAD_MAP = ((0, 1), (1, 2), (2, 3))         # face opp 3 onto face opp 0
-
-
 @dataclass(frozen=True)
 class FacePairing:
-    """An identification of two internal triangle slots.
+    """A view of one gluing of two internal triangle slots.
 
     ``vertex_map`` sends the three labels of face (piece_a, face_a) to the
-    labels of face (piece_b, face_b).
+    labels of face (piece_b, face_b).  ``Decomposition.pairings`` builds
+    these on request from the step rule's gluing list; the complex itself
+    holds only its slot tables.
     """
 
     piece_a: int
@@ -169,14 +164,9 @@ def _twist(p: tuple[int, ...], v: int) -> int:
 # triangle the one at v is glued to, and the twist of that gluing
 _TRIANGLE_GLUE = tuple((p[v], _twist(p, v)) for p in PERMS for v in range(4))
 
-
-def _slot_perm(fp: FacePairing) -> int | None:
-    """Index of the full label map across a pairing, face_a -> face_b
-    filled in; None unless it maps the face's labels bijectively."""
-    image = [fp.face_b] * 4
-    for x, y in fp.vertex_map:
-        image[x] = y
-    return PERM_INDEX.get(tuple(image)) if image[fp.face_a] == fp.face_b else None
+# the quad gluing: face opp 3 onto face opp 0 by 0->1, 1->2, 2->3; the side
+# gluings are the identity on the shared face
+_QUAD = PERM_INDEX[(1, 2, 3, 0)]
 
 
 class Decomposition:
@@ -190,22 +180,15 @@ class Decomposition:
         self.n = n
         self.k = k
         self.num_pieces = 2 * n
-        self.pairings = self._build_pairings()
-        # slot s = 4*piece + face: slot_nbr[s] is the slot glued to it and
-        # slot_lmap[s] the index in PERMS of the label map across the gluing
+        # the complex's only tables: slot_nbr[s] is the slot glued to slot
+        # s = 4*piece + face and slot_lmap[s] the PERMS index of its label map
         self.slot_nbr = [-1] * (4 * self.num_pieces)
         self.slot_lmap = [0] * (4 * self.num_pieces)
-        # the step rule reuses a handful of label maps; a corrupted one is
-        # still its own key
-        perms: dict = {}
-        for fp in self.pairings:
-            sa, sb = 4 * fp.piece_a + fp.face_a, 4 * fp.piece_b + fp.face_b
-            key = (fp.face_a, fp.face_b, fp.vertex_map)
-            if key not in perms:
-                perms[key] = _slot_perm(fp)
-            i = perms[key]
-            if i is None:
-                raise DecompositionError(f"pairing {fp} is not a bijection of face labels")
+        for sa, sb, i in self._gluings():
+            if PERMS[i][sa & 3] != sb & 3:
+                raise DecompositionError(
+                    f"gluing {divmod(sa, 4)} -> {divmod(sb, 4)} by {PERMS[i]} "
+                    f"does not carry face onto face")
             for s, s2, lmap in ((sa, sb, i), (sb, sa, _INVERSE[i])):
                 if self.slot_nbr[s] >= 0:
                     raise NonManifold(f"slot {divmod(s, 4)} is paired twice")
@@ -217,16 +200,24 @@ class Decomposition:
 
     # -- construction -----------------------------------------------------
 
-    def _build_pairings(self) -> tuple[FacePairing, ...]:
-        n, k = self.n, self.k
-        m = 2 * n
-        out = []
-        for i in range(n):
-            out.append(FacePairing(2 * i, 1, (2 * i + 1) % m, 1, _SIDE_LOWER_MAP))
-            out.append(FacePairing(2 * i + 1, 2, (2 * i + 2) % m, 2, _SIDE_UPPER_MAP))
-            out.append(FacePairing(2 * i, 3, (2 * i + 2 * k + 2) % m, 0, _QUAD_MAP))
-            out.append(FacePairing(2 * i + 1, 3, (2 * i + 2 * k + 1) % m, 0, _QUAD_MAP))
-        return tuple(out)
+    def _gluings(self) -> list[tuple[int, int, int]]:
+        """The step rule's 4n gluings (slot, partner slot, PERMS index),
+        slot = 4*piece + face: for each even piece p the lower side gluing
+        (p, 1)-(p+1, 1) and the upper one (p+1, 2)-(p+2, 2), then the quad
+        gluings out of pieces p and p+1."""
+        m, k = self.num_pieces, self.k
+        return [g for p in range(0, m, 2) for g in (
+            (4 * p + 1, 4 * p + 5, 0),
+            (4 * p + 6, 4 * ((p + 2) % m) + 2, 0),
+            (4 * p + 3, 4 * ((p + 2 * k + 2) % m), _QUAD),
+            (4 * p + 7, 4 * ((p + 2 * k + 1) % m), _QUAD))]
+
+    @property
+    def pairings(self) -> tuple[FacePairing, ...]:
+        """The gluings as ``FacePairing`` views, in the step rule's order."""
+        return tuple(FacePairing(sa >> 2, sa & 3, sb >> 2, sb & 3,
+                                 tuple(_LABEL_MAPS[4 * i + (sa & 3)].items()))
+                     for sa, sb, i in self._gluings())
 
     def _check_descent(self):
         # the cut diagonal of an upper quad is the {0,2} edge of its two

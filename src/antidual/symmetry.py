@@ -60,9 +60,6 @@ class CombIso:
     def vertex_maps(self) -> tuple[tuple[int, int, int, int], ...]:
         return tuple(PERMS[v] for v in self.lmaps)
 
-    def apply_slot(self, piece: int, face: int) -> tuple[int, int]:
-        return self.pieces[piece], PERMS[self.lmaps[piece]][face]
-
     def apply_edge(self, piece: int, edge: tuple[int, int]) -> tuple[int, tuple[int, int]]:
         vm = PERMS[self.lmaps[piece]]
         return self.pieces[piece], tuple(sorted((vm[edge[0]], vm[edge[1]])))
@@ -319,10 +316,17 @@ class CandidateReport:
 
 def extend_seed(dec: Decomposition, seed_piece: int, seed_vmap: tuple[int, ...]):
     """Try the seed against every step target; (iso, k') or (None, None)."""
+    return _extend_seed(dec, seed_piece, seed_vmap, {dec.k: dec})
+
+
+def _extend_seed(dec: Decomposition, seed_piece: int, seed_vmap: tuple[int, ...],
+                 steps: dict[int, Decomposition]):
+    # steps holds the complexes of n built so far, by step; a missing one is added
     seed_lmap = PERM_INDEX[tuple(seed_vmap)]
     for k2 in range(dec.n):
-        target = dec if k2 == dec.k else Decomposition(dec.n, k2)
-        iso = _propagate(dec, target, seed_piece, seed_lmap)
+        if k2 not in steps:
+            steps[k2] = Decomposition(dec.n, k2)
+        iso = _propagate(dec, steps[k2], seed_piece, seed_lmap)
         if iso is not None:
             return iso, k2
     return None, None
@@ -336,9 +340,13 @@ def candidate_maps(dec: Decomposition) -> list[CandidateReport]:
     shows every isomorphism is one of them composed with the rotation
     subgroup, and the full search (which does not assume this) confirms it.
     """
+    return _candidate_maps(dec, {dec.k: dec})
+
+
+def _candidate_maps(dec: Decomposition, steps: dict[int, Decomposition]):
     out = []
     for idx, (piece, vmap) in enumerate(CANDIDATE_SEEDS):
-        iso, k2 = extend_seed(dec, piece, vmap)
+        iso, k2 = _extend_seed(dec, piece, vmap, steps)
         out.append(CandidateReport(
             index=idx,
             seed_piece=piece,
@@ -357,20 +365,19 @@ def candidate_composition_identities(dec: Decomposition) -> dict[str, bool | Non
     Each identity is checked as equality of fully extended maps (the right
     factor applied first); None when either side fails to extend.
     """
-    reports = candidate_maps(dec)
+    steps = {dec.k: dec}  # each step's complex is built once per call
+    reports = _candidate_maps(dec, steps)
 
     def ext(i: int) -> CombIso | None:
         return reports[i].iso
 
     def after(outer_idx: int, inner: CombIso | None) -> CombIso | None:
         # candidate ``outer_idx`` re-extended with the inner map's target as
-        # its source, composed after the inner map
+        # its source (already in steps), composed after the inner map
         if inner is None:
             return None
-        k_src = inner.target[1]
-        src = dec if k_src == dec.k else Decomposition(dec.n, k_src)
         piece, vmap = CANDIDATE_SEEDS[outer_idx]
-        outer, _ = extend_seed(src, piece, vmap)
+        outer, _ = _extend_seed(steps[inner.target[1]], piece, vmap, steps)
         return None if outer is None else outer.compose(inner)
 
     def equal(a: CombIso | None, b: CombIso | None) -> bool | None:

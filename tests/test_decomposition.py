@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -11,8 +10,8 @@ from antidual.decomposition import (
     BoundarySurface,
     Decomposition,
     DecompositionError,
+    DescentFailure,
     EdgeClass,
-    FacePairing,
     InvalidStep,
     NonManifold,
     PERM_INDEX,
@@ -25,8 +24,10 @@ from antidual.decomposition import (
     decomposition_to_dict,
     require_div3,
 )
+import antidual.cli as cli
 from antidual.minkowski import MinkVec, mink_inner
 from antidual.realization import dihedral_angles, realize
+from antidual.symmetry import automorphism_group
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,13 +48,22 @@ def test_invalid_inputs():
 
 
 def test_pairing_involution():
-    dec = build_decomposition(6, 2)
-    for piece, face in dec.slots():
-        p2, f2, fwd = dec.pairing_at(piece, face)
-        p3, f3, back = dec.pairing_at(p2, f2)
-        assert (p3, f3) == (piece, face)
-        for x, y in fwd.items():
-            assert back[y] == x
+    for n in range(4, 21):
+        for k in range(n):
+            dec = build_decomposition(n, k)
+            for piece, face in dec.slots():
+                p2, f2, fwd = dec.pairing_at(piece, face)
+                p3, f3, back = dec.pairing_at(p2, f2)
+                assert (p3, f3) == (piece, face)
+                for x, y in fwd.items():
+                    assert back[y] == x
+            # each view of the gluing list agrees with the slot tables on
+            # both of its slots
+            for fp in dec.pairings:
+                assert dec.pairing_at(fp.piece_a, fp.face_a) == (
+                    fp.piece_b, fp.face_b, fp.forward()), (n, k, fp)
+                assert dec.pairing_at(fp.piece_b, fp.face_b) == (
+                    fp.piece_a, fp.face_a, fp.backward()), (n, k, fp)
 
 
 def test_every_internal_slot_paired_once():
@@ -342,19 +352,19 @@ def test_kernels_match_the_tuple_keyed_oracle(n):
 
 
 class _Regluing(Decomposition):
-    """The (n, k) complex with the label map of its first pairing out of
-    face ``face_a`` replaced."""
+    """The (n, k) complex with the label map of its first gluing out of
+    face ``face_a`` replaced by the permutation ``perm``."""
 
-    def __init__(self, n, k, face_a, vertex_map):
-        self._regluing = (face_a, vertex_map)
+    def __init__(self, n, k, face_a, perm):
+        self._regluing = (face_a, PERM_INDEX[perm])
         super().__init__(n, k)
 
-    def _build_pairings(self):
-        face_a, vertex_map = self._regluing
-        pairings = list(super()._build_pairings())
-        i = next(i for i, fp in enumerate(pairings) if fp.face_a == face_a)
-        pairings[i] = dataclasses.replace(pairings[i], vertex_map=vertex_map)
-        return tuple(pairings)
+    def _gluings(self):
+        face_a, lmap = self._regluing
+        gluings = super()._gluings()
+        i = next(i for i, (sa, _, _) in enumerate(gluings) if sa % 4 == face_a)
+        gluings[i] = gluings[i][:2] + (lmap,)
+        return gluings
 
 
 def test_non_involutive_edge_gluing_is_non_manifold():
@@ -385,26 +395,26 @@ def test_a_label_map_not_inverted_across_its_slot_is_non_manifold():
 
 
 class _Repairing(Decomposition):
-    """The (5, 1) complex with its pairing table edited by ``edit``."""
+    """The (5, 1) complex with its gluing list edited by ``edit``."""
 
     def __init__(self, edit):
         self._edit = edit
         super().__init__(5, 1)
 
-    def _build_pairings(self):
-        return tuple(self._edit(list(super()._build_pairings())))
+    def _gluings(self):
+        return self._edit(super()._gluings())
 
 
 def test_an_unpaired_slot_is_non_manifold():
     with pytest.raises(NonManifold, match=r"slot \(0, 1\) is unpaired"):
-        _Repairing(lambda pairings: pairings[1:])
+        _Repairing(lambda gluings: gluings[1:])
 
 
 def test_a_slot_paired_twice_is_non_manifold():
-    # the first pairing, (0, 1) <-> (1, 1), also in the place of the second
-    def duplicate(pairings):
-        pairings[1] = pairings[0]
-        return pairings
+    # the first gluing, (0, 1) <-> (1, 1), also in the place of the second
+    def duplicate(gluings):
+        gluings[1] = gluings[0]
+        return gluings
 
     with pytest.raises(NonManifold, match=r"slot \(0, 1\) is paired twice"):
         _Repairing(duplicate)
@@ -416,7 +426,7 @@ def test_a_transposed_label_map_makes_the_boundary_non_orientable(n, k):
     # still sends polyhedron edges to polyhedron edges and the cut diagonal
     # to the cut diagonal, so the complex builds, but that one gluing now
     # reverses orientation
-    dec = _Regluing(n, k, 3, ((0, 3), (1, 2), (2, 1)))
+    dec = _Regluing(n, k, 3, (3, 2, 1, 0))
     surf = boundary_surface(dec)
     assert surf.is_orientable is False
     assert surf.genus == -1
@@ -430,13 +440,39 @@ def test_a_link_from_an_axis_slot_to_a_diagonal_slot_is_refused():
     # the side map, the identity on {0, 2, 3}, composed with (2 3) sends the
     # axis edge {0, 3} of piece 0 onto the diagonal {0, 2} of piece 1
     with pytest.raises(DecompositionError, match="edge class mixes families") as exc:
-        _Regluing(5, 1, 1, ((0, 0), (2, 3), (3, 2)))
+        _Regluing(5, 1, 1, (0, 1, 3, 2))
     assert "'axis'" in str(exc.value) and "'diagonal'" in str(exc.value)
 
 
-def test_a_label_map_that_is_not_a_bijection_is_refused():
-    with pytest.raises(DecompositionError, match="not a bijection of face labels"):
-        _Regluing(5, 1, 1, ((0, 0), (2, 0), (3, 3)))
+def test_a_quad_gluing_off_the_cut_diagonal_fails_descent():
+    # 0->1, 1->3, 2->2 still carries face 3 onto face 0, but sends the cut
+    # diagonal {0, 2} of the upper quad onto the edge {1, 2}
+    with pytest.raises(DescentFailure,
+                       match=r"slot \(0, 3\) carries the upper diagonal to \[1, 2\]"):
+        _Regluing(5, 1, 3, (1, 3, 2, 0))
+
+
+def test_a_gluing_that_misses_its_partner_face_is_refused():
+    # the side slot (0, 1) glued to (1, 1) by a map carrying face 1 onto face 2
+    with pytest.raises(DecompositionError,
+                       match=r"\(0, 1\) -> \(1, 1\) .* does not carry face onto face"):
+        _Regluing(5, 1, 1, (0, 2, 1, 3))
+
+
+def test_building_and_reporting_a_complex_makes_no_face_pairing(monkeypatch):
+    # FacePairing is a view for export and for the tests' oracles; the
+    # construction, the kernels and the decompose report read slot tables
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FacePairing view was built")
+
+    monkeypatch.setattr("antidual.decomposition.FacePairing", refuse)
+    dec = Decomposition(12, 5)
+    real = realize(12)
+    assert boundary_surface(dec).genus == 9
+    assert angle_sum_check(dec, dihedral_angles(real), real=real).all_within
+    assert automorphism_group(dec).order > 0
+    payload, ok = cli._decompose_report(dec, real, full=False)
+    assert ok and payload["pairings"] == 48
 
 
 def test_nonmanifold_guard_is_not_triggered_on_valid_input():
@@ -544,10 +580,16 @@ class _KiteGluing(Decomposition):
         self._gluing = (name, offset)
         super().__init__(n, k)
 
-    def _build_pairings(self):
+    def _gluings(self):
         triples = _side_pairings(self.n) | _quad_pairings(
             self.n, self.k, *self._gluing)
-        return tuple(FacePairing(*t) for t in sorted(triples))
+        out = []
+        for piece_a, face_a, piece_b, face_b, vertex_map in sorted(triples):
+            image = dict(vertex_map)
+            image[face_a] = face_b
+            out.append((4 * piece_a + face_a, 4 * piece_b + face_b,
+                        PERM_INDEX[tuple(image[x] for x in range(4))]))
+        return out
 
 
 def _census_holds(dec):

@@ -32,9 +32,10 @@ def brute_force_order(dec):
     m = dec.num_pieces
     perms = list(itertools.permutations(range(4)))
     count = 0
+    pairings = dec.pairings  # a property: it builds its views on every read
 
     def consistent(assign):
-        for fp in dec.pairings:
+        for fp in pairings:
             a, b = fp.piece_a, fp.piece_b
             if a in assign and b in assign:
                 pa, va = assign[a]
@@ -432,6 +433,28 @@ def test_extend_seed_unique_target():
     iso, k2 = extend_seed(dec, 1, (0, 1, 2, 3))
     assert k2 == 4  # the mirror image step
     assert iso.target == (7, 4)
+
+
+@pytest.mark.parametrize("n,k", [(24, 7), (9, 4)])
+def test_candidate_reports_build_each_step_once(monkeypatch, n, k):
+    dec = build_decomposition(n, k)
+    built = []
+
+    class Counting(symmetry.Decomposition):
+        def __init__(self, n, k):
+            built.append((n, k))
+            super().__init__(n, k)
+
+    monkeypatch.setattr(symmetry, "Decomposition", Counting)
+    reports = candidate_maps(dec)
+    assert len(built) == len(set(built)) <= n - 1
+    built.clear()
+    candidate_composition_identities(dec)
+    assert len(built) == len(set(built)) <= n - 1
+    assert (n, k) not in built
+    # the shared steps give what each seed finds on its own
+    assert [(r.iso, r.target_k) for r in reports] == [
+        extend_seed(dec, piece, vmap) for piece, vmap in CANDIDATE_SEEDS]
 
 
 def test_group_export_shape():
