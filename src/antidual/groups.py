@@ -459,7 +459,7 @@ def verify_isomorphism(
     Maps each presentation generator to its geometric automorphism, checks
     every relator evaluates to the identity, that the images generate the
     whole group, and that the enumerated presentation order (when the
-    enumeration completes) equals the brute-force order.
+    enumeration completes) equals the enumerated order.
     """
     identity = CombIso.identity(dec)
     images = {

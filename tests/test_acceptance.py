@@ -8,7 +8,8 @@ n | 2(2k+1), and the gluing table both read is checked against the geometry
 in test_decomposition.py.  The corrected orders and presentations are below,
 and both criteria also pin the printed table to the exact cells where it is
 wrong, so either side changing fails the test.  The evidence is recorded in
-notes/decisions.md.
+notes/decisions.md.  One more test sweeps the corrected order rule over
+every cell with n = 4..30, the range ``_corrected_order`` claims.
 """
 
 import math
@@ -139,7 +140,7 @@ def test_criterion_5_boundary_genus():
 
 def test_criterion_6_classification():
     failures = []
-    for n in range(4, 13):
+    for n in range(4, 31):
         result = classify(n)
         found = {frozenset(c) for c in result.classes}
         expected = {frozenset({k, (n - k - 1) % n}) for k in range(n)}
@@ -150,7 +151,7 @@ def test_criterion_6_classification():
             if mirror.target != (n, (n - k - 1) % n):
                 failures.append((n, k, "mirror"))
     report("6 (classification = {k, n-k-1})", not failures,
-           f"full pairwise search n=4..12; failed: {failures}")
+           f"full pairwise search n=4..30; failed: {failures}")
     assert not failures
 
 
@@ -197,6 +198,14 @@ def _corrected_presentation(n, k):
     else:
         text = f"gens: r,t ; rels: r^{n}, t^2, (t*r)^2"
     return parse_presentation(text, provenance=f"corrected_{order // n}n")
+
+
+def test_corrected_order_rule_through_n_30():
+    # the range _corrected_order claims, with the closure check on every cell
+    failures = [(n, k, order) for n in range(4, 31) for k in range(n)
+                if (order := automorphism_group(build_decomposition(n, k)).order)
+                != _corrected_order(n, k)]
+    assert not failures, f"(n, k, |Aut|) off the corrected rule: {failures}"
 
 
 # the cells with n = 4..12 where the printed table is wrong; both criteria

@@ -5,7 +5,9 @@ from collections import deque
 import pytest
 
 import antidual.symmetry as symmetry
-from antidual.decomposition import PERM_INDEX, PERM_PRODUCT, WrongCase, build_decomposition
+from antidual.decomposition import (
+    PERM_INDEX, PERM_PRODUCT, Decomposition, WrongCase, build_decomposition,
+)
 from antidual.symmetry import (
     CANDIDATE_SEEDS,
     ClosureFailure,
@@ -130,8 +132,7 @@ def test_flat_search_matches_the_dict_keyed_oracle(n):
             assert enumerate_isomorphisms(a, b) == _oracle_enumerate(a, b), (n, a.k, b.k)
 
 
-@pytest.mark.parametrize("n,k,seeds", [(9, 1, 144), (16, 5, 64), (24, 7, 384)])
-def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, seeds):
+def _count_propagations(monkeypatch):
     propagate = symmetry._propagate
     calls = []
 
@@ -140,8 +141,50 @@ def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, seeds):
         return propagate(*args)
 
     monkeypatch.setattr(symmetry, "_propagate", counted)
+    return calls
+
+
+# the rotation check on the target plus the prefiltered seeds at pieces 0
+# and 1: at most 1 + 48 walks, whatever n is
+@pytest.mark.parametrize("n,k,seeds", [(9, 1, 17), (16, 5, 5), (24, 7, 17), (60, 29, 17)])
+def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, seeds):
+    calls = _count_propagations(monkeypatch)
     automorphism_group(build_decomposition(n, k))
-    assert len(calls) == seeds
+    assert len(calls) == seeds <= 1 + 2 * 24
+    assert calls[0] == (2, 0)  # the rotation seed, walked before any other
+    assert {piece for piece, _ in calls[1:]} <= {0, 1}
+
+
+class _SwappedQuads(Decomposition):
+    """The quads out of pieces 0 and 2 trade targets."""
+
+    def _gluings(self):
+        g = super()._gluings()
+        (a0, b0, i0), (a2, b2, i2) = g[2], g[6]
+        g[2], g[6] = (a0, b2, i0), (a2, b0, i2)
+        return g
+
+
+class _RelabelledPieces(Decomposition):
+    """The step-rule complex with pieces 1 and 2 trading names."""
+
+    def _gluings(self):
+        def rename(s):
+            return 4 * {1: 2, 2: 1}.get(s >> 2, s >> 2) + (s & 3)
+        return [(rename(sa), rename(sb), i) for sa, sb, i in super()._gluings()]
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 1), (9, 4)])
+@pytest.mark.parametrize("broken", [_SwappedQuads, _RelabelledPieces])
+def test_search_without_rotation_takes_the_full_path(monkeypatch, n, k, broken):
+    x, dec = broken(n, k), build_decomposition(n, k)
+    assert symmetry._propagate(x, x, 2, 0) != rotation_iso(x)
+    for i, (a, b) in enumerate([(x, x), (dec, x), (x, dec)]):
+        assert enumerate_isomorphisms(a, b) == _oracle_enumerate(a, b), i
+    # onto x, maps with piece 0 beyond piece 1 are found by seeds there
+    calls = _count_propagations(monkeypatch)
+    assert any(e.pieces[0] > 1 for e in enumerate_isomorphisms(x, x))
+    assert max(piece for piece, _ in calls[1:]) > 1
 
 
 def _corrupt_lmap(tau):
@@ -247,13 +290,26 @@ def test_closure_check_catches_a_broken_set(monkeypatch, n, k, drop):
 def test_greedy_generators_reach_the_group(n, k, order):
     dec = build_decomposition(n, k)
     aut = automorphism_group(dec, verify_closure=False)
-    keys = {(e.pieces, e.lmaps) for e in aut.elements}
-    gens, reached = generated_subgroup(aut.elements, CombIso.identity(dec), keys)
-    assert aut.order == order
+    seeds = {(e.pieces[0], e.lmaps[0]) for e in aut.elements}
+    gens, reached = generated_subgroup(aut.elements, CombIso.identity(dec), seeds)
+    assert aut.order == len(seeds) == order
     assert 1 <= len(gens) <= math.log2(order)
-    assert reached.keys() == keys
+    assert reached == seeds
     # without a bounding set the helper still generates the same group
     assert len(generated_subgroup(gens, CombIso.identity(dec))[1]) == order
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (9, 4)])
+def test_seed_products_match_full_composition(n, k):
+    # one generator: the seeds reached are those of its powers under compose
+    dec = build_decomposition(n, k)
+    identity = CombIso.identity(dec)
+    for g in automorphism_group(dec, verify_closure=False).elements:
+        powers, power = {(0, 0)}, g
+        while not power.is_identity():
+            powers.add((power.pieces[0], power.lmaps[0]))
+            power = g.compose(power)
+        assert generated_subgroup([g], identity)[1] == powers
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 9, 12])
