@@ -144,15 +144,24 @@ def _count_propagations(monkeypatch):
     return calls
 
 
-# the rotation check on the target plus the prefiltered seeds at pieces 0
-# and 1: at most 1 + 48 walks, whatever n is
-@pytest.mark.parametrize("n,k,seeds", [(9, 1, 17), (16, 5, 5), (24, 7, 17), (60, 29, 17)])
-def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, seeds):
+# full_seeds: the prefiltered seeds over all 2n pieces, which the full search
+# walks.  When the rotation check on the target passes, only the seeds at
+# pieces 0 and 1 are walked: at most 1 + 48 walks, whatever n is
+@pytest.mark.parametrize("n,k,full_seeds",
+                         [(9, 1, 144), (16, 5, 64), (24, 7, 384), (60, 29, 960)])
+def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, full_seeds):
+    dec = build_decomposition(n, k)
     calls = _count_propagations(monkeypatch)
-    automorphism_group(build_decomposition(n, k))
-    assert len(calls) == seeds <= 1 + 2 * 24
+    automorphism_group(dec)
+    assert len(calls) == 1 + full_seeds // n <= 1 + 2 * 24
     assert calls[0] == (2, 0)  # the rotation seed, walked before any other
     assert {piece for piece, _ in calls[1:]} <= {0, 1}
+    quotiented = enumerate_isomorphisms(dec, dec)
+    # a failed rotation check sends the same target down the full search
+    monkeypatch.setattr(symmetry, "rotation_iso", lambda dec: None)
+    calls.clear()
+    assert enumerate_isomorphisms(dec, dec) == quotiented
+    assert len(calls) == 1 + full_seeds
 
 
 class _SwappedQuads(Decomposition):
