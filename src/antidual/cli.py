@@ -209,26 +209,22 @@ def cmd_classify(n: int, cfg: RunConfig) -> tuple[dict, bool]:
     return payload, matches
 
 
-def _order_field(enum: EnumerationResult) -> int | str:
-    return enum.order if enum.completed else "cap_exceeded"
-
-
 def cmd_isom_group(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[dict, bool]:
-    return _isom_group_report(build_decomposition(n, k), cfg, full)
+    enum = _enumerate_presentations([(n, k)], cfg)[n, k]
+    return _isom_group_report(build_decomposition(n, k), enum, full)
 
 
-def _isom_group_report(dec: Decomposition, cfg: RunConfig, full: bool) -> tuple[dict, bool]:
+def _isom_group_report(dec: Decomposition, enum: EnumerationResult,
+                       full: bool) -> tuple[dict, bool]:
     n, k = dec.n, dec.k
     aut = automorphism_group(dec)
     pres = isometry_presentation(n, k)
     expected = n * PRINTED_ORDER_OVER_N[pres.provenance]
     try:
-        cert = verify_isomorphism(pres, aut, dec, cap=cfg.coset_cap)
+        cert = verify_isomorphism(pres, aut, dec, enum)
     except MissingGenerator as exc:
-        enum = coset_enumerate(pres, cap=cfg.coset_cap)
         cert_payload = {"missing_generator": str(exc), "verdict": False}
     else:
-        enum = cert.enumerated
         cert_payload = {
             "relators_hold": cert.relators_hold,
             "relator_results": list(cert.relator_results),
@@ -245,7 +241,7 @@ def _isom_group_report(dec: Decomposition, cfg: RunConfig, full: bool) -> tuple[
             name for name, iso in aut.generators.items() if iso is not None),
         "presentation": format_presentation(pres),
         "presentation_case": pres.provenance,
-        "presentation_order": _order_field(enum),
+        "presentation_order": enum.order if enum.completed else "cap_exceeded",
         "expected_order": expected,
         "aut_matches_expected": aut.order == expected,
         "presentation_matches_aut": enum.completed and enum.order == aut.order,
@@ -258,6 +254,15 @@ def _isom_group_report(dec: Decomposition, cfg: RunConfig, full: bool) -> tuple[
     return payload, ok
 
 
+def _enumerate_presentations(cells: list[tuple[int, int]], cfg: RunConfig) -> dict:
+    """Each (n, k) cell's presentation enumerated; each distinct presentation
+    is enumerated once, in this process and in first-seen order."""
+    presentations = {cell: isometry_presentation(*cell) for cell in cells}
+    enumerated = {pres: coset_enumerate(pres, cap=cfg.coset_cap)
+                  for pres in dict.fromkeys(presentations.values())}
+    return {cell: enumerated[pres] for cell, pres in presentations.items()}
+
+
 def _survey_geometry(n: int, cfg: RunConfig) -> tuple[Realization, bool, float]:
     """One n's realization, whether it passes `realize` and `tilts`, and its
     tilt margin: the part of a survey row that does not depend on k."""
@@ -267,12 +272,12 @@ def _survey_geometry(n: int, cfg: RunConfig) -> tuple[Realization, bool, float]:
     return real, valid and canonical, tilt_payload["margin"]
 
 
-def _survey_cell(args: tuple[int, tuple[Realization, bool, float], RunConfig]) -> dict:
-    k, (real, geometry_ok, tilt_margin), cfg = args
+def _survey_cell(args: tuple[int, tuple[Realization, bool, float], EnumerationResult]) -> dict:
+    k, (real, geometry_ok, tilt_margin), enum = args
     n = real.params.n
     dec = build_decomposition(n, k)
     dec_payload, dec_ok = _decompose_report(dec, real, full=False)
-    group_payload, _ = _isom_group_report(dec, cfg, full=False)
+    group_payload, _ = _isom_group_report(dec, enum, full=False)
     return {
         "n": n,
         "k": k,
@@ -294,11 +299,11 @@ SURVEY_FIELDS = [
 
 
 def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
-    # the geometry depends on n only: built here once, shared by n's cells
-    cells = []
-    for n in range(n_min, n_max + 1):
-        geometry = _survey_geometry(n, cfg)
-        cells += [(k, geometry, cfg) for k in range(n)]
+    # built here once: each n's geometry and each distinct presentation's enumeration
+    grid = [(n, k) for n in range(n_min, n_max + 1) for k in range(n)]
+    geometry = {n: _survey_geometry(n, cfg) for n in range(n_min, n_max + 1)}
+    cells = [(k, geometry[n], enum)
+             for (n, k), enum in _enumerate_presentations(grid, cfg).items()]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_survey_cell, cells))
@@ -319,40 +324,37 @@ def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def cmd_verify_presentations(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
+    grid = [(n, k) for n in range(n_min, n_max + 1) for k in range(n)]
+    enumerations = _enumerate_presentations(grid, cfg)
     entries = []
-    discrepancies = []
-    all_completed = True
     special = None
-    for n in range(n_min, n_max + 1):
-        for k in range(n):
-            aut = automorphism_group(build_decomposition(n, k))
-            pres = isometry_presentation(n, k)
-            enum = coset_enumerate(pres, cap=cfg.coset_cap)
-            all_completed = all_completed and enum.completed
-            match = enum.completed and enum.order == aut.order
-            entries.append({
-                "n": n,
-                "k": k,
-                "case": pres.provenance,
-                "presentation_order": _order_field(enum),
-                "aut_order": aut.order,
-                "claimed_order": n * PRINTED_ORDER_OVER_N[pres.provenance],
-                "match": match,
-            })
-            if not match:
-                discrepancies.append({"n": n, "k": k, "case": pres.provenance})
-            if (n, k) == (9, 4):
-                special = {
-                    "n": 9,
-                    "k": 4,
-                    "presentation": format_presentation(pres),
-                    "presentation_order": _order_field(enum),
-                    "aut_order": aut.order,
-                    "agreement": match,
-                    "note": "" if match else (
-                        "the self-dual presentation has no parameter dependence, so its "
-                        "order cannot track the brute-force group order family"),
-                }
+    for (n, k), enum in enumerations.items():
+        report, _ = _isom_group_report(build_decomposition(n, k), enum, full=False)
+        match = report["presentation_matches_aut"]
+        entries.append({
+            "n": n,
+            "k": k,
+            "case": report["presentation_case"],
+            "presentation_order": report["presentation_order"],
+            "aut_order": report["aut_order"],
+            "claimed_order": report["expected_order"],
+            "match": match,
+        })
+        if (n, k) == (9, 4):
+            special = {
+                "n": 9,
+                "k": 4,
+                "presentation": report["presentation"],
+                "presentation_order": report["presentation_order"],
+                "aut_order": report["aut_order"],
+                "agreement": match,
+                "note": "" if match else (
+                    "the self-dual presentation has no parameter dependence, so its "
+                    "order cannot track the brute-force group order family"),
+            }
+    discrepancies = [{key: e[key] for key in ("n", "k", "case")}
+                     for e in entries if not e["match"]]
+    all_completed = all(enum.completed for enum in enumerations.values())
     payload = {
         "n_min": n_min,
         "n_max": n_max,

@@ -4,7 +4,9 @@ Presentations are kept exactly as the classification states them, with
 exponent expressions in (m, l) substituted but not otherwise reduced; the
 enumerator is the only place words get normalised.  Orders are computed by
 Todd-Coxeter enumeration over the trivial subgroup with a hard coset cap,
-since a presentation under test could in principle be infinite.
+since a presentation under test could in principle be infinite; each command
+enumerates each distinct presentation once and hands the result to
+``verify_isomorphism``.
 
 The text format for presentations is ``gens: r,t ; rels: r^5, t^2, (t*r)^2``
 (whitespace-insensitive; ``^`` exponents possibly negative, ``*``
@@ -413,7 +415,6 @@ class IsomorphismCertificate:
     relators_hold: bool
     generated_order: int
     surjective: bool
-    enumerated: EnumerationResult
     order_matches: bool | None
     verdict: bool
 
@@ -452,14 +453,14 @@ def verify_isomorphism(
     group: PresentedGroup,
     aut: AutGroupData,
     dec: Decomposition,
-    cap: int = DEFAULT_COSET_CAP,
+    enumerated: EnumerationResult,
 ) -> IsomorphismCertificate:
     """Check the presentation against the enumerated automorphism group.
 
     Maps each presentation generator to its geometric automorphism, checks
     every relator evaluates to the identity, that the images generate the
-    whole group, and that the enumerated presentation order (when the
-    enumeration completes) equals the enumerated order.
+    whole group, and that the order in ``enumerated``, the caller's
+    ``coset_enumerate(group)``, equals the group order unless it hit its cap.
     """
     identity = CombIso.identity(dec)
     images = {
@@ -472,7 +473,6 @@ def verify_isomorphism(
     relators_hold = all(relator_results)
     generated = len(generated_subgroup(images.values(), identity)[1])
     surjective = generated == aut.order
-    enumerated = coset_enumerate(group, cap=cap)
     order_matches = enumerated.order == aut.order if enumerated.completed else None
     verdict = relators_hold and surjective and order_matches is not False
     return IsomorphismCertificate(
@@ -481,7 +481,6 @@ def verify_isomorphism(
         relators_hold=relators_hold,
         generated_order=generated,
         surjective=surjective,
-        enumerated=enumerated,
         order_matches=order_matches,
         verdict=verdict,
     )

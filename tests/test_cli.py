@@ -224,13 +224,15 @@ def test_tilts_report_evaluates_each_route_once(monkeypatch, capsys):
 
 
 def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
-    calls = []
+    calls, presentations = [], []
 
     def count(module, name):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(f"{module.__name__}.{name}")
+            if name == "coset_enumerate":
+                presentations.append(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -250,20 +252,31 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_survey_cell", counted_cell)
     assert run_cli(["survey", "--n-min", "4", "--n-max", "6"]) == 0
     capsys.readouterr()
-    # one realization per n, built outside the cells
+    # one realization per n and one enumeration per distinct presentation,
+    # all made outside the cells
     assert calls.count("antidual.cli.build_realization") == 3
+    assert calls.count("antidual.cli.coset_enumerate") == len(set(presentations)) == 6
     geometry = cli._survey_geometry(9, RunConfig())
-    assert not counted_cell((1, geometry, RunConfig()))["isom_verdict"]
-    counted_cell((4, geometry, RunConfig()))
+    enumerations = cli._enumerate_presentations([(9, 1), (9, 4)], RunConfig())
+    # (9, 1) has no mirror generator u, so verify_isomorphism raises
+    # MissingGenerator; the cell still enumerates nothing
+    assert not counted_cell((1, geometry, enumerations[9, 1]))["isom_verdict"]
+    counted_cell((4, geometry, enumerations[9, 4]))
 
     cells = [(n, k) for n in range(4, 7) for k in range(n)] + [(9, 1), (9, 4)]
     assert sorted(per_cell) == sorted(cells)
     for cell in cells:
-        # (9, 1) has no mirror generator u, so verify_isomorphism raises
-        # MissingGenerator and the report enumerates the presentation itself
-        enumerator = "antidual.cli" if cell == (9, 1) else "antidual.groups"
-        assert per_cell[cell] == ["antidual.cli.build_decomposition",
-                                  f"{enumerator}.coset_enumerate"], cell
+        assert per_cell[cell] == ["antidual.cli.build_decomposition"], cell
+
+    for argv, distinct in [(["verify-presentations", "--n-min", "4", "--n-max", "9"], 13),
+                           (["isom-group", "--n", "9", "--k", "1"], 1)]:
+        calls.clear()
+        presentations.clear()
+        assert run_cli(argv) == 1
+        capsys.readouterr()
+        assert calls.count("antidual.cli.coset_enumerate") == distinct, argv
+        assert len(set(presentations)) == distinct, argv
+        assert "antidual.groups.coset_enumerate" not in calls, argv
 
 
 def test_survey_honours_tolerance(capsys):

@@ -143,7 +143,8 @@ def test_subcase22_presentation_orders_on_record():
 def test_verify_isomorphism_green_cells(n, k):
     dec = build_decomposition(n, k)
     aut = automorphism_group(dec, verify_closure=False)
-    cert = verify_isomorphism(isometry_presentation(n, k), aut, dec)
+    pres = isometry_presentation(n, k)
+    cert = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert cert.relators_hold
     assert cert.surjective
     assert cert.order_matches is True
@@ -155,7 +156,7 @@ def test_verify_isomorphism_negative_control():
     dec = build_decomposition(5, 2)
     aut = automorphism_group(dec, verify_closure=False)
     wrong = parse_presentation("gens: t,u ; rels: t^2, u^2, (u*t)^8")
-    cert = verify_isomorphism(wrong, aut, dec)
+    cert = verify_isomorphism(wrong, aut, dec, coset_enumerate(wrong))
     assert not cert.relators_hold
     assert not cert.verdict
 
@@ -163,16 +164,19 @@ def test_verify_isomorphism_negative_control():
 def test_verify_isomorphism_missing_generator():
     dec = build_decomposition(9, 1)
     aut = automorphism_group(dec, verify_closure=False)
+    pres = isometry_presentation(9, 1)
     with pytest.raises(MissingGenerator) as exc:
-        verify_isomorphism(isometry_presentation(9, 1), aut, dec)
+        verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert str(exc.value) == "half-turn s is not an automorphism here"
+    pres = parse_presentation("gens: r,v ; rels: v^2")
     with pytest.raises(MissingGenerator) as exc:
-        verify_isomorphism(parse_presentation("gens: r,v ; rels: v^2"), aut, dec)
+        verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert str(exc.value) == "no concrete automorphism known for 'v'"
     dec = build_decomposition(6, 2)
     aut = automorphism_group(dec, verify_closure=False)
+    pres = isometry_presentation(5, 2)  # wants u
     with pytest.raises(MissingGenerator) as exc:
-        verify_isomorphism(isometry_presentation(5, 2), aut, dec)  # wants u
+        verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert str(exc.value) == "mirror u maps step 2 to step 3, not an automorphism"
     unidentified = AutGroupData(elements=(), order=0, generators=dict.fromkeys("rtus"))
     with pytest.raises(MissingGenerator) as exc:
@@ -185,7 +189,8 @@ def test_selfdual_subcase22_certificate_records_failures():
     # order 2n) and the presentation order 48 cannot match |Aut| = 144
     dec = build_decomposition(9, 4)
     aut = automorphism_group(dec, verify_closure=False)
-    cert = verify_isomorphism(isometry_presentation(9, 4), aut, dec)
+    pres = isometry_presentation(9, 4)
+    cert = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert not cert.relators_hold
     assert cert.surjective          # s, t, u do generate the group
     assert cert.order_matches is False
@@ -200,12 +205,13 @@ def test_generic_subcase22_relators_corrected_beyond_m2(n, k):
     # notes/decisions.md
     dec = build_decomposition(n, k)
     aut = automorphism_group(dec, verify_closure=False)
-    printed = verify_isomorphism(isometry_presentation(n, k), aut, dec)
+    pres = isometry_presentation(n, k)
+    printed = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert printed.relator_results == (True,) * 5 + (False, False)
     corrected = parse_presentation(
         f"gens: r,s,t ; rels: r^{n}, s^2, t^2, (t*r)^2, (s*t)^2, "
         f"s*r^3*s*r^3, (s*t*r)^3 = r^{2 * k + 4}")
-    cert = verify_isomorphism(corrected, aut, dec)
+    cert = verify_isomorphism(corrected, aut, dec, coset_enumerate(corrected))
     assert aut.order == 8 * n
     assert cert.verdict and cert.order_matches is True
 
@@ -216,12 +222,13 @@ def test_selfdual_subcase22_relator_corrected_to_ut_order_2n(n, k):
     # (ut)^(2n) the presentation certifies |Aut| = 16n = 48m
     dec = build_decomposition(n, k)
     aut = automorphism_group(dec, verify_closure=False)
-    printed = verify_isomorphism(isometry_presentation(n, k), aut, dec)
+    pres = isometry_presentation(n, k)
+    printed = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert printed.relator_results == (True,) * 4 + (False, True)
     corrected = parse_presentation(
         f"gens: s,t,u ; rels: s^2, t^2, u^2, (s*t)^2, (u*t)^{2 * n}, "
         "s*u*s*u*s = t*u*t*u*t")
-    cert = verify_isomorphism(corrected, aut, dec)
+    cert = verify_isomorphism(corrected, aut, dec, coset_enumerate(corrected))
     assert aut.order == 16 * n
     assert cert.verdict and cert.order_matches is True
 
