@@ -146,7 +146,7 @@ def cmd_decompose(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[d
 def _decompose_report(dec: Decomposition, real: Realization, full: bool) -> tuple[dict, bool]:
     n = dec.n
     surf = boundary_surface(dec)
-    angle_report = angle_sum_check(dec, dihedral_angles(real), real=real)
+    angle_report = angle_sum_check(dec, real)
     genus_expected = n - 3 if n % 3 == 0 else n - 1
     payload = {
         "n": n,

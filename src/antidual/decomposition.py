@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .minkowski import mink_inner
-from .realization import DihedralAngles, Realization
+from .realization import Realization, dihedral_angles
 
 ANGLE_SUM_TOL = 1e-9
 
@@ -421,51 +421,37 @@ class AngleSumReport:
     classes_checked: int
     max_residual: float
     all_within: bool
-    tolerance: float = field(default=ANGLE_SUM_TOL)
 
 
-def angle_sum_check(
-    dec: Decomposition,
-    angles: DihedralAngles,
-    real: Realization | None = None,
-    tol: float = ANGLE_SUM_TOL,
-) -> AngleSumReport:
+def angle_sum_check(dec: Decomposition, real: Realization) -> AngleSumReport:
     """Verify that the wedge angles around every edge class sum to 2*pi.
 
-    Axis wedges contribute pi/n, slant wedges the slant angle, equator
-    wedges the equator angle.  The quad-diagonal classes need the face
-    normals to evaluate their two angles, so they are checked only when the
-    realization is supplied (the two angles are right angles, and each
-    diagonal class has four wedges).
+    Axis wedges contribute pi/n, slant and equator wedges the dihedral
+    angles of ``real``, and the two quad-diagonal wedges the angles between
+    the quad face normals and the cutting-plane normals (right angles; each
+    diagonal class has four wedges).  Every class is checked, against
+    ``ANGLE_SUM_TOL``.
     """
-    axis_angle = math.pi / dec.n
+    angles = dihedral_angles(real)
     role_angle = {
-        "axis": axis_angle,
+        "axis": math.pi / dec.n,
         "slant_upper": angles.slant,
         "slant_lower": angles.slant,
         "equator": angles.equator,
+        "diag_upper": math.acos(-mink_inner(real.normal_far, real.normal_upper)),
+        "diag_lower": math.acos(-mink_inner(real.normal_lower, real.normal_near)),
     }
-    if real is not None:
-        role_angle["diag_upper"] = math.acos(
-            -mink_inner(real.normal_far, real.normal_upper))
-        role_angle["diag_lower"] = math.acos(
-            -mink_inner(real.normal_lower, real.normal_near))
-
-    residuals = []
-    for cls in dec.edge_classes:
-        if cls.kind == "diagonal" and real is None:
-            continue
-        total = sum(
-            role_angle[role] * count for role, count in cls.role_counts().items()
-        )
-        residuals.append(total - 2 * math.pi)
+    residuals = tuple(
+        sum(role_angle[role] * count for role, count in cls.role_counts().items())
+        - 2 * math.pi
+        for cls in dec.edge_classes
+    )
     max_res = max(abs(x) for x in residuals)
     return AngleSumReport(
-        residuals=tuple(residuals),
+        residuals=residuals,
         classes_checked=len(residuals),
         max_residual=max_res,
-        all_within=max_res < tol,
-        tolerance=tol,
+        all_within=max_res < ANGLE_SUM_TOL,
     )
 
 

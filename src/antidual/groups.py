@@ -6,11 +6,15 @@ enumerator is the only place words get normalised.  Orders are computed by
 Todd-Coxeter enumeration over the trivial subgroup with a hard coset cap,
 since a presentation under test could in principle be infinite; each command
 enumerates each distinct presentation once and hands the result to
-``verify_isomorphism``.
+``verify_isomorphism``.  That check evaluates each relator on the seed of
+the automorphism it names (the image of piece 0 and its label map), one
+O(1) step per letter, since an automorphism is determined by its seed.
 
 The text format for presentations is ``gens: r,t ; rels: r^5, t^2, (t*r)^2``
 (whitespace-insensitive; ``^`` exponents possibly negative, ``*``
-concatenation, parentheses, and ``lhs = rhs`` equations allowed).
+concatenation, parentheses, and ``lhs = rhs`` equations allowed).  Sections
+are split on ``;``, and each ``rels:`` section is read by one recursive
+descent once every section is, so ``gens:`` may come last.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .symmetry import AutGroupData, CombIso, generated_subgroup
-from .decomposition import Decomposition
+from .decomposition import PERM_PRODUCT, Decomposition
 
 DEFAULT_COSET_CAP = 10**6
 
@@ -69,20 +73,8 @@ class EnumerationResult:
 
 # -- parsing / formatting ----------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\^|\*|\(|\)|=|-?\d+|,)")
-
-
-def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise PresentationSyntaxError(f"bad token at: {text[pos:pos+12]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+# a token, or (second group) a character no token starts with
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*|\^|\*|\(|\)|=|-?\d+|,)|(\S)")
 
 
 def _invert(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -104,115 +96,87 @@ def _compact(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
-class _WordParser:
-    def __init__(self, tokens: list[str], gen_index: dict[str, int]):
-        self.toks = tokens
-        self.pos = 0
-        self.gens = gen_index
+def _parse_relators(text: str, gen_index: dict[str, int]) -> list[Word]:
+    """The relators of one ``rels:`` section, by recursive descent::
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        relators := [relator (',' relator)* [',']]
+        relator  := word ['=' word]          (lhs = rhs is lhs * rhs^-1)
+        word     := term ('*' term)*
+        term     := (generator | '(' word ')') ['^' integer]
+    """
+    toks = []
+    for m in _TOKEN.finditer(text):
+        if m.group(2):
+            raise PresentationSyntaxError(f"bad token at: {text[m.start():m.start() + 12]!r}")
+        toks.append(m.group(1))
+    pos = 0
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+    def take() -> str | None:
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1] if pos <= len(toks) else None
 
-    def parse_word(self) -> list[tuple[int, int]]:
-        factors = self.parse_term()
-        while self.peek() == "*":
-            self.take()
-            factors += self.parse_term()
+    def peek() -> str | None:
+        return toks[pos] if pos < len(toks) else None
+
+    def word() -> list[tuple[int, int]]:
+        factors = term()
+        while peek() == "*":
+            take()
+            factors += term()
         return factors
 
-    def parse_term(self) -> list[tuple[int, int]]:
-        tok = self.take()
+    def term() -> list[tuple[int, int]]:
+        tok = take()
         if tok == "(":
-            inner = self.parse_word()
-            if self.take() != ")":
+            inner = word()
+            if take() != ")":
                 raise PresentationSyntaxError("unbalanced parentheses")
-        elif tok is not None and tok in self.gens:
-            inner = [(self.gens[tok], 1)]
+        elif tok != "=" and tok in gen_index:  # '=' only ever splits a relator
+            inner = [(gen_index[tok], 1)]
         else:
             raise PresentationSyntaxError(f"expected generator or '(', got {tok!r}")
-        if self.peek() == "^":
-            self.take()
-            exp_tok = self.take()
-            try:
-                exp = int(exp_tok)
-            except (TypeError, ValueError):
-                raise PresentationSyntaxError(f"bad exponent {exp_tok!r}") from None
-            if exp == 0:
-                return []
-            if exp < 0:
-                inner = _invert(inner)
-                exp = -exp
-            return inner * exp
-        return inner
+        if peek() != "^":
+            return inner
+        take()
+        exp_tok = take()
+        try:
+            exp = int(exp_tok)
+        except (TypeError, ValueError):
+            raise PresentationSyntaxError(f"bad exponent {exp_tok!r}") from None
+        return (inner if exp > 0 else _invert(inner)) * abs(exp)
 
-
-def _parse_relator(text_tokens: list[str], gen_index: dict[str, int]) -> Word:
-    # split on '=' into at most two sides; lhs = rhs becomes lhs * rhs^-1
-    if "=" in text_tokens:
-        eq = text_tokens.index("=")
-        lhs, rhs = text_tokens[:eq], text_tokens[eq + 1:]
-        if "=" in rhs:
-            raise PresentationSyntaxError("chained '=' in relator")
-        pl = _WordParser(lhs, gen_index)
-        left = pl.parse_word()
-        if pl.peek() is not None:
-            raise PresentationSyntaxError(f"trailing tokens {pl.toks[pl.pos:]}")
-        pr = _WordParser(rhs, gen_index)
-        right = pr.parse_word()
-        if pr.peek() is not None:
-            raise PresentationSyntaxError(f"trailing tokens {pr.toks[pr.pos:]}")
-        word = left + _invert(right)
-    else:
-        p = _WordParser(text_tokens, gen_index)
-        word = p.parse_word()
-        if p.peek() is not None:
-            raise PresentationSyntaxError(f"trailing tokens {p.toks[p.pos:]}")
-    word = _compact(word)
-    if not word:
-        raise PresentationSyntaxError("relator reduces to the empty word")
-    return tuple(word)
+    relators = []
+    while pos < len(toks):
+        factors = word()
+        if peek() == "=":
+            take()
+            factors += _invert(word())
+        relator = _compact(factors)
+        if not relator:
+            raise PresentationSyntaxError("relator reduces to the empty word")
+        relators.append(tuple(relator))
+        if take() not in (",", None):
+            raise PresentationSyntaxError(f"trailing tokens {toks[pos - 1:]}")
+    return relators
 
 
 def parse_presentation(text: str, provenance: str = "parsed") -> PresentedGroup:
-    parts = text.split(";")
     gens: list[str] = []
-    rel_chunks: list[str] = []
-    for part in parts:
-        stripped = part.strip()
-        if stripped.startswith("gens:"):
-            gens = [g.strip() for g in stripped[len("gens:"):].split(",") if g.strip()]
-        elif stripped.startswith("rels:"):
-            rel_chunks.append(stripped[len("rels:"):])
-        elif stripped:
-            raise PresentationSyntaxError(f"unknown section {stripped[:20]!r}")
+    sections: list[str] = []
+    for part in text.split(";"):
+        part = part.strip()
+        if part.startswith("gens:"):
+            gens = [g.strip() for g in part[len("gens:"):].split(",") if g.strip()]
+        elif part.startswith("rels:"):
+            sections.append(part[len("rels:"):])
+        elif part:
+            raise PresentationSyntaxError(f"unknown section {part[:20]!r}")
     if not gens:
         raise PresentationSyntaxError("no generators declared")
+    # relators are read once every section is, so gens may follow rels
     gen_index = {g: i for i, g in enumerate(gens)}
-    relators = []
-    for chunk in rel_chunks:
-        # split top-level commas (no commas occur inside parentheses here)
-        depth = 0
-        cur = ""
-        items = []
-        for ch in chunk:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                items.append(cur)
-                cur = ""
-            else:
-                cur += ch
-        if cur.strip():
-            items.append(cur)
-        for item in items:
-            relators.append(_parse_relator(_tokenize(item), gen_index))
+    relators = [w for section in sections for w in _parse_relators(section, gen_index)]
     return PresentedGroup(tuple(gens), tuple(relators), provenance)
 
 
@@ -410,7 +374,6 @@ def coset_enumerate(group: PresentedGroup, cap: int = DEFAULT_COSET_CAP) -> Enum
 
 @dataclass(frozen=True)
 class IsomorphismCertificate:
-    generator_images: tuple[str, ...]
     relator_results: tuple[bool, ...]
     relators_hold: bool
     generated_order: int
@@ -440,13 +403,17 @@ def concrete_generator(name: str, dec: Decomposition, aut: AutGroupData) -> Comb
     return image
 
 
-def _evaluate_word(word: Word, images: dict[int, CombIso], identity: CombIso) -> CombIso:
-    result = identity
-    for g, e in word:
-        factor = images[g] if e > 0 else images[g].inverse()
+def _evaluate_word(word: Word, images: list[CombIso], inverses: list[CombIso]) -> tuple[int, int]:
+    """The seed (image of piece 0, PERMS index of its label map) of the
+    automorphism a word names: each factor acts on the seed, right to left,
+    in O(1), as in ``generated_subgroup``.  The word is the identity exactly
+    when its seed is (0, 0)."""
+    p, v = 0, 0
+    for g, e in reversed(word):
+        factor = images[g] if e > 0 else inverses[g]
         for _ in range(abs(e)):
-            result = result.compose(factor)
-    return result
+            p, v = factor.pieces[p], PERM_PRODUCT[24 * factor.lmaps[p] + v]
+    return p, v
 
 
 def verify_isomorphism(
@@ -462,21 +429,17 @@ def verify_isomorphism(
     whole group, and that the order in ``enumerated``, the caller's
     ``coset_enumerate(group)``, equals the group order unless it hit its cap.
     """
-    identity = CombIso.identity(dec)
-    images = {
-        i: concrete_generator(name, dec, aut)
-        for i, name in enumerate(group.generators)
-    }
+    images = [concrete_generator(name, dec, aut) for name in group.generators]
+    inverses = [g.inverse() for g in images]
     relator_results = tuple(
-        _evaluate_word(w, images, identity).is_identity() for w in group.relators
+        _evaluate_word(w, images, inverses) == (0, 0) for w in group.relators
     )
     relators_hold = all(relator_results)
-    generated = len(generated_subgroup(images.values(), identity)[1])
+    generated = len(generated_subgroup(images, CombIso.identity(dec))[1])
     surjective = generated == aut.order
     order_matches = enumerated.order == aut.order if enumerated.completed else None
     verdict = relators_hold and surjective and order_matches is not False
     return IsomorphismCertificate(
-        generator_images=tuple(group.generators),
         relator_results=relator_results,
         relators_hold=relators_hold,
         generated_order=generated,

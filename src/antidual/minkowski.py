@@ -124,12 +124,6 @@ class TwistMatrix:
         ])
         return cls(n=n, entries=m)
 
-    def inverse(self) -> "TwistMatrix":
-        return TwistMatrix(n=self.n, entries=self.entries.T.copy())
-
-    def power(self, k: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.entries, k % (2 * self.n))
-
 
 def twist_matrix(n: int) -> TwistMatrix:
     return TwistMatrix.for_order(n)
@@ -144,10 +138,10 @@ def mink_norm_sq(a: MinkVec) -> float:
     return mink_inner(a, a)
 
 
-def normalize_spacelike(a: MinkVec, tol: float = ORTHO_TOL) -> MinkVec:
+def normalize_spacelike(a: MinkVec) -> MinkVec:
     """Scale a spacelike vector onto the unit de Sitter sphere <x,x> = 1."""
     nn = mink_norm_sq(a)
-    if nn <= tol:
+    if nn <= ORTHO_TOL:
         raise NonSpacelike(f"<a,a> = {nn}, not spacelike")
     return a * (1.0 / math.sqrt(nn))
 
@@ -157,9 +151,9 @@ def apply_twist(a: MinkVec, twist: TwistMatrix) -> MinkVec:
     return MinkVec.from_array(a.as_array() @ twist.entries)
 
 
-def project_to_chart(a: MinkVec, tol: float = ORTHO_TOL) -> ChartPoint:
+def project_to_chart(a: MinkVec) -> ChartPoint:
     """Radial projection to the affine chart {x0 = 1}."""
-    if abs(a.x0) <= tol:
+    if abs(a.x0) <= ORTHO_TOL:
         raise AtInfinity(f"x0 = {a.x0}, direction is parallel to the chart")
     return ChartPoint(a.x1 / a.x0, a.x2 / a.x0, a.x3 / a.x0)
 
@@ -173,14 +167,7 @@ def _lorentz_cross(rows: np.ndarray) -> np.ndarray:
     return _METRIC * (_COFACTOR_SIGN * np.linalg.det(rows[:, _MINOR_COLS].transpose(1, 0, 2)))
 
 
-def plane_normal(
-    p: MinkVec,
-    q: MinkVec,
-    r: MinkVec,
-    interior: MinkVec,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    orientation_tol: float = ORTHO_TOL,
-) -> MinkVec:
+def plane_normal(p: MinkVec, q: MinkVec, r: MinkVec, interior: MinkVec) -> MinkVec:
     """Outward unit normal of the plane spanned by three lifts.
 
     The result w satisfies <w,p> = <w,q> = <w,r> = 0 and <w, interior> < 0,
@@ -189,10 +176,10 @@ def plane_normal(
     rows = np.array([p.as_tuple(), q.as_tuple(), r.as_tuple()])
     w = _lorentz_cross(rows)
     scale = np.max(np.abs(rows)) ** 3
-    if np.max(np.abs(w)) <= degeneracy_tol * max(scale, 1.0):
+    if np.max(np.abs(w)) <= DEGENERACY_TOL * max(scale, 1.0):
         raise DegenerateSpan("spanning vectors are numerically dependent")
     wv = normalize_spacelike(MinkVec.from_array(w))
     side = mink_inner(wv, interior)
-    if abs(side) <= orientation_tol:
+    if abs(side) <= ORTHO_TOL:
         raise AmbiguousOrientation("interior witness lies on the plane")
     return -wv if side > 0 else wv

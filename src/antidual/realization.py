@@ -114,7 +114,6 @@ class Realization:
     normal_near: MinkVec
     normal_far: MinkVec
     twist: TwistMatrix
-    lower_face_norm_sq: float
 
     def vertex_poles(self) -> tuple[MinkVec, MinkVec, MinkVec, MinkVec]:
         return (self.apex_top, self.apex_bottom, self.mid_upper, self.mid_lower)
@@ -289,7 +288,6 @@ def build_realization(params: RealizationParams) -> Realization:
         normal_near=normal_near,
         normal_far=normal_far,
         twist=twist,
-        lower_face_norm_sq=lower_face_norm_sq(params),
     )
 
 

@@ -263,11 +263,12 @@ def generated_subgroup(candidates, identity: CombIso):
     return gens, reached
 
 
-def automorphism_group(dec: Decomposition, verify_closure: bool = True) -> AutGroupData:
-    """The automorphism group from the seed search, optionally checked to be one.
+def automorphism_group(dec: Decomposition) -> AutGroupData:
+    """The automorphism group from the seed search, checked to be closed.
 
-    ``verify_closure`` checks, through ``generated_subgroup`` at O(log|G|*|G|)
-    cost, that the elements generate exactly the enumerated set.
+    Every call checks, through ``generated_subgroup`` at O(log|G|*|G|) cost,
+    that the enumerated elements generate exactly themselves, and raises
+    ``ClosureFailure`` otherwise.
 
     Identifies the distinguished generators when present: ``r`` (the
     rotation), ``t`` (the top-bottom flip), ``u`` (the mirror through a
@@ -281,11 +282,10 @@ def automorphism_group(dec: Decomposition, verify_closure: bool = True) -> AutGr
     elements.sort(key=lambda e: (e.pieces, e.lmaps))  # PERMS is lexicographic
     by_key = {(e.pieces, e.lmaps): e for e in elements}
 
-    if verify_closure:
-        seeds = {(e.pieces[0], e.lmaps[0]) for e in elements}
-        _, reached = generated_subgroup(elements, CombIso.identity(dec))
-        if reached != seeds:
-            raise ClosureFailure(f"{len(reached)} generated, {len(seeds)} enumerated")
+    seeds = {(e.pieces[0], e.lmaps[0]) for e in elements}
+    _, reached = generated_subgroup(elements, CombIso.identity(dec))
+    if reached != seeds:
+        raise ClosureFailure(f"{len(reached)} generated, {len(seeds)} enumerated")
 
     gens = {name: by_key.get((c.pieces, c.lmaps)) for name, c in
             (("r", rotation_iso(dec)), ("t", flip_iso(dec)), ("u", reflection_iso(dec)))}

@@ -31,7 +31,6 @@ from .minkowski import MinkVec, mink_inner
 from .realization import NumericalDegeneracy, Realization, UnsupportedN
 
 SINGULAR_TOL = 1e-12
-TILT_SYMMETRY_TOL = 1e-9
 
 
 class SingularPairing(ValueError):

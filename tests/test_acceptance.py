@@ -232,7 +232,7 @@ def test_criterion_7_isometry_groups():
     for n in range(4, 13):
         for k in range(n):
             dec = build_decomposition(n, k)
-            aut = automorphism_group(dec, verify_closure=False)
+            aut = automorphism_group(dec)
             corrected = _corrected_order(n, k)
             if aut.order != corrected:
                 order_failures.append((n, k, aut.order, corrected))
@@ -281,7 +281,7 @@ def test_criterion_8_presentation_audit():
     for n in range(4, 13):
         for k in range(n):
             dec = build_decomposition(n, k)
-            aut = automorphism_group(dec, verify_closure=False)
+            aut = automorphism_group(dec)
             corrected = coset_enumerate(_corrected_presentation(n, k))
             printed = coset_enumerate(isometry_presentation(n, k))
             if not (corrected.completed and printed.completed):
@@ -294,7 +294,7 @@ def test_criterion_8_presentation_audit():
     # the self-dual special presentation at (9,4): comparison report
     enum94 = coset_enumerate(isometry_presentation(9, 4))
     fixed94 = coset_enumerate(_corrected_presentation(9, 4))
-    aut94 = automorphism_group(build_decomposition(9, 4), verify_closure=False)
+    aut94 = automorphism_group(build_decomposition(9, 4))
     detail = (f"incomplete: {incomplete}; corrected TC-vs-brute mismatches: "
               f"{mismatches}; printed presentations mismatch at "
               f"{sorted(printed_mismatches)}; (9,4) special report: printed "

@@ -26,7 +26,7 @@ from antidual.decomposition import (
 )
 import antidual.cli as cli
 from antidual.minkowski import MinkVec, mink_inner
-from antidual.realization import dihedral_angles, realize
+from antidual.realization import realize
 from antidual.symmetry import automorphism_group
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -180,17 +180,10 @@ def test_census_properties_random_cells(n, data):
 def test_angle_sums_all_classes(n, k):
     dec = build_decomposition(n, k)
     real = realize(n)
-    report = angle_sum_check(dec, dihedral_angles(real), real=real)
+    report = angle_sum_check(dec, real)
     assert report.classes_checked == len(dec.edge_classes)
     assert report.all_within
     assert report.max_residual < 1e-9
-
-
-def test_angle_sums_without_realization_skips_diagonals():
-    dec = build_decomposition(6, 1)
-    report = angle_sum_check(dec, dihedral_angles(realize(6)))
-    assert report.classes_checked == len(dec.edge_classes) - len(dec.diagonal_classes)
-    assert report.all_within
 
 
 def test_axis_class_sums_exactly():
@@ -469,7 +462,7 @@ def test_building_and_reporting_a_complex_makes_no_face_pairing(monkeypatch):
     dec = Decomposition(12, 5)
     real = realize(12)
     assert boundary_surface(dec).genus == 9
-    assert angle_sum_check(dec, dihedral_angles(real), real=real).all_within
+    assert angle_sum_check(dec, real).all_within
     assert automorphism_group(dec).order > 0
     payload, ok = cli._decompose_report(dec, real, full=False)
     assert ok and payload["pairings"] == 48

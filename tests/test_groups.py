@@ -142,7 +142,7 @@ def test_subcase22_presentation_orders_on_record():
 @pytest.mark.parametrize("n,k", [(4, 0), (5, 2), (8, 3), (6, 0), (6, 2), (6, 1)])
 def test_verify_isomorphism_green_cells(n, k):
     dec = build_decomposition(n, k)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     pres = isometry_presentation(n, k)
     cert = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert cert.relators_hold
@@ -154,7 +154,7 @@ def test_verify_isomorphism_green_cells(n, k):
 def test_verify_isomorphism_negative_control():
     # a deliberately wrong relator must fail the relator check
     dec = build_decomposition(5, 2)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     wrong = parse_presentation("gens: t,u ; rels: t^2, u^2, (u*t)^8")
     cert = verify_isomorphism(wrong, aut, dec, coset_enumerate(wrong))
     assert not cert.relators_hold
@@ -163,7 +163,7 @@ def test_verify_isomorphism_negative_control():
 
 def test_verify_isomorphism_missing_generator():
     dec = build_decomposition(9, 1)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     pres = isometry_presentation(9, 1)
     with pytest.raises(MissingGenerator) as exc:
         verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
@@ -173,7 +173,7 @@ def test_verify_isomorphism_missing_generator():
         verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert str(exc.value) == "no concrete automorphism known for 'v'"
     dec = build_decomposition(6, 2)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     pres = isometry_presentation(5, 2)  # wants u
     with pytest.raises(MissingGenerator) as exc:
         verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
@@ -188,7 +188,7 @@ def test_selfdual_subcase22_certificate_records_failures():
     # the printed (ut)^6 relator fails on the geometric generators (u t has
     # order 2n) and the presentation order 48 cannot match |Aut| = 144
     dec = build_decomposition(9, 4)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     pres = isometry_presentation(9, 4)
     cert = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert not cert.relators_hold
@@ -204,7 +204,7 @@ def test_generic_subcase22_relators_corrected_beyond_m2(n, k):
     # two corrected the presentation certifies |Aut| = 8n; see
     # notes/decisions.md
     dec = build_decomposition(n, k)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     pres = isometry_presentation(n, k)
     printed = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert printed.relator_results == (True,) * 5 + (False, False)
@@ -221,7 +221,7 @@ def test_selfdual_subcase22_relator_corrected_to_ut_order_2n(n, k):
     # the printed (ut)^6 fails at every self-dual subcase-2.2 cell; with
     # (ut)^(2n) the presentation certifies |Aut| = 16n = 48m
     dec = build_decomposition(n, k)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     pres = isometry_presentation(n, k)
     printed = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
     assert printed.relator_results == (True,) * 4 + (False, True)

@@ -8,6 +8,9 @@ import antidual.symmetry as symmetry
 from antidual.decomposition import (
     PERM_INDEX, PERM_PRODUCT, Decomposition, WrongCase, build_decomposition,
 )
+from antidual.groups import (
+    MissingGenerator, _evaluate_word, concrete_generator, isometry_presentation,
+)
 from antidual.symmetry import (
     CANDIDATE_SEEDS,
     ClosureFailure,
@@ -240,7 +243,7 @@ KNOWN_ORDERS = {
 
 @pytest.mark.parametrize("n,k", sorted(KNOWN_ORDERS))
 def test_automorphism_orders(n, k):
-    aut = automorphism_group(build_decomposition(n, k), verify_closure=True)
+    aut = automorphism_group(build_decomposition(n, k))
     assert aut.order == KNOWN_ORDERS[(n, k)]
     assert (2 * n * 24) % aut.order == 0  # the search-space bound
 
@@ -248,7 +251,7 @@ def test_automorphism_orders(n, k):
 @pytest.mark.parametrize("n,k", [(4, 0), (5, 2), (6, 1), (9, 1), (12, 1)])
 def test_search_agrees_with_backtracking_oracle(n, k):
     dec = build_decomposition(n, k)
-    assert automorphism_group(dec, verify_closure=False).order == brute_force_order(dec)
+    assert automorphism_group(dec).order == brute_force_order(dec)
 
 
 def test_group_closure_inverses_identity():
@@ -289,16 +292,13 @@ def test_closure_check_catches_a_broken_set(monkeypatch, n, k, drop):
     dec = build_decomposition(n, k)
     with pytest.raises(ClosureFailure, match="generated"):
         automorphism_group(dec)
-    # the same broken set passes when closure is not checked
-    assert automorphism_group(dec, verify_closure=False).order == len(
-        drop(enumerate_all(dec, dec)))
 
 
 @pytest.mark.parametrize("n,k,order", [(6, 1, 48), (9, 4, 144), (16, 5, 32),
                                        (27, 13, 432)])
 def test_greedy_generators_reach_the_group(n, k, order):
     dec = build_decomposition(n, k)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     seeds = {(e.pieces[0], e.lmaps[0]) for e in aut.elements}
     gens, reached = generated_subgroup(aut.elements, CombIso.identity(dec))
     assert aut.order == len(seeds) == order
@@ -313,12 +313,45 @@ def test_seed_products_match_full_composition(n, k):
     # one generator: the seeds reached are those of its powers under compose
     dec = build_decomposition(n, k)
     identity = CombIso.identity(dec)
-    for g in automorphism_group(dec, verify_closure=False).elements:
+    for g in automorphism_group(dec).elements:
         powers, power = {(0, 0)}, g
         while not power.is_identity():
             powers.add((power.pieces[0], power.lmaps[0]))
             power = g.compose(power)
         assert generated_subgroup([g], identity)[1] == powers
+
+
+def _composed_word(word, images, identity):
+    # the oracle: the full CombIso product of the factors, the right one first
+    result = identity
+    for g, e in word:
+        factor = images[g] if e > 0 else images[g].inverse()
+        for _ in range(abs(e)):
+            result = result.compose(factor)
+    return result
+
+
+def test_relator_seeds_match_full_composition():
+    checked = failing = 0
+    for n in range(4, 13):
+        for k in range(n):
+            dec = build_decomposition(n, k)
+            aut = automorphism_group(dec)
+            pres = isometry_presentation(n, k)
+            try:
+                images = [concrete_generator(name, dec, aut) for name in pres.generators]
+            except MissingGenerator:
+                continue
+            inverses = [g.inverse() for g in images]
+            for word in pres.relators:
+                full = _composed_word(word, images, CombIso.identity(dec))
+                seed = _evaluate_word(word, images, inverses)
+                assert seed == (full.pieces[0], full.lmaps[0]), (n, k, word)
+                assert (seed == (0, 0)) == full.is_identity(), (n, k, word)
+                checked += 1
+                failing += not full.is_identity()
+    # the printed table's wrong relators are among those compared
+    assert checked == 209 and failing > 0
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 9, 12])
@@ -346,7 +379,7 @@ def test_mirror_maps_step_k_to_complement(n):
         u = reflection_iso(dec)
         target = build_decomposition(n, (n - k - 1) % n)
         assert is_isomorphism(u, dec, target)
-        aut = automorphism_group(dec, verify_closure=False)
+        aut = automorphism_group(dec)
         expected_u_member = (k == (n - k - 1) % n)
         assert (aut.generators["u"] is not None) == expected_u_member
 
@@ -416,7 +449,7 @@ def test_every_automorphism_has_candidate_seed_shape():
         allowed.add(tuple(v))
         allowed.add(tuple(flip_v[v[x]] for x in range(4)))
     for (n, k) in [(4, 0), (5, 2), (6, 1), (9, 4)]:
-        aut = automorphism_group(build_decomposition(n, k), verify_closure=False)
+        aut = automorphism_group(build_decomposition(n, k))
         for e in aut.elements:
             assert e.vertex_maps[0] in allowed
 
@@ -425,7 +458,7 @@ def test_enumerated_isomorphisms_preserve_class_invariants():
     # necessary condition used as a soundness check on the search
     for (n, k) in [(5, 2), (6, 1), (9, 4)]:
         dec = build_decomposition(n, k)
-        aut = automorphism_group(dec, verify_closure=False)
+        aut = automorphism_group(dec)
         profile = {}
         for idx, cls in enumerate(dec.edge_classes):
             profile[idx] = (cls.wedge_count, cls.distinct_piece_count)
@@ -438,7 +471,7 @@ def test_enumerated_isomorphisms_preserve_class_invariants():
 
 def test_arc_permutation_values():
     dec = build_decomposition(9, 4)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     r, t, s = aut.generators["r"], aut.generators["t"], aut.generators["s"]
     assert arc_permutation(r, dec) == (0, 2, 3, 1)   # the 3-cycle (1 2 3)
     assert arc_permutation(t, dec) == (0, 3, 2, 1)   # the transposition (1 3)
@@ -456,7 +489,7 @@ def test_arc_permutation_wrong_case():
 @pytest.mark.parametrize("n,k", [(6, 1), (9, 4)])
 def test_arc_permutation_is_homomorphism(n, k):
     dec = build_decomposition(n, k)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     elements = aut.elements[:20]
     for x in elements:
         for y in elements:
@@ -469,7 +502,7 @@ def test_arc_permutation_is_homomorphism(n, k):
 
 def test_edge_parity_values():
     dec = build_decomposition(5, 2)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     assert edge_parity(CombIso.identity(dec)) == 0
     assert edge_parity(aut.generators["r"]) == 0
     assert edge_parity(aut.generators["t"]) == 0
@@ -478,7 +511,7 @@ def test_edge_parity_values():
 
 def test_edge_parity_homomorphism_on_case1_group():
     dec = build_decomposition(5, 2)
-    aut = automorphism_group(dec, verify_closure=False)
+    aut = automorphism_group(dec)
     for x in aut.elements:
         for y in aut.elements:
             assert edge_parity(x.compose(y)) == (edge_parity(x) + edge_parity(y)) % 2
@@ -523,7 +556,7 @@ def test_candidate_reports_build_each_step_once(monkeypatch, n, k):
 
 
 def test_group_export_shape():
-    aut = automorphism_group(build_decomposition(4, 0), verify_closure=False)
+    aut = automorphism_group(build_decomposition(4, 0))
     out = group_to_dict(aut)
     assert out["order"] == 8
     assert out["generators_found"] == ["r", "t"]
