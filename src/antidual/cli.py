@@ -37,6 +37,7 @@ from .groups import (
     PRINTED_ORDER_OVER_N,
     EnumerationResult,
     MissingGenerator,
+    PresentedGroup,
     coset_enumerate,
     format_presentation,
     isometry_presentation,
@@ -210,7 +211,7 @@ def cmd_classify(n: int, cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def cmd_isom_group(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[dict, bool]:
-    enum = _enumerate_presentations([(n, k)], cfg)[n, k]
+    enum = coset_enumerate(isometry_presentation(n, k), cap=cfg.coset_cap)
     return _isom_group_report(build_decomposition(n, k), enum, full)
 
 
@@ -254,13 +255,13 @@ def _isom_group_report(dec: Decomposition, enum: EnumerationResult,
     return payload, ok
 
 
-def _enumerate_presentations(cells: list[tuple[int, int]], cfg: RunConfig) -> dict:
-    """Each (n, k) cell's presentation enumerated; each distinct presentation
-    is enumerated once, in this process and in first-seen order."""
-    presentations = {cell: isometry_presentation(*cell) for cell in cells}
-    enumerated = {pres: coset_enumerate(pres, cap=cfg.coset_cap)
-                  for pres in dict.fromkeys(presentations.values())}
-    return {cell: enumerated[pres] for cell, pres in presentations.items()}
+def _presentation_groups(cells: list[tuple[int, int]]) -> dict[PresentedGroup, list]:
+    """The (n, k) cells grouped by their isometry presentation, both in
+    first-seen order, so that each distinct presentation is enumerated once."""
+    groups: dict[PresentedGroup, list] = {}
+    for cell in cells:
+        groups.setdefault(isometry_presentation(*cell), []).append(cell)
+    return groups
 
 
 def _survey_geometry(n: int, cfg: RunConfig) -> tuple[Realization, bool, float]:
@@ -292,6 +293,14 @@ def _survey_cell(args: tuple[int, tuple[Realization, bool, float], EnumerationRe
     }
 
 
+def _survey_group(args: tuple[PresentedGroup, int, list]) -> list[dict]:
+    """The rows of every cell that shares one presentation, which is
+    enumerated once for all of them."""
+    pres, coset_cap, cells = args
+    enum = coset_enumerate(pres, cap=coset_cap)
+    return [_survey_cell((k, geometry, enum)) for k, geometry in cells]
+
+
 SURVEY_FIELDS = [
     "n", "k", "valid", "tilt_margin", "aut_order", "presentation_order",
     "isom_verdict", "class_representative", "mirror_target_k", "genus",
@@ -299,17 +308,24 @@ SURVEY_FIELDS = [
 
 
 def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
-    # built here once: each n's geometry and each distinct presentation's enumeration
-    grid = [(n, k) for n in range(n_min, n_max + 1) for k in range(n)]
+    # each n's geometry is built here once; each task is one distinct
+    # presentation with every cell that shares it, enumerated in its worker
+    # and dispatched largest first (by the sum of n over its cells), and the
+    # pool forks no more workers than there are tasks
     geometry = {n: _survey_geometry(n, cfg) for n in range(n_min, n_max + 1)}
-    cells = [(k, geometry[n], enum)
-             for (n, k), enum in _enumerate_presentations(grid, cfg).items()]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_survey_cell, cells))
+    grid = [(n, k) for n in geometry for k in range(n)]
+    groups = sorted(_presentation_groups(grid).items(),
+                    key=lambda group: -sum(n for n, _ in group[1]))
+    tasks = [(pres, cfg.coset_cap, [(k, geometry[n]) for n, k in cells])
+             for pres, cells in groups]
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_survey_group, tasks))
     else:
-        rows = [_survey_cell(c) for c in cells]
-    rows.sort(key=lambda r: (r["n"], r["k"]))
+        results = map(_survey_group, tasks)
+    rows = sorted((row for group_rows in results for row in group_rows),
+                  key=lambda r: (r["n"], r["k"]))
     consistent = all(
         row["class_representative"] == min(row["k"], row["mirror_target_k"])
         for row in rows
@@ -325,10 +341,12 @@ def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
 
 def cmd_verify_presentations(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
     grid = [(n, k) for n in range(n_min, n_max + 1) for k in range(n)]
-    enumerations = _enumerate_presentations(grid, cfg)
+    enumerations = {}
+    for pres, cells in _presentation_groups(grid).items():
+        enumerations.update(dict.fromkeys(cells, coset_enumerate(pres, cap=cfg.coset_cap)))
     entries = []
     special = None
-    for (n, k), enum in enumerations.items():
+    for (n, k), enum in sorted(enumerations.items()):
         report, _ = _isom_group_report(build_decomposition(n, k), enum, full=False)
         match = report["presentation_matches_aut"]
         entries.append({

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -126,11 +127,54 @@ def test_survey_csv(capsys):
     assert len(lines) == 5  # header + 4 rows
 
 
-def test_survey_parallel_matches_serial(capsys):
-    _, serial = run_capture(capsys, ["survey", "--n-min", "4", "--n-max", "5"])
-    _, parallel = run_capture(capsys, ["survey", "--n-min", "4", "--n-max", "5",
+def test_survey_parallel_matches_serial(monkeypatch, capsys):
+    tasks = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, iterable):
+            tasks.extend(iterable)
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    _, serial = run_capture(capsys, ["survey", "--n-min", "9", "--n-max", "15"])
+    assert tasks == []
+    _, parallel = run_capture(capsys, ["survey", "--n-min", "9", "--n-max", "15",
                                        "--jobs", "2"])
     assert serial == parallel
+    # one task per distinct presentation, dispatched largest first; the
+    # self-dual presentation of n = 9 and 15 is one task carrying both n
+    assert len({pres for pres, _, _ in tasks}) == len(tasks) == 20
+    sizes = [sum(real.params.n for _, (real, _, _) in cells) for _, _, cells in tasks]
+    assert sizes == sorted(sizes, reverse=True)
+    assert [sorted({real.params.n for _, (real, _, _) in cells})
+            for pres, _, cells in tasks if pres.provenance == "subcase22_selfdual"] == [[9, 15]]
+
+
+def test_survey_forks_no_more_workers_than_tasks(monkeypatch, capsys):
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    # n = 4, 5, 6 have 1 + 2 + 3 distinct presentations; n = 4 alone has one,
+    # so that survey is one task and runs in-process
+    for n_max, jobs, expected in [(6, 64, [6]), (6, 2, [2]), (4, 64, [])]:
+        pools.clear()
+        assert run_cli(["survey", "--n-min", "4", "--n-max", str(n_max),
+                        "--jobs", str(jobs)]) == 0
+        capsys.readouterr()
+        assert pools == expected, (n_max, jobs)
 
 
 def test_csv_rejected_outside_survey():
@@ -240,8 +284,8 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
     for module, name in [(cli, "build_realization"), (cli, "build_decomposition"),
                          (cli, "coset_enumerate"), (groups, "coset_enumerate")]:
         count(module, name)
-    per_cell = {}
-    survey_cell = cli._survey_cell
+    per_cell, per_group = {}, []
+    survey_cell, survey_group = cli._survey_cell, cli._survey_group
 
     def counted_cell(args):
         start = len(calls)
@@ -249,24 +293,34 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
         per_cell[(row["n"], row["k"])] = sorted(calls[start:])
         return row
 
+    def counted_group(args):
+        start = len(calls)
+        rows = survey_group(args)
+        per_group.append([c for c in calls[start:] if c != "antidual.cli.build_decomposition"])
+        return rows
+
     monkeypatch.setattr(cli, "_survey_cell", counted_cell)
+    monkeypatch.setattr(cli, "_survey_group", counted_group)
     assert run_cli(["survey", "--n-min", "4", "--n-max", "6"]) == 0
     capsys.readouterr()
-    # one realization per n and one enumeration per distinct presentation,
-    # all made outside the cells
+    # one realization per n, made outside the tasks, and one task per
+    # distinct presentation, which enumerates it once and realizes nothing
     assert calls.count("antidual.cli.build_realization") == 3
     assert calls.count("antidual.cli.coset_enumerate") == len(set(presentations)) == 6
+    assert per_group == [["antidual.cli.coset_enumerate"]] * 6
     geometry = cli._survey_geometry(9, RunConfig())
-    enumerations = cli._enumerate_presentations([(9, 1), (9, 4)], RunConfig())
+    rows = [row for pres, cells in cli._presentation_groups([(9, 1), (9, 4)]).items()
+            for row in counted_group((pres, RunConfig().coset_cap,
+                                      [(k, geometry) for _, k in cells]))]
     # (9, 1) has no mirror generator u, so verify_isomorphism raises
     # MissingGenerator; the cell still enumerates nothing
-    assert not counted_cell((1, geometry, enumerations[9, 1]))["isom_verdict"]
-    counted_cell((4, geometry, enumerations[9, 4]))
+    assert (rows[0]["k"], rows[0]["isom_verdict"]) == (1, False)
 
     cells = [(n, k) for n in range(4, 7) for k in range(n)] + [(9, 1), (9, 4)]
     assert sorted(per_cell) == sorted(cells)
     for cell in cells:
         assert per_cell[cell] == ["antidual.cli.build_decomposition"], cell
+    assert per_group[6:] == [["antidual.cli.coset_enumerate"]] * 2
 
     for argv, distinct in [(["verify-presentations", "--n-min", "4", "--n-max", "9"], 13),
                            (["isom-group", "--n", "9", "--k", "1"], 1)]:
