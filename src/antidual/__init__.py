@@ -38,6 +38,7 @@ from .tilt import (
 )
 from .decomposition import (
     BoundarySurface,
+    ClassSummary,
     Decomposition,
     EdgeClass,
     FacePairing,

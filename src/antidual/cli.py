@@ -158,9 +158,9 @@ def _decompose_report(dec: Decomposition, real: Realization, full: bool) -> tupl
             {
                 "kind": cls.kind,
                 "wedge_count": cls.wedge_count,
-                "distinct_pieces": cls.distinct_piece_count,
+                "distinct_pieces": cls.distinct_pieces,
             }
-            for cls in dec.edge_classes
+            for cls in dec.class_summaries
         ],
         "arcs": arcs(dec),
         "boundary": {

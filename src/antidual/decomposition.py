@@ -22,8 +22,8 @@ Internal edges fall into three families, each closed under the pairings:
 * the quad diagonals {0,2} and {1,3} created by the cutting (n classes of
   4 wedges each; they contribute to the boundary genus).
 
-The vertices of the boundary surface are the ends of these edge classes, so
-the one union-find that finds the classes also counts the vertices.
+Each class is found by one walk round its edge link, which also counts the
+ends of the class; those ends are the vertices of the boundary surface.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .minkowski import mink_inner
 from .realization import Realization, dihedral_angles
@@ -82,15 +84,6 @@ class FacePairing:
         return {b: a for a, b in self.vertex_map}
 
 
-_ROLE_BY_EDGE = {
-    (0, 3): "axis",
-    (0, 1): "slant_upper",
-    (2, 3): "slant_lower",
-    (1, 2): "equator",
-    (0, 2): "diag_upper",
-    (1, 3): "diag_lower",
-}
-
 @dataclass(frozen=True)
 class EdgeClass:
     """An orbit of (piece, edge) wedge slots under the pairing action."""
@@ -109,9 +102,19 @@ class EdgeClass:
     def role_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for _, edge in self.wedges:
-            role = _ROLE_BY_EDGE[edge]
+            role = _ROLES[_EDGE_INDEX[edge]]
             counts[role] = counts.get(role, 0) + 1
         return counts
+
+
+class ClassSummary(NamedTuple):
+    """What the reports and the search read of an edge class; ``roles`` are
+    the role counts in the order of ``EdgeClass.role_counts``."""
+
+    kind: str
+    wedge_count: int
+    distinct_pieces: int
+    roles: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,17 @@ class BoundarySurface:
 
 _EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _EDGE_INDEX = {e: i for i, e in enumerate(_EDGES)}
-# the family of each edge of _EDGES: slants and equator are polyhedron edges
+# the role and the family of each edge of _EDGES: slants and equator are
+# polyhedron edges
+_ROLES = ("slant_upper", "diag_upper", "axis", "equator", "diag_lower", "slant_lower")
 _KIND_OF_EDGE = ("poly", "diagonal", "axis", "poly", "diagonal", "poly")
-_KIND_ORDER = {"axis": 0, "poly": 1, "diagonal": 2}
+# the families in class order, each with the indices of its edges, and at
+# each edge the mark -1 - (index of its family) that a wedge bears until the
+# walk round its edge link reaches it
+_KIND_ORDER = ("axis", "poly", "diagonal")
+_EDGES_BY_KIND = tuple((kind, tuple(e for e in range(6) if _KIND_OF_EDGE[e] == kind))
+                       for kind in _KIND_ORDER)
+_UNWALKED = tuple(-1 - _KIND_ORDER.index(kind) for kind in _KIND_OF_EDGE)
 
 
 # the 24 label permutations (perm[x] is the image of x) in lexicographic
@@ -143,8 +154,14 @@ _INVERSE = tuple(PERM_PRODUCT[24 * i:24 * i + 24].index(0) for i in range(24))
 EDGE_IMAGE = tuple(tuple(_EDGE_INDEX[tuple(sorted((p[a], p[b])))] for a, b in _EDGES)
                    for p in PERMS)
 _EDGE_FLIP = tuple(tuple(int(p[a] > p[b]) for a, b in _EDGES) for p in PERMS)
-# the indices of the three edges of face f
-_FACE_EDGES = tuple(tuple(i for i, e in enumerate(_EDGES) if f not in e) for f in range(4))
+# a walk round an edge link leaves its first wedge through the face of the
+# edge's lower other label; leaving along edge e through face f glued by
+# PERMS[i], it goes on, at 24*i + 6*f + e, along the image edge through its
+# other face, with _EDGE_FLIP[i][e] (None where f does not hold e)
+_FIRST_FACE = tuple(min({0, 1, 2, 3} - set(e)) for e in _EDGES)
+_LINK_STEP = tuple((EDGE_IMAGE[i][e], 6 - p[f] - sum(_EDGES[EDGE_IMAGE[i][e]]),
+                    _EDGE_FLIP[i][e]) if f not in _EDGES[e] else None
+                   for i, p in enumerate(PERMS) for f in range(4) for e in range(6))
 # the label map across a slot of face f glued by PERMS[i], at 4*i + f
 _LABEL_MAPS = tuple(MappingProxyType({x: p[x] for x in range(4) if x != f})
                     for p in PERMS for f in range(4))
@@ -196,7 +213,7 @@ class Decomposition:
         if -1 in self.slot_nbr:
             raise NonManifold(f"slot {divmod(self.slot_nbr.index(-1), 4)} is unpaired")
         self._check_descent()
-        self.edge_classes = self._compute_edge_classes()
+        self.class_summaries = self._compute_edge_classes()
 
     # -- construction -----------------------------------------------------
 
@@ -243,65 +260,85 @@ class Decomposition:
 
     # -- edge classes ------------------------------------------------------
 
-    def _compute_edge_classes(self) -> tuple[EdgeClass, ...]:
-        # wedge slot 6*piece + index of the edge in _EDGES, so a class's
-        # members come out in (piece, edge) order.  flip[x] is 1 when the
-        # gluings carry wedge x onto its parent with its ends swapped; a
-        # class closed by a loop of odd parity has both ends on one boundary
-        # vertex, any other class has two
-        nbr, lmap = self.slot_nbr, self.slot_lmap
-        size = 6 * self.num_pieces
-        parent = list(range(size))
-        flip = [0] * size
-        odd = [0] * size
-        for s, s2 in enumerate(nbr):
-            if s2 < s:
-                continue
-            image, turn = EDGE_IMAGE[lmap[s]], _EDGE_FLIP[lmap[s]]
-            base, base2 = 6 * (s >> 2), 6 * (s2 >> 2)
-            for e in _FACE_EDGES[s & 3]:
-                a, b, bit = base + e, base2 + image[e], turn[e]
-                # halve both paths; bit becomes the parity between the roots
-                while parent[a] != a:
-                    flip[a] ^= flip[parent[a]]
-                    bit ^= flip[a]
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    flip[b] ^= flip[parent[b]]
-                    bit ^= flip[b]
-                    parent[b] = b = parent[parent[b]]
-                if a == b:
-                    odd[a] |= bit
-                    continue
-                if b < a:
-                    a, b = b, a
-                parent[b], flip[b], odd[a] = a, bit, odd[a] | odd[b]
-        # every parent is below its child, so one ascending pass finds the roots
-        members: dict[int, list[int]] = {}
-        for x in range(size):
-            root = parent[x] = parent[parent[x]]
-            if root == x:
-                members[x] = [x]
-            else:
-                members[root].append(x)
-        self._boundary_vertex_count = sum(2 - odd[r] for r in members)
-        labels = [(p, e) for p in range(self.num_pieces) for e in _EDGES]
-        classes = []
-        for cls in members.values():
-            wedges = tuple([labels[x] for x in cls])
-            kinds = {_KIND_OF_EDGE[x % 6] for x in cls}
-            if len(kinds) != 1:
-                raise DecompositionError(
-                    f"edge class mixes families {kinds}: {list(wedges[:4])}..."
-                )
-            classes.append((EdgeClass(wedges=wedges, kind=kinds.pop()), cls))
-        classes.sort(key=lambda c: (_KIND_ORDER[c[0].kind], c[0].wedges[0]))
-        # _wedge_class[6*piece + edge index] is the index of the wedge's class
-        self._wedge_class = [0] * size
-        for idx, (_, cls) in enumerate(classes):
-            for x in cls:
-                self._wedge_class[x] = idx
-        return tuple(c for c, _ in classes)
+    def _compute_edge_classes(self) -> tuple[ClassSummary, ...]:
+        # one walk round each edge link over wedges x = 6*piece + index of
+        # the edge in _EDGES: leave through the face of the edge not entered
+        # by and cross that slot's gluing, until the walk is back at its
+        # start.  Walks start in (kind, piece, edge) order, so each starts at
+        # its class's first wedge and the classes come out in (kind, first
+        # wedge) order.  A class whose walk closes with its ends swapped (odd
+        # parity) has both ends on one boundary vertex, any other has two
+        nbr, lmap, step = self.slot_nbr, self.slot_lmap, _LINK_STEP
+        m = self.num_pieces
+        # _wedge_class[x] is the index of the class of wedge x, or its
+        # _UNWALKED mark, by which list.index finds each family's next start
+        wedge_class = self._wedge_class = list(_UNWALKED) * m
+        piece_mark = [-1] * m
+        summaries = []
+        # two classes with the same first role, piece count and role counts
+        # have equal summaries if they have at most two roles, since the
+        # first role comes first; a third role's place needs _summarize
+        shared: dict[tuple[int, ...], ClassSummary] = {}
+        vertices = 0
+        for family, (kind, edges) in enumerate(_EDGES_BY_KIND):
+            left, start = len(edges) * m, 0
+            while left:
+                start = wedge_class.index(-1 - family, start)
+                idx = len(summaries)
+                count = [0] * 6
+                pieces = parity = 0
+                p, e = divmod(start, 6)
+                s, x = 4 * p + _FIRST_FACE[e], start
+                while True:
+                    wedge_class[x] = idx
+                    count[e] += 1
+                    if piece_mark[p] != idx:
+                        piece_mark[p] = idx
+                        pieces += 1
+                    e, f, bit = step[24 * lmap[s] + 6 * (s & 3) + e]
+                    p = nbr[s] >> 2
+                    s, x = 4 * p + f, 6 * p + e
+                    parity ^= bit
+                    if x == start:
+                        break
+                vertices += 2 - parity
+                key = (start % 6, pieces, *count)
+                summary = shared.get(key)
+                if summary is None:
+                    summary = self._summarize(idx, kind, edges, count, pieces)
+                    if len(summary.roles) < 3:
+                        shared[key] = summary
+                summaries.append(summary)
+                left -= summary.wedge_count
+        self._boundary_vertex_count = vertices
+        return tuple(summaries)
+
+    def _summarize(self, idx, kind, edges, count, pieces) -> ClassSummary:
+        # roles in the order of their first wedges: by the piece of each
+        # role's first wedge, and the stable sort keeps edge order within it
+        wedge_class = self._wedge_class
+        roles = [e for e in edges if count[e]]
+        roles.sort(key=lambda e: wedge_class[e::6].index(idx))
+        wedge_count = sum(count)
+        if wedge_count != sum(count[e] for e in roles):
+            members = [x for x, c in enumerate(wedge_class) if c == idx]
+            kinds = {_KIND_OF_EDGE[x % 6] for x in members}
+            raise DecompositionError(
+                f"edge class mixes families {kinds}: "
+                f"{[(x // 6, _EDGES[x % 6]) for x in members[:4]]}..."
+            )
+        return ClassSummary(kind, wedge_count, pieces,
+                            tuple((_ROLES[e], count[e]) for e in roles))
+
+    @cached_property
+    def edge_classes(self) -> tuple[EdgeClass, ...]:
+        """The classes with their wedge lists, in ``class_summaries`` order;
+        built on first read from the class of each wedge."""
+        members = [[] for _ in self.class_summaries]
+        for x, c in enumerate(self._wedge_class):
+            members[c].append((x // 6, _EDGES[x % 6]))
+        return tuple(EdgeClass(wedges=tuple(w), kind=s.kind)
+                     for w, s in zip(members, self.class_summaries))
 
     def class_of(self, piece: int, edge: tuple[int, int]) -> int:
         """Index of the edge class containing the given wedge slot."""
@@ -357,8 +394,8 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
     The boundary is assembled from the 8n truncation triangles; each
     internal pairing glues the triangle edges lying on the identified faces.
     Its vertices are the ends of the internal edge classes, so their count
-    comes from the edge-class union-find of ``dec``: two per class, one
-    where the gluings close a class up with its ends swapped.
+    comes from the edge-link walks of ``dec``: two per class, one where the
+    walk closes a class up with its ends swapped.
     """
     nbr, lmap = dec.slot_nbr, dec.slot_lmap
     # the boundary edge gluing is a fixed-point-free involution exactly when
@@ -442,9 +479,8 @@ def angle_sum_check(dec: Decomposition, real: Realization) -> AngleSumReport:
         "diag_lower": math.acos(-mink_inner(real.normal_lower, real.normal_near)),
     }
     residuals = tuple(
-        sum(role_angle[role] * count for role, count in cls.role_counts().items())
-        - 2 * math.pi
-        for cls in dec.edge_classes
+        sum(role_angle[role] * count for role, count in cls.roles) - 2 * math.pi
+        for cls in dec.class_summaries
     )
     max_res = max(abs(x) for x in residuals)
     return AngleSumReport(

@@ -157,7 +157,7 @@ def _propagate(a: Decomposition, b: Decomposition,
 
 def _wedge_counts(dec: Decomposition, piece: int) -> tuple[int, ...]:
     """Wedge counts of the edge classes at the six edges of ``piece``."""
-    return tuple(dec.edge_classes[dec.class_of(piece, e)].wedge_count for e in _EDGES)
+    return tuple(dec.class_summaries[dec.class_of(piece, e)].wedge_count for e in _EDGES)
 
 
 def enumerate_isomorphisms(

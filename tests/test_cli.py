@@ -236,6 +236,7 @@ def test_verify_presentations_clean_range(capsys):
     (["decompose", "--n", "39", "--k", "19"], "decompose_39_19.json"),
     (["tilts", "--n", "7"], "tilts_7.json"),
     (["isom-group", "--n", "9", "--k", "1"], "isom_group_9_1.json"),
+    (["decompose", "--n", "10", "--k", "3", "--full"], "decompose_10_3_full.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
@@ -243,7 +244,9 @@ def test_output_matches_golden_bytes(capsys, argv, golden):
     # decomposition kernels moved to integer slot indices, and the isom-group
     # (whose 48 elements pin their order) and classify ones before the
     # isomorphism search did, and the two at the top of the census range
-    # before the boundary vertices came from the edge-class union-find;
+    # before the boundary vertices came from the edge-class union-find, and
+    # the (10, 3) one, whose single polyhedron class has 6n wedges, before
+    # the classes came from edge-link walks;
     # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies, and
     # isom-group (9, 1) on its missing half-turn
     code, out = run_capture(capsys, argv)

@@ -26,7 +26,7 @@ from antidual.decomposition import (
 )
 import antidual.cli as cli
 from antidual.minkowski import MinkVec, mink_inner
-from antidual.realization import realize
+from antidual.realization import dihedral_angles, realize
 from antidual.symmetry import automorphism_group
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -186,6 +186,34 @@ def test_angle_sums_all_classes(n, k):
     assert report.max_residual < 1e-9
 
 
+def test_angle_sum_residuals_are_bit_identical_to_the_role_count_sums():
+    # float addition is not associative, so the residuals must add the
+    # roles in the order EdgeClass.role_counts lists them, which for many
+    # polyhedron classes is not edge order
+    out_of_edge_order = 0
+    for n in range(4, 41):
+        real = realize(n)
+        angles = dihedral_angles(real)
+        role_angle = {
+            "axis": math.pi / n,
+            "slant_upper": angles.slant,
+            "slant_lower": angles.slant,
+            "equator": angles.equator,
+            "diag_upper": math.acos(-mink_inner(real.normal_far, real.normal_upper)),
+            "diag_lower": math.acos(-mink_inner(real.normal_lower, real.normal_near)),
+        }
+        for k in range(n):
+            dec = build_decomposition(n, k)
+            expected = tuple(
+                sum(role_angle[r] * c for r, c in cls.role_counts().items()) - 2 * math.pi
+                for cls in dec.edge_classes)
+            assert angle_sum_check(dec, real).residuals == expected, (n, k)
+            out_of_edge_order += sum(
+                list(cls.role_counts()) != sorted(cls.role_counts(), key=_ROLE_EDGE_ORDER.index)
+                for cls in dec.poly_classes)
+    assert out_of_edge_order > 0
+
+
 def test_axis_class_sums_exactly():
     for n in (4, 9, 17):
         dec = build_decomposition(n, 1)
@@ -228,6 +256,8 @@ def test_diagonal_classes_meet_four_pieces_along_the_step():
 # These are the dict-and-tuple forms the package used before its kernels
 # moved to flat slot indices; the package must agree with them exactly.
 
+_ROLE_EDGE_ORDER = ["slant_upper", "diag_upper", "axis", "equator", "diag_lower",
+                    "slant_lower"]
 _ORACLE_KIND = {(0, 3): "axis", (0, 1): "poly", (2, 3): "poly", (1, 2): "poly",
                 (0, 2): "diagonal", (1, 3): "diagonal"}
 
@@ -331,14 +361,25 @@ def _oracle_boundary_surface(dec):
                            is_orientable, is_connected)
 
 
+def _assert_matches_the_oracle(dec):
+    classes = _oracle_edge_classes(dec)
+    assert dec.edge_classes == classes
+    # the summaries the reports read, role counts in the oracle's order
+    assert len(dec.class_summaries) == len(classes)
+    for summary, cls in zip(dec.class_summaries, classes):
+        assert (summary.kind, summary.wedge_count, summary.distinct_pieces,
+                list(summary.roles)) == (cls.kind, cls.wedge_count,
+                                         cls.distinct_piece_count,
+                                         list(cls.role_counts().items()))
+    assert boundary_surface(dec) == _oracle_boundary_surface(dec)
+    for idx, cls in enumerate(classes):
+        assert all(dec.class_of(p, e[::-1]) == idx for p, e in cls.wedges)
+
+
 @pytest.mark.parametrize("n", range(4, 21))
 def test_kernels_match_the_tuple_keyed_oracle(n):
     for k in range(n):
-        dec = build_decomposition(n, k)
-        assert dec.edge_classes == _oracle_edge_classes(dec), (n, k)
-        assert boundary_surface(dec) == _oracle_boundary_surface(dec), (n, k)
-        for idx, cls in enumerate(dec.edge_classes):
-            assert all(dec.class_of(p, e[::-1]) == idx for p, e in cls.wedges)
+        _assert_matches_the_oracle(build_decomposition(n, k))
 
 
 # -- the guards, fed broken gluings -----------------------------------------
@@ -426,7 +467,7 @@ def test_a_transposed_label_map_makes_the_boundary_non_orientable(n, k):
     # and some edge class now closes up with its ends swapped, so it has
     # one boundary vertex, not two
     assert surf.vertex_count < 2 * len(dec.edge_classes)
-    assert surf == _oracle_boundary_surface(dec)
+    _assert_matches_the_oracle(dec)
 
 
 def test_a_link_from_an_axis_slot_to_a_diagonal_slot_is_refused():
@@ -466,6 +507,25 @@ def test_building_and_reporting_a_complex_makes_no_face_pairing(monkeypatch):
     assert automorphism_group(dec).order > 0
     payload, ok = cli._decompose_report(dec, real, full=False)
     assert ok and payload["pairings"] == 48
+
+
+def test_building_and_reporting_a_complex_makes_no_edge_class(monkeypatch):
+    # EdgeClass wedge lists are built on first read of edge_classes, for
+    # export and the tests; the kernels, the search and the decompose
+    # report read the class summaries
+    def refuse(*args, **kwargs):
+        raise AssertionError("an EdgeClass was built")
+
+    monkeypatch.setattr("antidual.decomposition.EdgeClass", refuse)
+    dec = Decomposition(12, 5)
+    real = realize(12)
+    assert boundary_surface(dec).genus == 9
+    assert angle_sum_check(dec, real).all_within
+    assert automorphism_group(dec).order > 0
+    payload, ok = cli._decompose_report(dec, real, full=False)
+    assert ok and len(payload["edge_classes"]) == 16
+    with pytest.raises(AssertionError, match="an EdgeClass was built"):
+        decomposition_to_dict(dec)
 
 
 def test_nonmanifold_guard_is_not_triggered_on_valid_input():
