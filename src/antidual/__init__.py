@@ -3,14 +3,12 @@ quotients of the antiprism-dual polyhedron under step-k face identifications.
 """
 
 from .minkowski import (
-    ChartPoint,
     MinkVec,
     TwistMatrix,
     apply_twist,
     mink_inner,
     normalize_spacelike,
     plane_normal,
-    project_to_chart,
     twist_matrix,
 )
 from .realization import (

@@ -219,10 +219,10 @@ def _isom_group_report(dec: Decomposition, enum: EnumerationResult,
                        full: bool) -> tuple[dict, bool]:
     n, k = dec.n, dec.k
     aut = automorphism_group(dec)
-    pres = isometry_presentation(n, k)
+    pres = enum.group
     expected = n * PRINTED_ORDER_OVER_N[pres.provenance]
     try:
-        cert = verify_isomorphism(pres, aut, dec, enum)
+        cert = verify_isomorphism(enum, aut, dec)
     except MissingGenerator as exc:
         cert_payload = {"missing_generator": str(exc), "verdict": False}
     else:
@@ -273,8 +273,9 @@ def _survey_geometry(n: int, cfg: RunConfig) -> tuple[Realization, bool, float]:
     return real, valid and canonical, tilt_payload["margin"]
 
 
-def _survey_cell(args: tuple[int, tuple[Realization, bool, float], EnumerationResult]) -> dict:
-    k, (real, geometry_ok, tilt_margin), enum = args
+def _survey_cell(k: int, geometry: tuple[Realization, bool, float],
+                 enum: EnumerationResult) -> dict:
+    real, geometry_ok, tilt_margin = geometry
     n = real.params.n
     dec = build_decomposition(n, k)
     dec_payload, dec_ok = _decompose_report(dec, real, full=False)
@@ -298,7 +299,7 @@ def _survey_group(args: tuple[PresentedGroup, int, list]) -> list[dict]:
     enumerated once for all of them."""
     pres, coset_cap, cells = args
     enum = coset_enumerate(pres, cap=coset_cap)
-    return [_survey_cell((k, geometry, enum)) for k, geometry in cells]
+    return [_survey_cell(k, geometry, enum) for k, geometry in cells]
 
 
 SURVEY_FIELDS = [
@@ -326,6 +327,7 @@ def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
         results = map(_survey_group, tasks)
     rows = sorted((row for group_rows in results for row in group_rows),
                   key=lambda r: (r["n"], r["k"]))
+    # cannot fail: both fields are min(k, (n - k - 1) mod n) by construction
     consistent = all(
         row["class_representative"] == min(row["k"], row["mirror_target_k"])
         for row in rows

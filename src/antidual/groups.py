@@ -4,11 +4,12 @@ Presentations are kept exactly as the classification states them, with
 exponent expressions in (m, l) substituted but not otherwise reduced; the
 enumerator is the only place words get normalised.  Orders are computed by
 Todd-Coxeter enumeration over the trivial subgroup with a hard coset cap,
-since a presentation under test could in principle be infinite; each command
-enumerates each distinct presentation once and hands the result to
-``verify_isomorphism``.  That check evaluates each relator on the seed of
-the automorphism it names (the image of piece 0 and its label map), one
-O(1) step per letter, since an automorphism is determined by its seed.
+since a presentation under test could in principle be infinite; an
+enumeration carries its presentation.  Each command enumerates each distinct
+presentation once and hands the result to ``verify_isomorphism``, which
+evaluates each relator on the seed of the automorphism it names (the image
+of piece 0 and its label map), one O(1) step per letter, since an
+automorphism is determined by its seed.
 
 The text format for presentations is ``gens: r,t ; rels: r^5, t^2, (t*r)^2``
 (whitespace-insensitive; ``^`` exponents possibly negative, ``*``
@@ -65,6 +66,7 @@ class EnumerationResult:
     status: str                 # "completed" | "cap_exceeded"
     order: int | None
     cosets_used: int
+    group: PresentedGroup       # the presentation enumerated
 
     @property
     def completed(self) -> bool:
@@ -360,13 +362,13 @@ def coset_enumerate(group: PresentedGroup, cap: int = DEFAULT_COSET_CAP) -> Enum
     to_visit = 0
     while to_visit < len(graph.labels):
         if len(graph.labels) > cap:
-            return EnumerationResult("cap_exceeded", None, len(graph.labels))
+            return EnumerationResult("cap_exceeded", None, len(graph.labels), group)
         c = graph.find(to_visit)
         if c == to_visit:
             for rel in rel_letters:
                 graph.unify(graph.follow_word(c, rel), c)
         to_visit += 1
-    return EnumerationResult("completed", graph.live_count(), len(graph.labels))
+    return EnumerationResult("completed", graph.live_count(), len(graph.labels), group)
 
 
 # -- matching presentations against automorphism groups -----------------------
@@ -417,25 +419,25 @@ def _evaluate_word(word: Word, images: list[CombIso], inverses: list[CombIso]) -
 
 
 def verify_isomorphism(
-    group: PresentedGroup,
+    enumerated: EnumerationResult,
     aut: AutGroupData,
     dec: Decomposition,
-    enumerated: EnumerationResult,
 ) -> IsomorphismCertificate:
-    """Check the presentation against the enumerated automorphism group.
+    """Check an enumerated presentation against the automorphism group.
 
-    Maps each presentation generator to its geometric automorphism, checks
-    every relator evaluates to the identity, that the images generate the
-    whole group, and that the order in ``enumerated``, the caller's
-    ``coset_enumerate(group)``, equals the group order unless it hit its cap.
+    Maps each generator of ``enumerated.group`` to its geometric
+    automorphism, checks every relator evaluates to the identity, that the
+    images generate the whole group, and that the enumerated order equals
+    the group order unless the enumeration hit its cap.
     """
+    group = enumerated.group
     images = [concrete_generator(name, dec, aut) for name in group.generators]
     inverses = [g.inverse() for g in images]
     relator_results = tuple(
         _evaluate_word(w, images, inverses) == (0, 0) for w in group.relators
     )
     relators_hold = all(relator_results)
-    generated = len(generated_subgroup(images, CombIso.identity(dec))[1])
+    generated = len(generated_subgroup(images)[1])
     surjective = generated == aut.order
     order_matches = enumerated.order == aut.order if enumerated.completed else None
     verdict = relators_hold and surjective and order_matches is not False

@@ -33,10 +33,6 @@ class NonSpacelike(MinkowskiError):
     """Normalisation requested for a vector with <a,a> <= tolerance."""
 
 
-class AtInfinity(MinkowskiError):
-    """Chart projection requested for a vector with x0 ~ 0."""
-
-
 class DegenerateSpan(MinkowskiError):
     """Plane normal requested for (numerically) dependent spanning vectors."""
 
@@ -86,18 +82,6 @@ class MinkVec:
         return MinkVec(-self.x0, -self.x1, -self.x2, -self.x3)
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A Euclidean point of the affine chart {x0 = 1}."""
-
-    y1: float
-    y2: float
-    y3: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.y1, self.y2, self.y3)
-
-
 @dataclass(frozen=True, eq=False)
 class TwistMatrix:
     """Rotation by pi/n about the x3 axis composed with the flip x3 -> -x3.
@@ -110,23 +94,19 @@ class TwistMatrix:
     n: int
     entries: np.ndarray
 
-    @classmethod
-    def for_order(cls, n: int) -> "TwistMatrix":
-        if n < 3:
-            raise MinkowskiError(f"twist order must be >= 3, got {n}")
-        c = math.cos(math.pi / n)
-        s = math.sin(math.pi / n)
-        m = np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c, s, 0.0],
-            [0.0, -s, c, 0.0],
-            [0.0, 0.0, 0.0, -1.0],
-        ])
-        return cls(n=n, entries=m)
-
 
 def twist_matrix(n: int) -> TwistMatrix:
-    return TwistMatrix.for_order(n)
+    if n < 3:
+        raise MinkowskiError(f"twist order must be >= 3, got {n}")
+    c = math.cos(math.pi / n)
+    s = math.sin(math.pi / n)
+    m = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, c, s, 0.0],
+        [0.0, -s, c, 0.0],
+        [0.0, 0.0, 0.0, -1.0],
+    ])
+    return TwistMatrix(n=n, entries=m)
 
 
 def mink_inner(a: MinkVec, b: MinkVec) -> float:
@@ -134,13 +114,9 @@ def mink_inner(a: MinkVec, b: MinkVec) -> float:
     return -a.x0 * b.x0 + a.x1 * b.x1 + a.x2 * b.x2 + a.x3 * b.x3
 
 
-def mink_norm_sq(a: MinkVec) -> float:
-    return mink_inner(a, a)
-
-
 def normalize_spacelike(a: MinkVec) -> MinkVec:
     """Scale a spacelike vector onto the unit de Sitter sphere <x,x> = 1."""
-    nn = mink_norm_sq(a)
+    nn = mink_inner(a, a)
     if nn <= ORTHO_TOL:
         raise NonSpacelike(f"<a,a> = {nn}, not spacelike")
     return a * (1.0 / math.sqrt(nn))
@@ -149,13 +125,6 @@ def normalize_spacelike(a: MinkVec) -> MinkVec:
 def apply_twist(a: MinkVec, twist: TwistMatrix) -> MinkVec:
     """Image of a row vector under the twist: a @ N."""
     return MinkVec.from_array(a.as_array() @ twist.entries)
-
-
-def project_to_chart(a: MinkVec) -> ChartPoint:
-    """Radial projection to the affine chart {x0 = 1}."""
-    if abs(a.x0) <= ORTHO_TOL:
-        raise AtInfinity(f"x0 = {a.x0}, direction is parallel to the chart")
-    return ChartPoint(a.x1 / a.x0, a.x2 / a.x0, a.x3 / a.x0)
 
 
 def _lorentz_cross(rows: np.ndarray) -> np.ndarray:

@@ -59,10 +59,6 @@ class GluingCase(Enum):
     NOT_DIV3 = "not_div3"
     DIV3 = "div3"
 
-    @classmethod
-    def for_n(cls, n: int) -> "GluingCase":
-        return cls.DIV3 if n % 3 == 0 else cls.NOT_DIV3
-
 
 @dataclass(frozen=True)
 class RealizationParams:
@@ -160,7 +156,7 @@ def solve_parameters(n: int) -> RealizationParams:
     """
     if n < 4:
         raise UnsupportedN(f"n must be >= 4, got {n}")
-    case = GluingCase.for_n(n)
+    case = GluingCase.DIV3 if n % 3 == 0 else GluingCase.NOT_DIV3
     c = math.cos(math.pi / n)
     # 1 - cos(pi/n) evaluated as 2 sin^2(pi/2n): the direct subtraction
     # loses ~log10(n^2) digits and the angle-sum residual amplifies the

@@ -236,16 +236,16 @@ class AutGroupData:
     generators: dict
 
 
-def generated_subgroup(candidates, identity: CombIso):
+def generated_subgroup(candidates):
     """Greedy generators from ``candidates`` and the seeds of what they generate.
 
     Candidates must be automorphisms, so that each is determined by its seed
-    (the image of piece 0 and its label map).  A candidate not yet reached
-    becomes a generator (each at least doubles the set, so at most log2|G|
-    of them); BFS by left products adds the rest.  The seed of g o x is g
-    applied to x's seed, so a product costs O(1).
+    (the image of piece 0 and its label map; the identity's is (0, 0)).  A
+    candidate not yet reached becomes a generator (each at least doubles the
+    set, so at most log2|G| of them); BFS by left products adds the rest.
+    The seed of g o x is g applied to x's seed, so a product costs O(1).
     """
-    reached = {(identity.pieces[0], identity.lmaps[0])}
+    reached = {(0, 0)}
     gens: list[CombIso] = []
     for c in candidates:
         if (c.pieces[0], c.lmaps[0]) in reached:
@@ -283,7 +283,7 @@ def automorphism_group(dec: Decomposition) -> AutGroupData:
     by_key = {(e.pieces, e.lmaps): e for e in elements}
 
     seeds = {(e.pieces[0], e.lmaps[0]) for e in elements}
-    _, reached = generated_subgroup(elements, CombIso.identity(dec))
+    _, reached = generated_subgroup(elements)
     if reached != seeds:
         raise ClosureFailure(f"{len(reached)} generated, {len(seeds)} enumerated")
 

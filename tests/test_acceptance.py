@@ -217,7 +217,7 @@ PRINTED_PRESENTATION_ERRORS = PRINTED_ORDER_ERRORS | {(9, 4)}
 def _certifies(pres, aut, dec):
     """Relators hold on the geometric generators, which generate the group."""
     try:
-        cert = verify_isomorphism(pres, aut, dec, coset_enumerate(pres, cap=10**5))
+        cert = verify_isomorphism(coset_enumerate(pres, cap=10**5), aut, dec)
     except MissingGenerator:
         return False, None
     return cert.relators_hold and cert.surjective, cert

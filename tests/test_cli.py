@@ -290,9 +290,9 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
     per_cell, per_group = {}, []
     survey_cell, survey_group = cli._survey_cell, cli._survey_group
 
-    def counted_cell(args):
+    def counted_cell(*args):
         start = len(calls)
-        row = survey_cell(args)
+        row = survey_cell(*args)
         per_cell[(row["n"], row["k"])] = sorted(calls[start:])
         return row
 
@@ -334,6 +334,25 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
         assert calls.count("antidual.cli.coset_enumerate") == distinct, argv
         assert len(set(presentations)) == distinct, argv
         assert "antidual.groups.coset_enumerate" not in calls, argv
+
+
+def test_each_command_builds_each_presentation_once(monkeypatch, capsys):
+    # the report reads each cell's presentation from its enumeration
+    calls = []
+    original = cli.isometry_presentation
+
+    def counted(n, k):
+        calls.append((n, k))
+        return original(n, k)
+
+    monkeypatch.setattr(cli, "isometry_presentation", counted)
+    for argv, expected in [(["survey", "--n-min", "4", "--n-max", "6"], 15),
+                           (["verify-presentations", "--n-min", "4", "--n-max", "6"], 15),
+                           (["isom-group", "--n", "6", "--k", "1"], 1)]:
+        calls.clear()
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == len(set(calls)) == expected, argv
 
 
 def test_survey_honours_tolerance(capsys):

@@ -64,6 +64,7 @@ def test_coset_enumeration_cap():
     res = coset_enumerate(free_abelian, cap=300)
     assert res.status == "cap_exceeded"
     assert res.order is None
+    assert res.group is free_abelian
 
 
 def test_enumeration_deterministic():
@@ -71,6 +72,7 @@ def test_enumeration_deterministic():
     r1 = coset_enumerate(g)
     r2 = coset_enumerate(g)
     assert (r1.order, r1.cosets_used) == (r2.order, r2.cosets_used)
+    assert r1.group is g
 
 
 @settings(max_examples=15, deadline=None)
@@ -144,7 +146,7 @@ def test_verify_isomorphism_green_cells(n, k):
     dec = build_decomposition(n, k)
     aut = automorphism_group(dec)
     pres = isometry_presentation(n, k)
-    cert = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
+    cert = verify_isomorphism(coset_enumerate(pres), aut, dec)
     assert cert.relators_hold
     assert cert.surjective
     assert cert.order_matches is True
@@ -156,7 +158,7 @@ def test_verify_isomorphism_negative_control():
     dec = build_decomposition(5, 2)
     aut = automorphism_group(dec)
     wrong = parse_presentation("gens: t,u ; rels: t^2, u^2, (u*t)^8")
-    cert = verify_isomorphism(wrong, aut, dec, coset_enumerate(wrong))
+    cert = verify_isomorphism(coset_enumerate(wrong), aut, dec)
     assert not cert.relators_hold
     assert not cert.verdict
 
@@ -166,17 +168,17 @@ def test_verify_isomorphism_missing_generator():
     aut = automorphism_group(dec)
     pres = isometry_presentation(9, 1)
     with pytest.raises(MissingGenerator) as exc:
-        verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
+        verify_isomorphism(coset_enumerate(pres), aut, dec)
     assert str(exc.value) == "half-turn s is not an automorphism here"
     pres = parse_presentation("gens: r,v ; rels: v^2")
     with pytest.raises(MissingGenerator) as exc:
-        verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
+        verify_isomorphism(coset_enumerate(pres), aut, dec)
     assert str(exc.value) == "no concrete automorphism known for 'v'"
     dec = build_decomposition(6, 2)
     aut = automorphism_group(dec)
     pres = isometry_presentation(5, 2)  # wants u
     with pytest.raises(MissingGenerator) as exc:
-        verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
+        verify_isomorphism(coset_enumerate(pres), aut, dec)
     assert str(exc.value) == "mirror u maps step 2 to step 3, not an automorphism"
     unidentified = AutGroupData(elements=(), order=0, generators=dict.fromkeys("rtus"))
     with pytest.raises(MissingGenerator) as exc:
@@ -190,7 +192,7 @@ def test_selfdual_subcase22_certificate_records_failures():
     dec = build_decomposition(9, 4)
     aut = automorphism_group(dec)
     pres = isometry_presentation(9, 4)
-    cert = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
+    cert = verify_isomorphism(coset_enumerate(pres), aut, dec)
     assert not cert.relators_hold
     assert cert.surjective          # s, t, u do generate the group
     assert cert.order_matches is False
@@ -206,12 +208,12 @@ def test_generic_subcase22_relators_corrected_beyond_m2(n, k):
     dec = build_decomposition(n, k)
     aut = automorphism_group(dec)
     pres = isometry_presentation(n, k)
-    printed = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
+    printed = verify_isomorphism(coset_enumerate(pres), aut, dec)
     assert printed.relator_results == (True,) * 5 + (False, False)
     corrected = parse_presentation(
         f"gens: r,s,t ; rels: r^{n}, s^2, t^2, (t*r)^2, (s*t)^2, "
         f"s*r^3*s*r^3, (s*t*r)^3 = r^{2 * k + 4}")
-    cert = verify_isomorphism(corrected, aut, dec, coset_enumerate(corrected))
+    cert = verify_isomorphism(coset_enumerate(corrected), aut, dec)
     assert aut.order == 8 * n
     assert cert.verdict and cert.order_matches is True
 
@@ -223,12 +225,12 @@ def test_selfdual_subcase22_relator_corrected_to_ut_order_2n(n, k):
     dec = build_decomposition(n, k)
     aut = automorphism_group(dec)
     pres = isometry_presentation(n, k)
-    printed = verify_isomorphism(pres, aut, dec, coset_enumerate(pres))
+    printed = verify_isomorphism(coset_enumerate(pres), aut, dec)
     assert printed.relator_results == (True,) * 4 + (False, True)
     corrected = parse_presentation(
         f"gens: s,t,u ; rels: s^2, t^2, u^2, (s*t)^2, (u*t)^{2 * n}, "
         "s*u*s*u*s = t*u*t*u*t")
-    cert = verify_isomorphism(corrected, aut, dec, coset_enumerate(corrected))
+    cert = verify_isomorphism(coset_enumerate(corrected), aut, dec)
     assert aut.order == 16 * n
     assert cert.verdict and cert.order_matches is True
 

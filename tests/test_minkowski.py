@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 
 from antidual.minkowski import (
     AmbiguousOrientation,
-    AtInfinity,
     DegenerateSpan,
     MinkVec,
     MinkowskiError,
@@ -15,7 +14,6 @@ from antidual.minkowski import (
     mink_inner,
     normalize_spacelike,
     plane_normal,
-    project_to_chart,
     twist_matrix,
 )
 from antidual.realization import build_realization, solve_parameters
@@ -101,29 +99,6 @@ def test_twist_preserves_inner_product(a, b, n):
     before = mink_inner(a, b)
     after = mink_inner(apply_twist(a, tw), apply_twist(b, tw))
     assert after == pytest.approx(before, rel=1e-10, abs=1e-10)
-
-
-def test_project_to_chart_examples():
-    assert project_to_chart(MinkVec(1, 0, 0, 0)).as_tuple() == (0, 0, 0)
-    assert project_to_chart(MinkVec(2, 2, 0, 0)).as_tuple() == (1, 0, 0)
-    real = build_realization(solve_parameters(4))
-    top = project_to_chart(real.apex_top)
-    assert top.y1 == pytest.approx(0.0, abs=1e-14)
-    assert top.y2 == pytest.approx(0.0, abs=1e-14)
-    assert top.y3 == pytest.approx(1.51109892481601831, abs=1e-12)
-
-
-def test_project_to_chart_at_infinity():
-    with pytest.raises(AtInfinity):
-        project_to_chart(MinkVec(0, 1, 0, 0))
-
-
-@given(st.floats(min_value=0.1, max_value=50.0), vec)
-def test_project_scale_invariance(scale, a):
-    assume(abs(a.x0) > 1e-3)
-    p1 = project_to_chart(a)
-    p2 = project_to_chart(a * scale)
-    assert p2.as_tuple() == pytest.approx(p1.as_tuple(), rel=1e-9, abs=1e-9)
 
 
 def test_plane_normal_near_side_is_unit_x2():

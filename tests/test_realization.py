@@ -28,11 +28,14 @@ ORACLE = {
     6: dict(h=1.93185165257813657, r=1.03217447212291131, st=0.134377192992148568,
             xi=0.523598775598298873, zeta=0.523598775598298873,
             slant_len=1.14621583478058884),
-    7: dict(h=2.58984079146172509, r=1.03390180031835071, st=0.130493991310117674),
-    9: dict(h=3.13415830098282459, r=1.01800777992543859, st=0.0957210322159324098),
-    12: dict(h=4.28226255563484491),
-    30: dict(h=10.9760446274541690),
-    100: dict(h=36.7562681956286271),
+    7: dict(h=2.58984079146172509, r=1.03390180031835071, st=0.130493991310117674,
+            xi=0.144815979344988966, zeta=0.159166991822849674),
+    9: dict(h=3.13415830098282459, r=1.01800777992543859, st=0.0957210322159324098,
+            xi=0.349065850398865915, zeta=0.349065850398865915),
+    12: dict(h=4.28226255563484491, xi=0.261799387799149437, zeta=0.261799387799149437),
+    30: dict(h=10.9760446274541690, xi=0.104719755119659775, zeta=0.104719755119659775),
+    100: dict(h=36.7562681956286271,
+              xi=0.0104704438339181020, zeta=0.0104750388680617284),
 }
 
 
@@ -45,6 +48,10 @@ def test_solved_parameters_match_oracle(n):
     if "r" in o:
         assert p.r == pytest.approx(o["r"], abs=1e-12)
         assert p.sin_theta == pytest.approx(o["st"], abs=1e-12)
+    # the top apex lies on the x3 axis at chart height h
+    top = build_realization(p).apex_top
+    assert (top.x1, top.x2) == (0.0, 0.0)
+    assert top.x3 / top.x0 == pytest.approx(o["h"], abs=1e-12)
 
 
 def test_case_tags():
@@ -97,8 +104,6 @@ def test_angle_relation_by_case(n, total):
 
 @pytest.mark.parametrize("n", sorted(ORACLE))
 def test_angles_match_oracle(n):
-    if "xi" not in ORACLE[n]:
-        pytest.skip("no frozen angle for this n")
     ang = dihedral_angles(realize(n))
     assert ang.slant == pytest.approx(ORACLE[n]["xi"], abs=1e-12)
     assert ang.equator == pytest.approx(ORACLE[n]["zeta"], abs=1e-12)
