@@ -44,7 +44,6 @@ from .groups import (
     verify_isomorphism,
 )
 from .realization import (
-    RESIDUAL_TOL,
     Realization,
     build_realization,
     dihedral_angles,
@@ -58,15 +57,12 @@ from .tilt import canonicality_verdict, support_hull_margins
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: float = RESIDUAL_TOL
     coset_cap: int = DEFAULT_COSET_CAP
     jobs: int = 1
     fmt: str = "json"
     out: str | None = None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.coset_cap < 1:
             raise ValueError("coset cap must be >= 1")
         if self.jobs < 1:
@@ -83,12 +79,12 @@ def _tilt_dict(tv) -> dict:
 
 
 def cmd_realize(n: int, cfg: RunConfig) -> tuple[dict, bool]:
-    return _realize_report(build_realization(solve_parameters(n)), cfg)
+    return _realize_report(build_realization(solve_parameters(n)))
 
 
-def _realize_report(real: Realization, cfg: RunConfig) -> tuple[dict, bool]:
+def _realize_report(real: Realization) -> tuple[dict, bool]:
     params = real.params
-    report = validate_realization(real, tol=cfg.tolerance)
+    report = validate_realization(real)
     ang = dihedral_angles(real)
     payload = {
         "n": params.n,
@@ -264,11 +260,11 @@ def _presentation_groups(cells: list[tuple[int, int]]) -> dict[PresentedGroup, l
     return groups
 
 
-def _survey_geometry(n: int, cfg: RunConfig) -> tuple[Realization, bool, float]:
+def _survey_geometry(n: int) -> tuple[Realization, bool, float]:
     """One n's realization, whether it passes `realize` and `tilts`, and its
     tilt margin: the part of a survey row that does not depend on k."""
     real = build_realization(solve_parameters(n))
-    _, valid = _realize_report(real, cfg)
+    _, valid = _realize_report(real)
     tilt_payload, canonical = _tilts_report(real)
     return real, valid and canonical, tilt_payload["margin"]
 
@@ -302,18 +298,12 @@ def _survey_group(args: tuple[PresentedGroup, int, list]) -> list[dict]:
     return [_survey_cell(k, geometry, enum) for k, geometry in cells]
 
 
-SURVEY_FIELDS = [
-    "n", "k", "valid", "tilt_margin", "aut_order", "presentation_order",
-    "isom_verdict", "class_representative", "mirror_target_k", "genus",
-]
-
-
 def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
     # each n's geometry is built here once; each task is one distinct
     # presentation with every cell that shares it, enumerated in its worker
     # and dispatched largest first (by the sum of n over its cells), and the
     # pool forks no more workers than there are tasks
-    geometry = {n: _survey_geometry(n, cfg) for n in range(n_min, n_max + 1)}
+    geometry = {n: _survey_geometry(n) for n in range(n_min, n_max + 1)}
     grid = [(n, k) for n in geometry for k in range(n)]
     groups = sorted(_presentation_groups(grid).items(),
                     key=lambda group: -sum(n for n, _ in group[1]))
@@ -409,11 +399,12 @@ def _as_text(payload: dict, indent: int = 0) -> str:
 def _as_csv(payload: dict) -> str:
     if "rows" not in payload:
         raise ValueError("csv format is only defined for survey reports")
+    rows = payload["rows"]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SURVEY_FIELDS, lineterminator="\n")
+    # every row has the same keys, and a survey has at least n_min >= 4 rows
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in payload["rows"]:
-        writer.writerow({f: row[f] for f in SURVEY_FIELDS})
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -440,12 +431,8 @@ def _make_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand takes only the tuning options it reads
-    tuning = {
-        "--tolerance": {"type": float, "default": RESIDUAL_TOL},
-        "--coset-cap": {"type": int, "default": DEFAULT_COSET_CAP},
-        "--jobs": {"type": int, "default": 1},
-    }
+    # each subcommand takes only the tuning options it reads; an option left
+    # out of the command line takes its default from RunConfig
 
     def common(p, *options, with_k=False, with_range=False):
         if with_range:
@@ -458,11 +445,10 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                        default="json")
         for option in options:
-            p.add_argument(option, **tuning[option])
+            p.add_argument(option, type=int, default=argparse.SUPPRESS)
         p.add_argument("--out", type=str, default=None)
 
-    common(sub.add_parser("realize", help="solve and validate the wedge geometry"),
-           "--tolerance")
+    common(sub.add_parser("realize", help="solve and validate the wedge geometry"))
     common(sub.add_parser("tilts", help="tilts and canonicality of the cut"))
     p = sub.add_parser("decompose", help="combinatorial decomposition census")
     common(p, with_k=True)
@@ -478,7 +464,7 @@ def _make_parser() -> argparse.ArgumentParser:
         "canonicality (tilts) and the census (decompose), not isom_verdict: the "
         "printed group table it audits is wrong on named subcase-2.2 cells "
         "(see notes/decisions.md).")),
-        "--tolerance", "--coset-cap", "--jobs", with_range=True)
+        "--coset-cap", "--jobs", with_range=True)
     common(sub.add_parser("verify-presentations",
                           help="coset-enumeration audit of the presentations"),
            "--coset-cap", with_range=True)

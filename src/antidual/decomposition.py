@@ -363,6 +363,11 @@ def build_decomposition(n: int, k: int) -> Decomposition:
     return Decomposition(n, k)
 
 
+# a (piece, edge) wedge of each arc e0..e3: the axis edge of piece 0, then
+# the slant edges of pieces 0, 2, 4
+_ARC_WEDGES = ((0, (0, 3)), (0, (0, 1)), (2, (0, 1)), (4, (0, 1)))
+
+
 def arcs(dec: Decomposition) -> dict[str, int]:
     """Arc labels to edge-class indices.
 
@@ -370,14 +375,8 @@ def arcs(dec: Decomposition) -> dict[str, int]:
     e1, e2, e3 containing the slant edges of pieces 0, 2, 4; otherwise they
     merge into a single arc.  e0 is always the axis arc.
     """
-    out = {"e0": dec.class_of(0, (0, 3))}
-    if dec.n % 3 == 0:
-        out["e1"] = dec.class_of(0, (0, 1))
-        out["e2"] = dec.class_of(2, (0, 1))
-        out["e3"] = dec.class_of(4, (0, 1))
-    else:
-        out["single"] = dec.class_of(0, (0, 1))
-    return out
+    labels = ("e0", "e1", "e2", "e3") if dec.n % 3 == 0 else ("e0", "single")
+    return {label: dec.class_of(*wedge) for label, wedge in zip(labels, _ARC_WEDGES)}
 
 
 def require_div3(dec: Decomposition):

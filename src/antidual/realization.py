@@ -381,7 +381,7 @@ _INCIDENCES = (
 )
 
 
-def validate_realization(real: Realization, tol: float = RESIDUAL_TOL) -> ValidationReport:
+def validate_realization(real: Realization) -> ValidationReport:
     """Check every geometric condition the construction relies on."""
     p = real.params
 
@@ -423,7 +423,7 @@ def validate_realization(real: Realization, tol: float = RESIDUAL_TOL) -> Valida
     # the cross-product route loses accuracy like eps * h^3 as the apexes
     # recede, so the two-route comparison gets a scale-aware bound; the
     # geometric residuals above keep the strict tolerance
-    normal_tol = max(tol, 1e4 * sys.float_info.epsilon * p.h**3)
+    normal_tol = max(RESIDUAL_TOL, 1e4 * sys.float_info.epsilon * p.h**3)
 
     poles = real.vertex_poles()
     ultra = all(
@@ -435,12 +435,12 @@ def validate_realization(real: Realization, tol: float = RESIDUAL_TOL) -> Valida
     r_ok = p.r > 1.0
 
     verdict = (
-        planarity < tol
-        and edge_eq < tol
-        and angle_sum < tol
-        and unit < tol
-        and polar < tol
-        and twist_res < tol
+        planarity < RESIDUAL_TOL
+        and edge_eq < RESIDUAL_TOL
+        and angle_sum < RESIDUAL_TOL
+        and unit < RESIDUAL_TOL
+        and polar < RESIDUAL_TOL
+        and twist_res < RESIDUAL_TOL
         and normal_res < normal_tol
         and ultra and h_ok and r_ok
     )

@@ -29,8 +29,8 @@ import itertools
 from dataclasses import dataclass
 
 from .decomposition import (
-    _EDGES, _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition,
-    arcs, require_div3,
+    _ARC_WEDGES, _EDGES, _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS,
+    Decomposition, arcs, require_div3,
 )
 
 _FLIP = PERM_INDEX[(3, 2, 1, 0)]
@@ -417,19 +417,10 @@ def arc_permutation(aut: CombIso, dec: Decomposition) -> tuple[int, int, int, in
     require_div3(dec)
     if aut.source != aut.target:
         raise SymmetryError("arc permutations are defined for automorphisms")
-    arc_map = arcs(dec)
-    class_to_arc = {idx: int(label[1]) for label, idx in arc_map.items()}
-    rep_slots = {
-        "e0": (0, (0, 3)),
-        "e1": (0, (0, 1)),
-        "e2": (2, (0, 1)),
-        "e3": (4, (0, 1)),
-    }
+    class_to_arc = {idx: i for i, idx in enumerate(arcs(dec).values())}
     images = []
-    for i in range(4):
-        piece, edge = rep_slots[f"e{i}"]
-        ip, iedge = aut.apply_edge(piece, edge)
-        target_class = dec.class_of(ip, iedge)
+    for i, wedge in enumerate(_ARC_WEDGES):
+        target_class = dec.class_of(*aut.apply_edge(*wedge))
         if target_class not in class_to_arc:
             raise SymmetryError(
                 f"automorphism carries arc e{i} to an unlabelled class")

@@ -125,6 +125,11 @@ def test_survey_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("n,k,valid,tilt_margin,aut_order")
     assert len(lines) == 5  # header + 4 rows
+    # the header is the survey row's keys in order, and each line its values
+    _, out = run_capture(capsys, ["survey", "--n-min", "4", "--n-max", "4"])
+    rows = json.loads(out)["rows"]
+    assert lines[0].split(",") == list(rows[0])
+    assert lines[1:] == [",".join(str(v) for v in row.values()) for row in rows]
 
 
 def test_survey_parallel_matches_serial(monkeypatch, capsys):
@@ -237,6 +242,7 @@ def test_verify_presentations_clean_range(capsys):
     (["tilts", "--n", "7"], "tilts_7.json"),
     (["isom-group", "--n", "9", "--k", "1"], "isom_group_9_1.json"),
     (["decompose", "--n", "10", "--k", "3", "--full"], "decompose_10_3_full.json"),
+    (["survey", "--n-min", "4", "--n-max", "9", "--format", "csv"], "survey_4_9.csv"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
@@ -246,7 +252,8 @@ def test_output_matches_golden_bytes(capsys, argv, golden):
     # isomorphism search did, and the two at the top of the census range
     # before the boundary vertices came from the edge-class union-find, and
     # the (10, 3) one, whose single polyhedron class has 6n wedges, before
-    # the classes came from edge-link walks;
+    # the classes came from edge-link walks, and the csv one before the
+    # header came from the survey row's keys;
     # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies, and
     # isom-group (9, 1) on its missing half-turn
     code, out = run_capture(capsys, argv)
@@ -311,7 +318,7 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
     assert calls.count("antidual.cli.build_realization") == 3
     assert calls.count("antidual.cli.coset_enumerate") == len(set(presentations)) == 6
     assert per_group == [["antidual.cli.coset_enumerate"]] * 6
-    geometry = cli._survey_geometry(9, RunConfig())
+    geometry = cli._survey_geometry(9)
     rows = [row for pres, cells in cli._presentation_groups([(9, 1), (9, 4)]).items()
             for row in counted_group((pres, RunConfig().coset_cap,
                                       [(k, geometry) for _, k in cells]))]
@@ -355,20 +362,9 @@ def test_each_command_builds_each_presentation_once(monkeypatch, capsys):
         assert len(calls) == len(set(calls)) == expected, argv
 
 
-def test_survey_honours_tolerance(capsys):
-    code, out = run_capture(capsys, ["realize", "--n", "5", "--tolerance", "1e-30"])
-    assert code == 1
-    assert json.loads(out)["valid"] is False
-    code, out = run_capture(capsys, ["survey", "--n-min", "5", "--n-max", "5",
-                                     "--tolerance", "1e-30"])
-    assert code == 1
-    assert [row["valid"] for row in json.loads(out)["rows"]] == [False] * 5
-
-
 @pytest.mark.parametrize("argv", [
     ["survey", "--n-min", "4", "--n-max", "4", "--jobs", "0"],
     ["isom-group", "--n", "5", "--k", "2", "--coset-cap", "0"],
-    ["realize", "--n", "5", "--tolerance", "0"],
 ])
 def test_invalid_config_is_usage_error(argv):
     proc = subprocess.run([sys.executable, "-m", "antidual.cli", *argv],
@@ -384,6 +380,9 @@ def test_invalid_config_is_usage_error(argv):
     ["classify", "--n", "4", "--jobs", "2"],
     ["isom-group", "--n", "4", "--k", "0", "--tolerance", "1e-9"],
     ["verify-presentations", "--jobs", "2"],
+    # verdict tolerances are fixed per check, so no command reads one
+    ["realize", "--n", "4", "--tolerance", "1e-9"],
+    ["survey", "--tolerance", "1e-9"],
 ])
 def test_option_a_command_does_not_read_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
