@@ -180,6 +180,8 @@ def _twist(p: tuple[int, ...], v: int) -> int:
 # across a slot glued by PERMS[i], at 4*i + v: the label of the truncation
 # triangle the one at v is glued to, and the twist of that gluing
 _TRIANGLE_GLUE = tuple((p[v], _twist(p, v)) for p in PERMS for v in range(4))
+# the faces whose slots hold the three sides of the truncation triangle at v
+_OTHER_FACES = tuple(tuple(w for w in range(4) if w != v) for v in range(4))
 
 # the quad gluing: face opp 3 onto face opp 0 by 0->1, 1->2, 2->3; the side
 # gluings are the identity on the shared face
@@ -421,16 +423,18 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
         while stack:
             t = stack.pop()
             v = t & 3
-            for s in range(t - v, t - v + 4):
-                if s == t:
-                    continue
+            piece_slot = t - v
+            sign = orientation[t]
+            for w in _OTHER_FACES[v]:
+                s = piece_slot + w
                 v2, twist = _TRIANGLE_GLUE[4 * lmap[s] + v]
                 t2 = (nbr[s] & ~3) + v2
-                needed = orientation[t] * twist
-                if not orientation[t2]:
+                needed = sign * twist
+                seen = orientation[t2]
+                if not seen:
                     orientation[t2] = needed
                     stack.append(t2)
-                elif orientation[t2] != needed:
+                elif seen != needed:
                     is_orientable = False
 
     is_connected = components == 1

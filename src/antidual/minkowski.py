@@ -12,6 +12,7 @@ Matrices act on row vectors throughout: ``v @ M``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,11 @@ import numpy as np
 ORTHO_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
 
-_METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
-# the columns of the 3x3 minor left by deleting column i, and its cofactor sign
+# the columns of the 3x3 minor left by deleting column i, and the sign that
+# turns its determinant into component i of a Lorentz-orthogonal vector: the
+# cofactor sign times the metric's
 _MINOR_COLS = np.array([[j for j in range(4) if j != i] for i in range(4)])
-_COFACTOR_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+_NORMAL_SIGN = np.array([-1.0, -1.0, 1.0, -1.0])
 
 
 class MinkowskiError(ValueError):
@@ -127,28 +129,46 @@ def apply_twist(a: MinkVec, twist: TwistMatrix) -> MinkVec:
     return MinkVec.from_array(a.as_array() @ twist.entries)
 
 
-def _lorentz_cross(rows: np.ndarray) -> np.ndarray:
-    # Cofactor expansion of det(x; p; q; r) over the 3x4 rows (p; q; r) gives
-    # the Euclidean-orthogonal vector; flipping the sign of the x0 component
-    # turns Euclidean orthogonality into Lorentzian orthogonality.  The
-    # stacked det runs the same LU factorisation on each 3x3 minor as four
-    # separate calls would, so the cofactors are bit-identical to those.
-    return _METRIC * (_COFACTOR_SIGN * np.linalg.det(rows[:, _MINOR_COLS].transpose(1, 0, 2)))
+def twist_images(vectors: Sequence[MinkVec], twist: TwistMatrix) -> list[MinkVec]:
+    """Images of several row vectors under the twist from one matmul; each
+    row is bit-identical to apply_twist on that vector."""
+    rows = np.array([v.as_tuple() for v in vectors]) @ twist.entries
+    return [MinkVec(*row) for row in rows.tolist()]
+
+
+def plane_normals(
+    planes: Sequence[tuple[MinkVec, MinkVec, MinkVec, MinkVec]],
+) -> list[MinkVec]:
+    """Outward unit normals of several planes, each spanned by three lifts.
+
+    Each plane is given as (p, q, r, interior); its normal w satisfies
+    <w,p> = <w,q> = <w,r> = 0 and <w, interior> < 0, so the interior witness
+    lies inside the half-space the normal bounds.  The planes are checked in
+    order, and each one for degeneracy, then spacelikeness, then orientation.
+    """
+    # the 12 components of each plane's spanning vectors, p then q then r
+    spans = [p.as_tuple() + q.as_tuple() + r.as_tuple() for p, q, r, _ in planes]
+    # Cofactor expansion of det(x; p; q; r) gives the Euclidean-orthogonal
+    # vector; flipping the sign of the x0 component turns Euclidean
+    # orthogonality into Lorentzian orthogonality.  The stacked det runs the
+    # same LU factorisation on each 3x3 minor as one call per minor would,
+    # so the cofactors are bit-identical to those.
+    rows = np.array(spans).reshape(len(spans), 3, 4)
+    minors = rows[:, :, _MINOR_COLS].transpose(0, 2, 1, 3)
+    crosses = (_NORMAL_SIGN * np.linalg.det(minors)).tolist()
+    normals = []
+    for (*_, interior), span, w in zip(planes, spans, crosses):
+        scale = max(map(abs, span)) ** 3
+        if max(map(abs, w)) <= DEGENERACY_TOL * max(scale, 1.0):
+            raise DegenerateSpan("spanning vectors are numerically dependent")
+        wv = normalize_spacelike(MinkVec(*w))
+        side = mink_inner(wv, interior)
+        if abs(side) <= ORTHO_TOL:
+            raise AmbiguousOrientation("interior witness lies on the plane")
+        normals.append(-wv if side > 0 else wv)
+    return normals
 
 
 def plane_normal(p: MinkVec, q: MinkVec, r: MinkVec, interior: MinkVec) -> MinkVec:
-    """Outward unit normal of the plane spanned by three lifts.
-
-    The result w satisfies <w,p> = <w,q> = <w,r> = 0 and <w, interior> < 0,
-    so the interior witness lies inside the half-space the normal bounds.
-    """
-    rows = np.array([p.as_tuple(), q.as_tuple(), r.as_tuple()])
-    w = _lorentz_cross(rows)
-    scale = np.max(np.abs(rows)) ** 3
-    if np.max(np.abs(w)) <= DEGENERACY_TOL * max(scale, 1.0):
-        raise DegenerateSpan("spanning vectors are numerically dependent")
-    wv = normalize_spacelike(MinkVec.from_array(w))
-    side = mink_inner(wv, interior)
-    if abs(side) <= ORTHO_TOL:
-        raise AmbiguousOrientation("interior witness lies on the plane")
-    return -wv if side > 0 else wv
+    """Outward unit normal of one plane; see plane_normals."""
+    return plane_normals([(p, q, r, interior)])[0]

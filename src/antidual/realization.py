@@ -26,7 +26,8 @@ from .minkowski import (
     apply_twist,
     mink_inner,
     normalize_spacelike,
-    plane_normal,
+    plane_normals,
+    twist_images,
     twist_matrix,
 )
 
@@ -218,19 +219,22 @@ def closed_form_lower_normal(params: RealizationParams) -> MinkVec:
     return raw * (1.0 / math.sqrt(lower_face_norm_sq(params)))
 
 
-def algebraic_normals(params: RealizationParams) -> tuple[MinkVec, MinkVec, MinkVec, MinkVec]:
+def algebraic_normals(
+    params: RealizationParams, twist: TwistMatrix,
+) -> tuple[MinkVec, MinkVec, MinkVec, MinkVec]:
     """All four outward normals from their algebraic expressions.
 
-    The upper normal is the twist image of the lower one (the two quad
-    planes are exchanged by the twist), and the two cutting planes have
-    constant normals.  These evaluations stay well conditioned for large n,
-    where the cross-product route loses several digits to cancellation; the
-    two routes are compared in validate_realization.
+    The upper normal is the image of the lower one under ``twist``, the
+    twist of order params.n (the two quad planes are exchanged by the
+    twist), and the two cutting planes have constant normals.  These
+    evaluations stay well conditioned for large n, where the cross-product
+    route loses several digits to cancellation; the two routes are compared
+    in validate_realization.
     """
     c = params.c_n
     s = math.sqrt(1.0 - c * c)
     lower = closed_form_lower_normal(params)
-    upper = apply_twist(lower, twist_matrix(params.n))
+    upper = apply_twist(lower, twist)
     near = MinkVec(0.0, 0.0, -1.0, 0.0)
     far = MinkVec(0.0, -s, c, 0.0)
     return upper, lower, near, far
@@ -250,13 +254,12 @@ def build_realization(params: RealizationParams) -> Realization:
     top_raw = MinkVec(1.0, 0.0, 0.0, h)
     mid_raw = MinkVec(1.0, r * ct, 0.0, r * st)
     apex_top = normalize_spacelike(top_raw)
-    apex_bottom = apply_twist(apex_top, twist)
     mid_upper = normalize_spacelike(mid_raw)
-    mid_lower = apply_twist(mid_upper, twist)
+    apex_bottom, mid_lower, bot_raw, mid_low_raw = twist_images(
+        (apex_top, mid_upper, top_raw, mid_raw), twist)
+    # a second twist, not the square of the twist matrix: chained products
+    # round differently from one product with the square
     mid_upper_next = apply_twist(mid_lower, twist)
-
-    bot_raw = apply_twist(top_raw, twist)
-    mid_low_raw = apply_twist(mid_raw, twist)
 
     # interior witness: chart centroid of the four wedge vertices
     pts = (top_raw, bot_raw, mid_raw, mid_low_raw)
@@ -267,10 +270,12 @@ def build_realization(params: RealizationParams) -> Realization:
         sum(p.x3 for p in pts) / 4.0,
     )
 
-    normal_upper = plane_normal(top_raw, mid_raw, mid_low_raw, centroid)
-    normal_lower = plane_normal(bot_raw, mid_raw, mid_low_raw, centroid)
-    normal_near = plane_normal(top_raw, mid_raw, bot_raw, centroid)
-    normal_far = plane_normal(top_raw, mid_low_raw, bot_raw, centroid)
+    normal_upper, normal_lower, normal_near, normal_far = plane_normals((
+        (top_raw, mid_raw, mid_low_raw, centroid),
+        (bot_raw, mid_raw, mid_low_raw, centroid),
+        (top_raw, mid_raw, bot_raw, centroid),
+        (top_raw, mid_low_raw, bot_raw, centroid),
+    ))
 
     return Realization(
         params=params,
@@ -381,6 +386,12 @@ _INCIDENCES = (
 )
 
 
+def _max_component_gap(xs, ys) -> float:
+    # max |x_i - y_i| over the components of paired vectors
+    return max(abs(a - b) for x, y in zip(xs, ys)
+               for a, b in zip(x.as_tuple(), y.as_tuple()))
+
+
 def validate_realization(real: Realization) -> ValidationReport:
     """Check every geometric condition the construction relies on."""
     p = real.params
@@ -404,22 +415,13 @@ def validate_realization(real: Realization) -> ValidationReport:
         for vn, faces in _INCIDENCES
         for fn in faces
     )
-    twisted = (
-        apply_twist(real.apex_top, real.twist),
-        apply_twist(real.mid_upper, real.twist),
-        apply_twist(real.mid_lower, real.twist),
-        apply_twist(real.normal_lower, real.twist),
-    )
+    twisted = twist_images(
+        (real.apex_top, real.mid_upper, real.mid_lower, real.normal_lower), real.twist)
     expected = (real.apex_bottom, real.mid_lower, real.mid_upper_next,
                 real.normal_upper)
-    twist_res = max(
-        max(abs(d) for d in (a - b).as_tuple())
-        for a, b in zip(twisted, expected)
-    )
-    normal_res = max(
-        max(abs(d) for d in (a - b).as_tuple())
-        for a, b in zip(real.face_normals(), algebraic_normals(p))
-    )
+    twist_res = _max_component_gap(twisted, expected)
+    normal_res = _max_component_gap(real.face_normals(),
+                                    algebraic_normals(p, real.twist))
     # the cross-product route loses accuracy like eps * h^3 as the apexes
     # recede, so the two-route comparison gets a scale-aware bound; the
     # geometric residuals above keep the strict tolerance

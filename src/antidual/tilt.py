@@ -203,24 +203,33 @@ def support_hull_margins(real: Realization) -> dict[str, float]:
     alp, dlt = real.mid_upper, real.mid_lower
     bet, gam = real.normal_upper, real.normal_lower
 
-    poles = np.vstack([v.as_array() for v in (tau, ups, alp, dlt)])
+    # the pole frame, then the (source, target) frames of the two
+    # developments: across the upper face the congruence takes
+    # (mid_upper, mid_lower, apex_bottom, lower normal) to
+    # (apex_top, mid_upper, mid_lower, -upper normal), and across the lower
+    # face (mid_lower, mid_upper, apex_top, upper normal) to
+    # (apex_bottom, mid_lower, mid_upper, -lower normal)
+    frames = np.array([
+        [v.as_tuple() for v in frame] for frame in (
+            (tau, ups, alp, dlt),
+            (alp, dlt, ups, gam), (dlt, alp, tau, bet),
+            (tau, alp, dlt, -bet), (ups, dlt, alp, -gam),
+        )
+    ])
     metric = np.array([-1.0, 1.0, 1.0, 1.0])
-    q = np.linalg.solve(poles * metric, np.ones(4))
+    q = np.linalg.solve(frames[0] * metric, np.ones(4))
 
     def margin(w: np.ndarray) -> float:
         return float((w * metric) @ q - 1.0)
 
-    w_near = alp.as_array() @ tw.entries.T
-    w_far = dlt.as_array() @ tw.entries
-    # develop across the upper face: the congruence taking the frame
-    # (mid_upper, mid_lower, apex_bottom, lower normal) to
-    # (apex_top, mid_upper, mid_lower, -upper normal)
-    src = np.vstack([v.as_array() for v in (alp, dlt, ups, gam)])
-    dst = np.vstack([v.as_array() for v in (tau, alp, dlt, -bet)])
-    w_up = tau.as_array() @ np.linalg.solve(src, dst)
-    src2 = np.vstack([v.as_array() for v in (dlt, alp, tau, bet)])
-    dst2 = np.vstack([v.as_array() for v in (ups, dlt, alp, -gam)])
-    w_dn = ups.as_array() @ np.linalg.solve(src2, dst2)
+    tau_a, ups_a, alp_a, dlt_a = frames[0]
+    w_near = alp_a @ tw.entries.T
+    w_far = dlt_a @ tw.entries
+    # one stacked solve runs the same LU factorisation on each system as
+    # one call per system would
+    up, dn = np.linalg.solve(frames[1:3], frames[3:5])
+    w_up = tau_a @ up
+    w_dn = ups_a @ dn
 
     return {
         "near_side": margin(w_near),

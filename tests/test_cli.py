@@ -243,6 +243,9 @@ def test_verify_presentations_clean_range(capsys):
     (["isom-group", "--n", "9", "--k", "1"], "isom_group_9_1.json"),
     (["decompose", "--n", "10", "--k", "3", "--full"], "decompose_10_3_full.json"),
     (["survey", "--n-min", "4", "--n-max", "9", "--format", "csv"], "survey_4_9.csv"),
+    (["realize", "--n", "100"], "realize_100.json"),
+    (["realize", "--n", "300"], "realize_300.json"),
+    (["tilts", "--n", "300"], "tilts_300.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
@@ -253,13 +256,16 @@ def test_output_matches_golden_bytes(capsys, argv, golden):
     # before the boundary vertices came from the edge-class union-find, and
     # the (10, 3) one, whose single polyhedron class has 6n wedges, before
     # the classes came from edge-link walks, and the csv one before the
-    # header came from the survey row's keys;
-    # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies, and
-    # isom-group (9, 1) on its missing half-turn
+    # header came from the survey row's keys, and the realize and (300) tilts
+    # ones, which pin the geometry's floats, before the normals, twist images
+    # and hull solves were stacked;
+    # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies,
+    # isom-group (9, 1) on its missing half-turn, and realize (300) on its
+    # twist residual above the tolerance
     code, out = run_capture(capsys, argv)
     assert out == (GOLDEN / golden).read_text()
-    assert code == (1 if argv[0] == "verify-presentations" or golden == "isom_group_9_1.json"
-                    else 0)
+    assert code == (1 if argv[0] == "verify-presentations"
+                    or golden in ("isom_group_9_1.json", "realize_300.json") else 0)
 
 
 def test_tilts_report_evaluates_each_route_once(monkeypatch, capsys):

@@ -382,6 +382,14 @@ def test_kernels_match_the_tuple_keyed_oracle(n):
         _assert_matches_the_oracle(build_decomposition(n, k))
 
 
+@pytest.mark.parametrize("n", range(4, 41))
+def test_boundary_surface_matches_the_oracle_on_the_census(n):
+    # every cell the census decomposes, past the n <= 20 of the test above
+    for k in range(n):
+        dec = build_decomposition(n, k)
+        assert boundary_surface(dec) == _oracle_boundary_surface(dec), (n, k)
+
+
 # -- the guards, fed broken gluings -----------------------------------------
 
 

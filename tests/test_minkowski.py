@@ -14,9 +14,11 @@ from antidual.minkowski import (
     mink_inner,
     normalize_spacelike,
     plane_normal,
+    plane_normals,
+    twist_images,
     twist_matrix,
 )
-from antidual.realization import build_realization, solve_parameters
+from antidual.realization import build_realization, solve_parameters, validate_realization
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vec = st.builds(MinkVec, coord, coord, coord, coord)
@@ -176,20 +178,64 @@ def _oracle_plane_normal(p, q, r, interior, degeneracy_tol=1e-10, orientation_to
 def test_realization_normals_are_bit_identical_to_the_oracle(monkeypatch):
     import antidual.realization as realization
 
-    calls = []
+    calls, dets = [], []
 
-    def recording(*args):
-        out = plane_normal(*args)
-        calls.append((args, out))
+    def recording(planes):
+        out = plane_normals(planes)
+        calls.append((planes, out))
         return out
 
-    monkeypatch.setattr(realization, "plane_normal", recording)
+    def counted_det(a):
+        dets.append(a.shape)
+        return det(a)
+
+    det = np.linalg.det
+    monkeypatch.setattr(realization, "plane_normals", recording)
+    monkeypatch.setattr(np.linalg, "det", counted_det)
     for n in range(4, 401):
         calls.clear()
-        build_realization(solve_parameters(n))
-        assert len(calls) == 4
-        for args, out in calls:
-            assert out == _oracle_plane_normal(*args), n
+        dets.clear()
+        real = build_realization(solve_parameters(n))
+        # one stacked call for the four faces, and one det for all 16 minors
+        assert len(calls) == 1 and dets == [(4, 4, 3, 3)]
+        planes, out = calls[0]
+        assert len(planes) == 4
+        assert tuple(out) == real.face_normals()
+        for plane, normal in zip(planes, out):
+            assert normal == _oracle_plane_normal(*plane), n
+
+
+def test_realization_twists_are_bit_identical_to_per_vector_twists(monkeypatch):
+    # the stacked images against one apply_twist per vector, in the build
+    # (two matmuls: the stacked one and mid_upper_next) and in the validation
+    import antidual.realization as realization
+
+    stacked, single = [], []
+
+    def recording(vectors, twist):
+        out = twist_images(vectors, twist)
+        stacked.append((vectors, twist, out))
+        return out
+
+    def counted(a, twist):
+        single.append(a)
+        return apply_twist(a, twist)
+
+    monkeypatch.setattr(realization, "twist_images", recording)
+    monkeypatch.setattr(realization, "apply_twist", counted)
+    for n in range(4, 401):
+        stacked.clear()
+        single.clear()
+        real = build_realization(solve_parameters(n))
+        assert len(stacked) == 1 and single == [real.mid_lower]
+        assert real.mid_upper_next == apply_twist(real.mid_lower, real.twist)
+        validate_realization(real)
+        assert len(stacked) == 2
+        for vectors, twist, out in stacked:
+            assert twist is real.twist and len(vectors) == 4
+            assert out == [apply_twist(v, twist) for v in vectors], n
+        # the build's images are the stored vertices
+        assert stacked[0][2][:2] == [real.apex_bottom, real.mid_lower]
 
 
 @given(vec, vec, vec, vec)

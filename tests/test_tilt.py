@@ -133,6 +133,51 @@ def test_hull_margins_match_oracle_n4():
         assert margins[key] == pytest.approx(expected, abs=1e-10)
 
 
+def _oracle_support_hull_margins(real):
+    # one vstack per frame and one solve per system, as the certificate once did
+    tw = real.twist
+    ups, tau = real.apex_bottom, real.apex_top
+    alp, dlt = real.mid_upper, real.mid_lower
+    bet, gam = real.normal_upper, real.normal_lower
+    poles = np.vstack([v.as_array() for v in (tau, ups, alp, dlt)])
+    metric = np.array([-1.0, 1.0, 1.0, 1.0])
+    q = np.linalg.solve(poles * metric, np.ones(4))
+
+    def margin(w):
+        return float((w * metric) @ q - 1.0)
+
+    w_near = alp.as_array() @ tw.entries.T
+    w_far = dlt.as_array() @ tw.entries
+    src = np.vstack([v.as_array() for v in (alp, dlt, ups, gam)])
+    dst = np.vstack([v.as_array() for v in (tau, alp, dlt, -bet)])
+    w_up = tau.as_array() @ np.linalg.solve(src, dst)
+    src2 = np.vstack([v.as_array() for v in (dlt, alp, tau, bet)])
+    dst2 = np.vstack([v.as_array() for v in (ups, dlt, alp, -gam)])
+    w_dn = ups.as_array() @ np.linalg.solve(src2, dst2)
+    return {"near_side": margin(w_near), "far_side": margin(w_far),
+            "upper": margin(w_up), "lower": margin(w_dn)}
+
+
+def test_hull_margins_are_bit_identical_to_the_three_solve_route(monkeypatch):
+    solves = []
+
+    def counted_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    solve = np.linalg.solve
+    for n in range(4, 401):
+        real = realize(n)
+        expected = _oracle_support_hull_margins(real)
+        solves.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", counted_solve)
+            margins = support_hull_margins(real)
+        # the pole system, then both developments in one stacked solve
+        assert solves == [(4, 4), (2, 4, 4)]
+        assert margins == expected, n
+
+
 def test_perturbed_h_keeps_tilts_finite():
     params = solve_parameters(5)
     broken = dataclasses.replace(params, h=params.h * 1.2)
