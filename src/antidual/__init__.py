@@ -4,7 +4,6 @@ quotients of the antiprism-dual polyhedron under step-k face identifications.
 
 from .minkowski import (
     MinkVec,
-    TwistMatrix,
     apply_twist,
     mink_inner,
     normalize_spacelike,

@@ -51,6 +51,8 @@ class PresentedGroup:
     provenance: str = ""
 
     def __post_init__(self):
+        if len(set(self.generators)) != len(self.generators):
+            raise PresentationSyntaxError(f"duplicate generator name in {self.generators}")
         for rel in self.relators:
             if not rel:
                 raise GroupError("empty relator")
@@ -75,8 +77,9 @@ class EnumerationResult:
 
 # -- parsing / formatting ----------------------------------------------------
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # a token, or (second group) a character no token starts with
-_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*|\^|\*|\(|\)|=|-?\d+|,)|(\S)")
+_TOKEN = re.compile(rf"({_NAME.pattern}|\^|\*|\(|\)|=|-?\d+|,)|(\S)")
 
 
 def _invert(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -164,11 +167,13 @@ def _parse_relators(text: str, gen_index: dict[str, int]) -> list[Word]:
 
 
 def parse_presentation(text: str, provenance: str = "parsed") -> PresentedGroup:
-    gens: list[str] = []
+    gens: list[str] | None = None
     sections: list[str] = []
     for part in text.split(";"):
         part = part.strip()
         if part.startswith("gens:"):
+            if gens is not None:
+                raise PresentationSyntaxError("second gens: section")
             gens = [g.strip() for g in part[len("gens:"):].split(",") if g.strip()]
         elif part.startswith("rels:"):
             sections.append(part[len("rels:"):])
@@ -176,6 +181,9 @@ def parse_presentation(text: str, provenance: str = "parsed") -> PresentedGroup:
             raise PresentationSyntaxError(f"unknown section {part[:20]!r}")
     if not gens:
         raise PresentationSyntaxError("no generators declared")
+    for g in gens:
+        if not _NAME.fullmatch(g):
+            raise PresentationSyntaxError(f"generator name {g!r} is not an identifier")
     # relators are read once every section is, so gens may follow rels
     gen_index = {g: i for i, g in enumerate(gens)}
     relators = [w for section in sections for w in _parse_relators(section, gen_index)]

@@ -12,8 +12,8 @@ Matrices act on row vectors throughout: ``v @ M``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,29 +43,18 @@ class AmbiguousOrientation(MinkowskiError):
     """Interior witness lies on the plane, so no outward side exists."""
 
 
-@dataclass(frozen=True)
-class MinkVec:
+# a subclass of collections.namedtuple, because typing.NamedTuple forbids the
+# __new__ that checks the components
+class MinkVec(namedtuple("MinkVec", "x0 x1 x2 x3")):
     """A vector of E^{1,3}; components must be finite."""
 
-    x0: float
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.x0, self.x1, self.x2, self.x3):
-            if not math.isfinite(v):
-                raise MinkowskiError(f"non-finite component in {self!r}")
-
-    @classmethod
-    def from_array(cls, a) -> "MinkVec":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2, self.x3])
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x0, self.x1, self.x2, self.x3)
+    def __new__(cls, x0: float, x1: float, x2: float, x3: float) -> "MinkVec":
+        self = tuple.__new__(cls, (x0, x1, x2, x3))
+        if not all(map(math.isfinite, self)):
+            raise MinkowskiError(f"non-finite component in {self!r}")
+        return self
 
     def __add__(self, other: "MinkVec") -> "MinkVec":
         return MinkVec(self.x0 + other.x0, self.x1 + other.x1,
@@ -84,31 +73,23 @@ class MinkVec:
         return MinkVec(-self.x0, -self.x1, -self.x2, -self.x3)
 
 
-@dataclass(frozen=True, eq=False)
-class TwistMatrix:
+def twist_matrix(n: int) -> np.ndarray:
     """Rotation by pi/n about the x3 axis composed with the flip x3 -> -x3.
 
     This is the generator of the rotatory-reflection symmetry carrying each
     wedge of the polyhedron to the next one; its 2n-th power is the identity
     and its determinant is -1.
     """
-
-    n: int
-    entries: np.ndarray
-
-
-def twist_matrix(n: int) -> TwistMatrix:
     if n < 3:
         raise MinkowskiError(f"twist order must be >= 3, got {n}")
     c = math.cos(math.pi / n)
     s = math.sin(math.pi / n)
-    m = np.array([
+    return np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, c, s, 0.0],
         [0.0, -s, c, 0.0],
         [0.0, 0.0, 0.0, -1.0],
     ])
-    return TwistMatrix(n=n, entries=m)
 
 
 def mink_inner(a: MinkVec, b: MinkVec) -> float:
@@ -124,15 +105,15 @@ def normalize_spacelike(a: MinkVec) -> MinkVec:
     return a * (1.0 / math.sqrt(nn))
 
 
-def apply_twist(a: MinkVec, twist: TwistMatrix) -> MinkVec:
+def apply_twist(a: MinkVec, twist: np.ndarray) -> MinkVec:
     """Image of a row vector under the twist: a @ N."""
-    return MinkVec.from_array(a.as_array() @ twist.entries)
+    return MinkVec(*(np.array(a) @ twist).tolist())
 
 
-def twist_images(vectors: Sequence[MinkVec], twist: TwistMatrix) -> list[MinkVec]:
+def twist_images(vectors: Sequence[MinkVec], twist: np.ndarray) -> list[MinkVec]:
     """Images of several row vectors under the twist from one matmul; each
     row is bit-identical to apply_twist on that vector."""
-    rows = np.array([v.as_tuple() for v in vectors]) @ twist.entries
+    rows = np.array(vectors) @ twist
     return [MinkVec(*row) for row in rows.tolist()]
 
 
@@ -147,7 +128,7 @@ def plane_normals(
     order, and each one for degeneracy, then spacelikeness, then orientation.
     """
     # the 12 components of each plane's spanning vectors, p then q then r
-    spans = [p.as_tuple() + q.as_tuple() + r.as_tuple() for p, q, r, _ in planes]
+    spans = [(*p, *q, *r) for p, q, r, _ in planes]
     # Cofactor expansion of det(x; p; q; r) gives the Euclidean-orthogonal
     # vector; flipping the sign of the x0 component turns Euclidean
     # orthogonality into Lorentzian orthogonality.  The stacked det runs the

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .minkowski import (
     MinkVec,
-    TwistMatrix,
     apply_twist,
     mink_inner,
     normalize_spacelike,
@@ -98,6 +99,9 @@ class Realization:
       mid_upper);
     * ``normal_far``    -- cutting plane at azimuth pi/n (contains the axis
       and mid_lower).
+
+    ``twist`` is the 4x4 twist matrix of order n; it is left out of ``==``
+    and the hash, which the vectors and parameters already determine.
     """
 
     params: RealizationParams
@@ -110,7 +114,7 @@ class Realization:
     normal_lower: MinkVec
     normal_near: MinkVec
     normal_far: MinkVec
-    twist: TwistMatrix
+    twist: np.ndarray = field(compare=False)
 
     def vertex_poles(self) -> tuple[MinkVec, MinkVec, MinkVec, MinkVec]:
         return (self.apex_top, self.apex_bottom, self.mid_upper, self.mid_lower)
@@ -220,7 +224,7 @@ def closed_form_lower_normal(params: RealizationParams) -> MinkVec:
 
 
 def algebraic_normals(
-    params: RealizationParams, twist: TwistMatrix,
+    params: RealizationParams, twist: np.ndarray,
 ) -> tuple[MinkVec, MinkVec, MinkVec, MinkVec]:
     """All four outward normals from their algebraic expressions.
 
@@ -389,7 +393,7 @@ _INCIDENCES = (
 def _max_component_gap(xs, ys) -> float:
     # max |x_i - y_i| over the components of paired vectors
     return max(abs(a - b) for x, y in zip(xs, ys)
-               for a, b in zip(x.as_tuple(), y.as_tuple()))
+               for a, b in zip(x, y))
 
 
 def validate_realization(real: Realization) -> ValidationReport:

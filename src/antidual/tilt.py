@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,29 +38,17 @@ class SingularPairing(ValueError):
     """A face/pole pairing is numerically orthogonal; reciprocal blows up."""
 
 
-@dataclass(frozen=True)
-class TiltVector:
-    """Tilts of the four internal faces of one wedge.
-
-    ``common_factor`` and ``upper_scale_denom`` carry the closed-form
-    intermediates (the shared positive factor under the square root and the
-    denominator scaling the upper/lower tilts); they are None for the Gram
-    route.
-    """
+class TiltVector(NamedTuple):
+    """Tilts of the four internal faces of one wedge."""
 
     t_upper: float
     t_lower: float
     t_near: float
     t_far: float
-    common_factor: float | None = None
-    upper_scale_denom: float | None = None
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.t_upper, self.t_lower, self.t_near, self.t_far)
 
     @property
     def max_tilt(self) -> float:
-        return max(self.as_tuple())
+        return max(self)
 
 
 @dataclass(frozen=True)
@@ -116,14 +105,12 @@ def tilts_from_gram(real: Realization) -> TiltVector:
         if abs(inner) < SINGULAR_TOL:
             raise SingularPairing(f"face/pole pairing {i} is orthogonal")
         rhs[i] = -1.0 / inner
-    t = g @ rhs
-    return TiltVector(
-        t_upper=float(t[0]), t_lower=float(t[1]),
-        t_near=float(t[2]), t_far=float(t[3]),
-    )
+    return TiltVector(*(g @ rhs).tolist())
 
 
-def _closed_form(n: int, h: float, reduced: bool) -> TiltVector:
+def _closed_form_factors(n: int, h: float) -> tuple[float, float, float]:
+    """cos(pi/n), the shared positive factor under the square root and the
+    denominator scaling the upper/lower tilts."""
     if n < 4:
         raise UnsupportedN(f"n must be >= 4, got {n}")
     c = math.cos(math.pi / n)
@@ -138,6 +125,11 @@ def _closed_form(n: int, h: float, reduced: bool) -> TiltVector:
             f"closed-form intermediates lost positivity at n={n}, h={h}: "
             f"{common}, {denom}"
         )
+    return c, common, denom
+
+
+def _closed_form(n: int, h: float, reduced: bool) -> TiltVector:
+    c, common, denom = _closed_form_factors(n, h)
     if reduced:
         brace = (1 - c) ** 2 * (2 * c + 1) * h * h + (1 - c) * (1 + c) * (2 * c - 1)
         scalar = 2 * c - 1
@@ -148,10 +140,7 @@ def _closed_form(n: int, h: float, reduced: bool) -> TiltVector:
         scalar = c - math.sqrt(1 - c)
     t_upper = -h * math.sqrt(common / denom) * brace
     t_near = -math.sqrt(common) * math.sqrt(1 - c) * math.sqrt(1 + c) * scalar
-    return TiltVector(
-        t_upper=t_upper, t_lower=t_upper, t_near=t_near, t_far=t_near,
-        common_factor=common, upper_scale_denom=denom,
-    )
+    return TiltVector(t_upper, t_upper, t_near, t_near)
 
 
 def tilts_closed_form(n: int, h: float) -> TiltVector:
@@ -165,7 +154,7 @@ def tilts_exact_form(n: int, h: float) -> TiltVector:
 
 
 def _max_abs_diff(a: TiltVector, b: TiltVector) -> float:
-    return max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple()))
+    return max(abs(x - y) for x, y in zip(a, b))
 
 
 def canonicality_verdict(real: Realization) -> CanonicalityVerdict:
@@ -181,7 +170,7 @@ def canonicality_verdict(real: Realization) -> CanonicalityVerdict:
         exact_agreement_residual=_max_abs_diff(gram, exact),
         signs_agree=all(
             (x < 0) == (y < 0)
-            for x, y in zip(gram.as_tuple(), reference.as_tuple())
+            for x, y in zip(gram, reference)
         ),
         gram=gram,
         reference=reference,
@@ -210,11 +199,9 @@ def support_hull_margins(real: Realization) -> dict[str, float]:
     # face (mid_lower, mid_upper, apex_top, upper normal) to
     # (apex_bottom, mid_lower, mid_upper, -lower normal)
     frames = np.array([
-        [v.as_tuple() for v in frame] for frame in (
-            (tau, ups, alp, dlt),
-            (alp, dlt, ups, gam), (dlt, alp, tau, bet),
-            (tau, alp, dlt, -bet), (ups, dlt, alp, -gam),
-        )
+        (tau, ups, alp, dlt),
+        (alp, dlt, ups, gam), (dlt, alp, tau, bet),
+        (tau, alp, dlt, -bet), (ups, dlt, alp, -gam),
     ])
     metric = np.array([-1.0, 1.0, 1.0, 1.0])
     q = np.linalg.solve(frames[0] * metric, np.ones(4))
@@ -223,8 +210,8 @@ def support_hull_margins(real: Realization) -> dict[str, float]:
         return float((w * metric) @ q - 1.0)
 
     tau_a, ups_a, alp_a, dlt_a = frames[0]
-    w_near = alp_a @ tw.entries.T
-    w_far = dlt_a @ tw.entries
+    w_near = alp_a @ tw.T
+    w_far = dlt_a @ tw
     # one stacked solve runs the same LU factorisation on each system as
     # one call per system would
     up, dn = np.linalg.solve(frames[1:3], frames[3:5])

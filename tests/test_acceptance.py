@@ -81,7 +81,7 @@ def test_criterion_3_canonicality():
         if not (tv.max_tilt < 0 and abs(tv.max_tilt) > 1e-6):
             failures.append((n, "negativity"))
         ref = tilts_closed_form(n, real.params.h)
-        residual = max(abs(a - b) for a, b in zip(tv.as_tuple(), ref.as_tuple()))
+        residual = max(abs(a - b) for a, b in zip(tv, ref))
         if residual < 1e-6:
             matching.add(n)
     # recorded per convention: the reference closed forms match the Gram

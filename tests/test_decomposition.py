@@ -595,8 +595,8 @@ def _vertex_poles(n):
                          [0, np.cos(a), -np.sin(a), 0],
                          [0, np.sin(a), np.cos(a), 0],
                          [0, 0, 0, 1]])
-        poles[("u", i)] = MinkVec.from_array(turn @ real.mid_upper.as_array())
-        poles[("d", i)] = MinkVec.from_array(turn @ real.mid_lower.as_array())
+        poles[("u", i)] = MinkVec(*(turn @ real.mid_upper).tolist())
+        poles[("d", i)] = MinkVec(*(turn @ real.mid_lower).tolist())
     return poles
 
 

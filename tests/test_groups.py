@@ -42,6 +42,12 @@ def test_parse_errors():
         parse_presentation("gens: r ; rels: (r^2")
     with pytest.raises(PresentationSyntaxError):
         parse_presentation("gens: r ; rels: r^0")
+    # duplicate name (the first r would be free), not an identifier, and a
+    # second gens: section
+    for text in ("gens: r,r ; rels: r^2", "gens: r s ; rels: r^2",
+                 "gens: r ; gens: s ; rels: s^2"):
+        with pytest.raises(PresentationSyntaxError):
+            parse_presentation(text)
 
 
 @pytest.mark.parametrize("text,order", [
@@ -244,3 +250,5 @@ def test_presented_group_validation():
         PresentedGroup(("a",), (((0, 0),),))  # zero exponent
     with pytest.raises(Exception):
         PresentedGroup(("a",), ((),))  # empty relator
+    with pytest.raises(PresentationSyntaxError, match="duplicate generator"):
+        PresentedGroup(("r", "t", "r"), (((0, 2),),))

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -46,10 +47,10 @@ def test_inner_product_bilinear_symmetric(a, b, c, x, y):
 
 def test_normalize_scaling():
     out = normalize_spacelike(MinkVec(0, 0, -2, 0))
-    assert out.as_tuple() == pytest.approx((0, 0, -1, 0))
+    assert out == pytest.approx((0, 0, -1, 0))
     out = normalize_spacelike(MinkVec(1, 0, 0, 2))
     expected = (1 / math.sqrt(3), 0, 0, 2 / math.sqrt(3))
-    assert out.as_tuple() == pytest.approx(expected, abs=1e-14)
+    assert out == pytest.approx(expected, abs=1e-14)
     assert mink_inner(out, out) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -59,8 +60,17 @@ def test_normalize_rejects_timelike():
 
 
 def test_nonfinite_components_rejected():
-    with pytest.raises(MinkowskiError):
-        MinkVec(math.inf, 0, 0, 0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(MinkowskiError, match=r"non-finite component in MinkVec\(x0="):
+            MinkVec(bad, 0, 0, 0)
+
+
+def test_array_of_a_vector_is_its_components():
+    real = build_realization(solve_parameters(7))
+    for v in (*real.vertex_poles(), *real.face_normals()):
+        a = np.array(v)
+        assert a.dtype == np.float64 and a.shape == (4,)
+        assert a.tobytes() == struct.pack("4d", v.x0, v.x1, v.x2, v.x3)
 
 
 def test_twist_on_top_apex():
@@ -68,20 +78,20 @@ def test_twist_on_top_apex():
     tau = normalize_spacelike(MinkVec(1, 0, 0, 2))
     ups = apply_twist(tau, tw)
     expected = (1 / math.sqrt(3), 0, 0, -2 / math.sqrt(3))
-    assert ups.as_tuple() == pytest.approx(expected, abs=1e-14)
+    assert ups == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 9, 17])
 def test_twist_order_is_2n(n):
     tw = twist_matrix(n)
-    power = np.linalg.matrix_power(tw.entries, 2 * n)
+    power = np.linalg.matrix_power(tw, 2 * n)
     assert np.max(np.abs(power - np.eye(4))) < 1e-12
 
 
 def test_twist_determinant_is_minus_one():
     # rotation block (det 1) times the x3 flip
     for n in (4, 7, 12):
-        assert np.linalg.det(twist_matrix(n).entries) == pytest.approx(-1.0, abs=1e-12)
+        assert np.linalg.det(twist_matrix(n)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_twist_advances_azimuth_and_flips_height():
@@ -92,7 +102,7 @@ def test_twist_advances_azimuth_and_flips_height():
     az_after = math.atan2(image.x2, image.x1)
     assert az_after - az_before == pytest.approx(math.pi / 4, abs=1e-12)
     assert image.x3 == pytest.approx(-a.x3, abs=1e-14)
-    assert image.as_tuple() == pytest.approx(real.mid_lower.as_tuple(), abs=1e-14)
+    assert image == pytest.approx(real.mid_lower, abs=1e-14)
 
 
 @given(vec, vec, st.integers(min_value=4, max_value=20))
@@ -105,7 +115,7 @@ def test_twist_preserves_inner_product(a, b, n):
 
 def test_plane_normal_near_side_is_unit_x2():
     real = build_realization(solve_parameters(4))
-    assert real.normal_near.as_tuple() == pytest.approx((0, 0, -1, 0), abs=1e-12)
+    assert real.normal_near == pytest.approx((0, 0, -1, 0), abs=1e-12)
 
 
 def test_plane_normal_matches_algebraic_lower_normal():
@@ -114,8 +124,7 @@ def test_plane_normal_matches_algebraic_lower_normal():
     for n in (4, 5, 6, 9):
         real = build_realization(solve_parameters(n))
         expected = closed_form_lower_normal(real.params)
-        assert real.normal_lower.as_tuple() == pytest.approx(
-            expected.as_tuple(), abs=1e-12)
+        assert real.normal_lower == pytest.approx(expected, abs=1e-12)
 
 
 def test_plane_normal_orientation_flips_with_witness():
@@ -124,7 +133,7 @@ def test_plane_normal_orientation_flips_with_witness():
     exterior = MinkVec(1.0, 0.0, -5.0, 0.0)
     w_in = plane_normal(real.apex_top, real.mid_upper, real.apex_bottom, interior)
     w_out = plane_normal(real.apex_top, real.mid_upper, real.apex_bottom, exterior)
-    assert w_in.as_tuple() == pytest.approx((-w_out).as_tuple(), abs=1e-14)
+    assert w_in == pytest.approx(-w_out, abs=1e-14)
 
 
 def test_plane_normal_degenerate_span():
@@ -147,7 +156,7 @@ def test_plane_normal_orthogonality_property(p, q, r, witness):
     except (DegenerateSpan, AmbiguousOrientation, NonSpacelike):
         assume(False)
         return
-    scale = max(max(abs(x) for x in v.as_tuple()) for v in (p, q, r))
+    scale = max(max(map(abs, v)) for v in (p, q, r))
     for v in (p, q, r):
         assert abs(mink_inner(w, v)) < 1e-8 * max(scale, 1.0)
     assert mink_inner(w, w) == pytest.approx(1.0, abs=1e-9)
@@ -159,16 +168,16 @@ def test_plane_normal_orthogonality_property(p, q, r, witness):
 
 def _oracle_plane_normal(p, q, r, interior, degeneracy_tol=1e-10, orientation_tol=1e-12):
     # one np.delete and one det per 3x3 minor, as plane_normal once did
-    rows = np.vstack([p.as_array(), q.as_array(), r.as_array()])
+    rows = np.array([p, q, r])
     cof = np.empty(4)
     for i in range(4):
         minor = np.delete(rows, i, axis=1)
         cof[i] = ((-1) ** i) * np.linalg.det(minor)
     w = np.array([-1.0, 1.0, 1.0, 1.0]) * cof
-    scale = max(np.max(np.abs(v.as_array())) for v in (p, q, r)) ** 3
+    scale = max(np.max(np.abs(v)) for v in (p, q, r)) ** 3
     if np.max(np.abs(w)) <= degeneracy_tol * max(scale, 1.0):
         raise DegenerateSpan("spanning vectors are numerically dependent")
-    wv = normalize_spacelike(MinkVec.from_array(w))
+    wv = normalize_spacelike(MinkVec(*w.tolist()))
     side = mink_inner(wv, interior)
     if abs(side) <= orientation_tol:
         raise AmbiguousOrientation("interior witness lies on the plane")

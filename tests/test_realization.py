@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import pickle
 
+import numpy as np
 import pytest
 
-from antidual.minkowski import NonSpacelike, mink_inner
+from antidual.minkowski import MinkVec, NonSpacelike, mink_inner
 from antidual.realization import (
     GluingCase,
     NotUltraparallel,
@@ -197,3 +199,16 @@ def test_spec_level_approximations():
     assert p4.r == pytest.approx(1.10460, abs=1e-3)
     assert p4.sin_theta == pytest.approx(0.23473, abs=1e-3)
     assert solve_parameters(6).h == pytest.approx(1.9319, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [4, 9, 100])
+def test_realization_pickles_with_equal_vectors(n):
+    # survey pool tasks carry each n's realization to the workers
+    real = realize(n)
+    back = pickle.loads(pickle.dumps(real))
+    assert back == real and hash(back) == hash(real)
+    for name in ("apex_top", "apex_bottom", "mid_upper", "mid_lower", "mid_upper_next",
+                 "normal_upper", "normal_lower", "normal_near", "normal_far"):
+        assert type(getattr(back, name)) is MinkVec
+        assert getattr(back, name) == getattr(real, name), name
+    assert np.array_equal(back.twist, real.twist)

@@ -7,6 +7,7 @@ import pytest
 from antidual.realization import build_realization, realize, solve_parameters
 from antidual.tilt import (
     SingularPairing,
+    _closed_form_factors,
     canonicality_verdict,
     gram_matrix,
     support_hull_margins,
@@ -89,18 +90,17 @@ def test_reference_forms_sign_agree_but_differ(n):
     params = solve_parameters(n)
     gram = tilts_from_gram(build_realization(params))
     ref = tilts_closed_form(n, params.h)
-    for a, b in zip(gram.as_tuple(), ref.as_tuple()):
+    for a, b in zip(gram, ref):
         assert (a < 0) == (b < 0)
     assert abs(gram.t_upper - ref.t_upper) > 1e-3
     assert abs(gram.t_near - ref.t_near) > 1e-3
 
 
 def test_closed_form_intermediates_recorded():
-    tv = tilts_closed_form(6, solve_parameters(6).h)
+    _, common, denom = _closed_form_factors(6, solve_parameters(6).h)
     # at n = 6 the common factor is exactly 1 and the scale denominator 2+sqrt(3)
-    assert tv.common_factor == pytest.approx(1.0, abs=1e-12)
-    assert tv.upper_scale_denom == pytest.approx(2 + math.sqrt(3), abs=1e-12)
-    assert tilts_from_gram(realize(6)).common_factor is None
+    assert common == pytest.approx(1.0, abs=1e-12)
+    assert denom == pytest.approx(2 + math.sqrt(3), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(4, 101, 8))
@@ -139,21 +139,21 @@ def _oracle_support_hull_margins(real):
     ups, tau = real.apex_bottom, real.apex_top
     alp, dlt = real.mid_upper, real.mid_lower
     bet, gam = real.normal_upper, real.normal_lower
-    poles = np.vstack([v.as_array() for v in (tau, ups, alp, dlt)])
+    poles = np.array([tau, ups, alp, dlt])
     metric = np.array([-1.0, 1.0, 1.0, 1.0])
     q = np.linalg.solve(poles * metric, np.ones(4))
 
     def margin(w):
         return float((w * metric) @ q - 1.0)
 
-    w_near = alp.as_array() @ tw.entries.T
-    w_far = dlt.as_array() @ tw.entries
-    src = np.vstack([v.as_array() for v in (alp, dlt, ups, gam)])
-    dst = np.vstack([v.as_array() for v in (tau, alp, dlt, -bet)])
-    w_up = tau.as_array() @ np.linalg.solve(src, dst)
-    src2 = np.vstack([v.as_array() for v in (dlt, alp, tau, bet)])
-    dst2 = np.vstack([v.as_array() for v in (ups, dlt, alp, -gam)])
-    w_dn = ups.as_array() @ np.linalg.solve(src2, dst2)
+    w_near = np.array(alp) @ tw.T
+    w_far = np.array(dlt) @ tw
+    src = np.array([alp, dlt, ups, gam])
+    dst = np.array([tau, alp, dlt, -bet])
+    w_up = np.array(tau) @ np.linalg.solve(src, dst)
+    src2 = np.array([dlt, alp, tau, bet])
+    dst2 = np.array([ups, dlt, alp, -gam])
+    w_dn = np.array(ups) @ np.linalg.solve(src2, dst2)
     return {"near_side": margin(w_near), "far_side": margin(w_far),
             "upper": margin(w_up), "lower": margin(w_dn)}
 
@@ -182,7 +182,7 @@ def test_perturbed_h_keeps_tilts_finite():
     params = solve_parameters(5)
     broken = dataclasses.replace(params, h=params.h * 1.2)
     tv = tilts_from_gram(build_realization(broken))
-    assert all(math.isfinite(t) for t in tv.as_tuple())
+    assert all(math.isfinite(t) for t in tv)
 
 
 def test_singular_pairing_detected():
