@@ -49,11 +49,8 @@ from .symmetry import (
     AutGroupData,
     ClassificationResult,
     CombIso,
-    arc_permutation,
     automorphism_group,
-    candidate_maps,
     classify,
-    edge_parity,
     enumerate_isomorphisms,
     flip_iso,
     reflection_iso,

@@ -53,10 +53,6 @@ class DescentFailure(DecompositionError):
     """A quad pairing failed to carry cut diagonals to cut diagonals."""
 
 
-class WrongCase(DecompositionError):
-    """Arc labels e1..e3 requested although n is not divisible by 3."""
-
-
 class NonManifold(DecompositionError):
     """An external edge of the boundary complex is not shared by 2 faces."""
 
@@ -77,12 +73,6 @@ class FacePairing:
     face_b: int
     vertex_map: tuple[tuple[int, int], ...]
 
-    def forward(self) -> dict[int, int]:
-        return dict(self.vertex_map)
-
-    def backward(self) -> dict[int, int]:
-        return {b: a for a, b in self.vertex_map}
-
 
 @dataclass(frozen=True)
 class EdgeClass:
@@ -99,17 +89,10 @@ class EdgeClass:
     def distinct_piece_count(self) -> int:
         return len({p for p, _ in self.wedges})
 
-    def role_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for _, edge in self.wedges:
-            role = _ROLES[_EDGE_INDEX[edge]]
-            counts[role] = counts.get(role, 0) + 1
-        return counts
-
 
 class ClassSummary(NamedTuple):
     """What the reports and the search read of an edge class; ``roles`` are
-    the role counts in the order of ``EdgeClass.role_counts``."""
+    the wedge counts per edge role, roles in the order of their first wedges."""
 
     kind: str
     wedge_count: int
@@ -249,17 +232,6 @@ class Decomposition:
                 raise DescentFailure(
                     f"slot {divmod(s, 4)} carries the upper diagonal to {list(image)}")
 
-    def pairing_at(self, piece: int, face: int):
-        """(other piece, other face, label map) across an internal slot."""
-        s = 4 * piece + face
-        if not (0 <= face < 4 and 0 <= s < len(self.slot_nbr)):
-            raise KeyError((piece, face))
-        s2 = self.slot_nbr[s]
-        return s2 >> 2, s2 & 3, _LABEL_MAPS[4 * self.slot_lmap[s] + face]
-
-    def slots(self):
-        return [divmod(s, 4) for s in range(len(self.slot_nbr))]
-
     # -- edge classes ------------------------------------------------------
 
     def _compute_edge_classes(self) -> tuple[ClassSummary, ...]:
@@ -348,18 +320,6 @@ class Decomposition:
             raise KeyError((piece, edge))
         return self._wedge_class[6 * piece + _EDGE_INDEX[tuple(sorted(edge))]]
 
-    @property
-    def axis_class(self) -> EdgeClass:
-        return self.edge_classes[0]
-
-    @property
-    def poly_classes(self) -> tuple[EdgeClass, ...]:
-        return tuple(c for c in self.edge_classes if c.kind == "poly")
-
-    @property
-    def diagonal_classes(self) -> tuple[EdgeClass, ...]:
-        return tuple(c for c in self.edge_classes if c.kind == "diagonal")
-
 
 def build_decomposition(n: int, k: int) -> Decomposition:
     return Decomposition(n, k)
@@ -379,11 +339,6 @@ def arcs(dec: Decomposition) -> dict[str, int]:
     """
     labels = ("e0", "e1", "e2", "e3") if dec.n % 3 == 0 else ("e0", "single")
     return {label: dec.class_of(*wedge) for label, wedge in zip(labels, _ARC_WEDGES)}
-
-
-def require_div3(dec: Decomposition):
-    if dec.n % 3 != 0:
-        raise WrongCase(f"arcs e1..e3 exist only for n divisible by 3 (n={dec.n})")
 
 
 # -- boundary surface -------------------------------------------------------

@@ -12,11 +12,12 @@ is propagated breadth-first only if it carries the edge classes at piece 0's
 six edges onto classes of the same wedge counts, an isomorphism invariant
 rather than a geometric assumption.  The walk compares the forced piece and
 label map across every slot of every piece it reaches, and keeps a seed only
-if it reaches all pieces, so it is its own consistency check;
-``is_isomorphism`` is the independent check that the tests run on found
-maps.  Label maps are indices into ``PERMS`` throughout.  No other
-restriction prunes the seed space: the classical ones (axis preservation,
-the eight candidate seeds) come out of the search rather than going in.
+if it reaches all pieces, so it is its own consistency check.  Label maps
+are indices into ``PERMS`` throughout.  No other restriction prunes the seed
+space: the classical ones (axis preservation, the paper's eight candidate
+seeds) come out of the search rather than going in, and
+``tests/paper_checks.py`` checks its output against them and against an
+independent isomorphism check.
 
 Isometry classification reduces to this search: two quotients with the same
 n are isometric iff their decompositions are isomorphic, and the isometry
@@ -29,8 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from .decomposition import (
-    _ARC_WEDGES, _EDGES, _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS,
-    Decomposition, arcs, require_div3,
+    _EDGES, _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition,
 )
 
 _FLIP = PERM_INDEX[(3, 2, 1, 0)]
@@ -63,57 +63,12 @@ class CombIso:
     def vertex_maps(self) -> tuple[tuple[int, int, int, int], ...]:
         return tuple(PERMS[v] for v in self.lmaps)
 
-    def apply_edge(self, piece: int, edge: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-        vm = PERMS[self.lmaps[piece]]
-        return self.pieces[piece], tuple(sorted((vm[edge[0]], vm[edge[1]])))
-
-    def compose(self, other: "CombIso") -> "CombIso":
-        """self after other (apply ``other`` first)."""
-        if other.target != self.source:
-            raise SymmetryError(
-                f"cannot compose: {other.target} -> {self.source} mismatch")
-        pieces, lmaps = self.pieces, self.lmaps
-        return CombIso(tuple(pieces[p] for p in other.pieces),
-                       tuple(PERM_PRODUCT[24 * lmaps[p] + v]
-                             for p, v in zip(other.pieces, other.lmaps)),
-                       other.source, self.target)
-
     def inverse(self) -> "CombIso":
         m = len(self.pieces)
         pieces, lmaps = [0] * m, [0] * m
         for j, (p, v) in enumerate(zip(self.pieces, self.lmaps)):
             pieces[p], lmaps[p] = j, _INVERSE[v]
         return CombIso(tuple(pieces), tuple(lmaps), self.target, self.source)
-
-    @classmethod
-    def identity(cls, dec: Decomposition) -> "CombIso":
-        m = dec.num_pieces
-        return cls(tuple(range(m)), (0,) * m, (dec.n, dec.k), (dec.n, dec.k))
-
-    def is_identity(self) -> bool:
-        return (self.pieces == tuple(range(len(self.pieces)))
-                and not any(self.lmaps))
-
-
-def is_isomorphism(iso: CombIso, a: Decomposition, b: Decomposition) -> bool:
-    """Check commutation with every pairing (independent of the search)."""
-    if len(iso.pieces) != a.num_pieces or a.num_pieces != b.num_pieces:
-        return False
-    if sorted(iso.pieces) != list(range(a.num_pieces)):
-        return False
-    pieces, vmaps = iso.pieces, iso.vertex_maps
-    for fp in a.pairings:
-        vm_a, vm_b = vmaps[fp.piece_a], vmaps[fp.piece_b]
-        try:
-            tp, tface, tmap = b.pairing_at(pieces[fp.piece_a], vm_a[fp.face_a])
-        except KeyError:
-            return False
-        if tp != pieces[fp.piece_b] or tface != vm_b[fp.face_b]:
-            return False
-        for x, y in fp.vertex_map:
-            if tmap[vm_a[x]] != vm_b[y]:
-                return False
-    return True
 
 
 def _propagate(a: Decomposition, b: Decomposition,
@@ -293,144 +248,6 @@ def automorphism_group(dec: Decomposition) -> AutGroupData:
                       if e.pieces[0] == 0 and e.lmaps[0] == _HALF_TURN), None)
     return AutGroupData(elements=tuple(elements), order=len(elements),
                         generators=gens)
-
-
-# -- the eight candidate seeds -------------------------------------------------
-
-CANDIDATE_SEEDS = (
-    (0, (0, 1, 2, 3)),
-    (1, (0, 1, 2, 3)),
-    (0, (1, 0, 3, 2)),
-    (1, (1, 0, 3, 2)),
-    (0, (0, 3, 2, 1)),
-    (1, (0, 3, 2, 1)),
-    (0, (1, 2, 3, 0)),
-    (1, (1, 2, 3, 0)),
-)
-
-
-@dataclass(frozen=True)
-class CandidateReport:
-    """Extension status of one candidate seed."""
-
-    index: int
-    seed_piece: int
-    seed_vertex_map: tuple[int, int, int, int]
-    extends: bool
-    target_k: int | None
-    is_automorphism: bool
-    iso: CombIso | None
-
-
-def extend_seed(dec: Decomposition, seed_piece: int, seed_vmap: tuple[int, ...]):
-    """Try the seed against every step target; (iso, k') or (None, None)."""
-    return _extend_seed(dec, seed_piece, seed_vmap, {dec.k: dec})
-
-
-def _extend_seed(dec: Decomposition, seed_piece: int, seed_vmap: tuple[int, ...],
-                 steps: dict[int, Decomposition]):
-    # steps holds the complexes of n built so far, by step; a missing one is added
-    seed_lmap = PERM_INDEX[tuple(seed_vmap)]
-    for k2 in range(dec.n):
-        if k2 not in steps:
-            steps[k2] = Decomposition(dec.n, k2)
-        iso = _propagate(dec, steps[k2], seed_piece, seed_lmap)
-        if iso is not None:
-            return iso, k2
-    return None, None
-
-
-def candidate_maps(dec: Decomposition) -> list[CandidateReport]:
-    """Extension report for the eight seeds fixing or swapping piece 0/1.
-
-    These are the seeds sending the top apex of piece 0 to a vertex of
-    piece 0 or 1 compatibly with the wedge geometry; the classical analysis
-    shows every isomorphism is one of them composed with the dihedral
-    subgroup.  The search does not assume this: it propagates all 48 seeds
-    at pieces 0 and 1 that pass the wedge-count prefilter, after the
-    rotation is verified, and its output confirms it.
-    """
-    return _candidate_maps(dec, {dec.k: dec})
-
-
-def _candidate_maps(dec: Decomposition, steps: dict[int, Decomposition]):
-    out = []
-    for idx, (piece, vmap) in enumerate(CANDIDATE_SEEDS):
-        iso, k2 = _extend_seed(dec, piece, vmap, steps)
-        out.append(CandidateReport(
-            index=idx,
-            seed_piece=piece,
-            seed_vertex_map=vmap,
-            extends=iso is not None,
-            target_k=k2,
-            is_automorphism=iso is not None and k2 == dec.k,
-            iso=iso,
-        ))
-    return out
-
-
-def candidate_composition_identities(dec: Decomposition) -> dict[str, bool | None]:
-    """The composition identities among the eight candidates.
-
-    Each identity is checked as equality of fully extended maps (the right
-    factor applied first); None when either side fails to extend.
-    """
-    steps = {dec.k: dec}  # each step's complex is built once per call
-    reports = _candidate_maps(dec, steps)
-
-    def ext(i: int) -> CombIso | None:
-        return reports[i].iso
-
-    def after(outer_idx: int, inner: CombIso | None) -> CombIso | None:
-        # candidate ``outer_idx`` re-extended with the inner map's target as
-        # its source (already in steps), composed after the inner map
-        if inner is None:
-            return None
-        piece, vmap = CANDIDATE_SEEDS[outer_idx]
-        outer, _ = _extend_seed(steps[inner.target[1]], piece, vmap, steps)
-        return None if outer is None else outer.compose(inner)
-
-    def equal(a: CombIso | None, b: CombIso | None) -> bool | None:
-        if a is None or b is None:
-            return None
-        return (a.pieces, a.lmaps, a.target) == (b.pieces, b.lmaps, b.target)
-
-    return {
-        "phi3 = phi1 . phi2": equal(ext(3), after(1, ext(2))),
-        "phi4 = phi1 . phi5": equal(ext(4), after(1, ext(5))),
-        "phi5 = phi2 . r^-k-1": equal(
-            ext(5), after(2, rotation_iso(dec, steps=-(dec.k + 1)))),
-        "phi6 = phi2 . phi4": equal(ext(6), after(2, ext(4))),
-        "phi7 = phi5 . t": equal(ext(7), after(5, flip_iso(dec))),
-    }
-
-
-# -- induced actions -----------------------------------------------------------
-
-
-def arc_permutation(aut: CombIso, dec: Decomposition) -> tuple[int, int, int, int]:
-    """Permutation of the arcs (e0, e1, e2, e3) induced by an automorphism.
-
-    Returned as images: position i holds the index j with e_i -> e_j.
-    Requires n divisible by 3.
-    """
-    require_div3(dec)
-    if aut.source != aut.target:
-        raise SymmetryError("arc permutations are defined for automorphisms")
-    class_to_arc = {idx: i for i, idx in enumerate(arcs(dec).values())}
-    images = []
-    for i, wedge in enumerate(_ARC_WEDGES):
-        target_class = dec.class_of(*aut.apply_edge(*wedge))
-        if target_class not in class_to_arc:
-            raise SymmetryError(
-                f"automorphism carries arc e{i} to an unlabelled class")
-        images.append(class_to_arc[target_class])
-    return tuple(images)
-
-
-def edge_parity(aut: CombIso) -> int:
-    """Parity of the piece receiving the axis edge of piece 0."""
-    return aut.pieces[0] % 2
 
 
 # -- classification -------------------------------------------------------------

@@ -23,13 +23,9 @@ from antidual.groups import (
     verify_isomorphism,
 )
 from antidual.realization import dihedral_angles, realize, validate_realization
-from antidual.symmetry import (
-    arc_permutation,
-    automorphism_group,
-    classify,
-    reflection_iso,
-)
+from antidual.symmetry import automorphism_group, classify, reflection_iso
 from antidual.tilt import tilts_closed_form, tilts_from_gram
+from paper_checks import arc_permutation, of_kind, role_counts
 
 RESID = 1e-10
 
@@ -99,8 +95,8 @@ def test_criterion_4_census():
     for n in range(4, 31):
         for k in range(n):
             dec = build_decomposition(n, k)
-            ax = dec.axis_class
-            polys = dec.poly_classes
+            ax = dec.edge_classes[0]
+            polys = of_kind(dec, "poly")
             ok = ax.wedge_count == 2 * n and ax.distinct_piece_count == 2 * n
             if n % 3 != 0:
                 ok = ok and len(polys) == 1 and polys[0].wedge_count == 6 * n
@@ -109,12 +105,9 @@ def test_criterion_4_census():
                 ok = ok and all(c.wedge_count == 2 * n for c in polys)
                 expected = 2 * n if k % 3 == 1 else 4 * n // 3
                 ok = ok and all(c.distinct_piece_count == expected for c in polys)
-                edge_totals = [sum(c.role_counts().values()) for c in polys]
                 per_class_edges = [
-                    c.role_counts()["slant_upper"] // 2
-                    + c.role_counts()["slant_lower"] // 2
-                    + c.role_counts()["equator"]
-                    for c in polys
+                    r["slant_upper"] // 2 + r["slant_lower"] // 2 + r["equator"]
+                    for r in map(role_counts, polys)
                 ]
                 ok = ok and per_class_edges == [4 * n // 3] * 3
             if not ok:

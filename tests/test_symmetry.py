@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import math
 from collections import deque
@@ -6,29 +8,32 @@ import pytest
 
 import antidual.symmetry as symmetry
 from antidual.decomposition import (
-    PERM_INDEX, PERM_PRODUCT, Decomposition, WrongCase, build_decomposition,
+    PERM_INDEX, PERM_PRODUCT, Decomposition, build_decomposition,
 )
 from antidual.groups import (
     MissingGenerator, _evaluate_word, concrete_generator, isometry_presentation,
 )
 from antidual.symmetry import (
-    CANDIDATE_SEEDS,
     ClosureFailure,
     CombIso,
-    arc_permutation,
     automorphism_group,
-    candidate_composition_identities,
-    candidate_maps,
     classify,
-    edge_parity,
     enumerate_isomorphisms,
-    extend_seed,
     flip_iso,
     generated_subgroup,
     group_to_dict,
-    is_isomorphism,
     reflection_iso,
     rotation_iso,
+)
+from paper_checks import (
+    CANDIDATE_SEEDS,
+    arc_permutation,
+    compose,
+    extend_seed,
+    image_wedge,
+    is_identity,
+    is_isomorphism,
+    slot_table,
 )
 
 
@@ -37,7 +42,7 @@ def brute_force_order(dec):
     m = dec.num_pieces
     perms = list(itertools.permutations(range(4)))
     count = 0
-    pairings = dec.pairings  # a property: it builds its views on every read
+    pairings, table = dec.pairings, slot_table(dec)  # pairings builds views on each read
 
     def consistent(assign):
         for fp in pairings:
@@ -45,10 +50,10 @@ def brute_force_order(dec):
             if a in assign and b in assign:
                 pa, va = assign[a]
                 pb, vb = assign[b]
-                tp, tf, tmap = dec.pairing_at(pa, va[fp.face_a])
+                tp, tf, tmap = table[pa, va[fp.face_a]]
                 if (tp, tf) != (pb, vb[fp.face_b]):
                     return False
-                for x, y in fp.forward().items():
+                for x, y in fp.vertex_map:
                     if tmap[va[x]] != vb[y]:
                         return False
         return True
@@ -112,12 +117,7 @@ def _oracle_enumerate(a, b):
     over slot dicts built from the pairing table alone."""
     if a.n != b.n:
         return []
-    slots = []
-    for dec in (a, b):
-        slots.append({})
-        for fp in dec.pairings:
-            slots[-1][(fp.piece_a, fp.face_a)] = (fp.piece_b, fp.face_b, fp.forward())
-            slots[-1][(fp.piece_b, fp.face_b)] = (fp.piece_a, fp.face_a, fp.backward())
+    slots = slot_table(a), slot_table(b)
     out = []
     for seed_piece in range(a.num_pieces):
         for vmap in itertools.permutations(range(4)):
@@ -229,7 +229,7 @@ def test_table_composition_matches_the_label_formula():
         for y in elements:
             vmaps = tuple(tuple(x.vertex_maps[y.pieces[j]][y.vertex_maps[j][v]]
                                 for v in range(4)) for j in range(len(y.pieces)))
-            assert x.compose(y).vertex_maps == vmaps
+            assert compose(x, y).vertex_maps == vmaps
 
 
 # orders from the seed search; the backtracking oracle below confirms the
@@ -256,25 +256,26 @@ def test_search_agrees_with_backtracking_oracle(n, k):
 
 def test_group_closure_inverses_identity():
     for n, k in [(6, 1), (9, 4)]:
-        aut = automorphism_group(build_decomposition(n, k))  # closure verified inside
+        dec = build_decomposition(n, k)
+        aut = automorphism_group(dec)  # closure verified inside
         keys = {(e.pieces, e.vertex_maps) for e in aut.elements}
-        identity = CombIso.identity(build_decomposition(n, k))
+        identity = rotation_iso(dec, 0)
         assert (identity.pieces, identity.vertex_maps) in keys
         for e in aut.elements:
             inv = e.inverse()
             assert (inv.pieces, inv.vertex_maps) in keys
-            assert e.compose(inv).is_identity()
-            assert inv.compose(e).is_identity()
+            assert is_identity(compose(e, inv))
+            assert is_identity(compose(inv, e))
             assert inv.inverse() == e
 
 
 def _drop_identity(elements):
-    return [e for e in elements if not e.is_identity()]
+    return [e for e in elements if not is_identity(e)]
 
 
 def _drop_middle_non_identity(elements):
     i = len(elements) // 2
-    assert not elements[i].is_identity()
+    assert not is_identity(elements[i])
     return elements[:i] + elements[i + 1:]
 
 
@@ -314,9 +315,9 @@ def test_seed_products_match_full_composition(n, k):
     dec = build_decomposition(n, k)
     for g in automorphism_group(dec).elements:
         powers, power = {(0, 0)}, g
-        while not power.is_identity():
+        while not is_identity(power):
             powers.add((power.pieces[0], power.lmaps[0]))
-            power = g.compose(power)
+            power = compose(g, power)
         assert generated_subgroup([g])[1] == powers
 
 
@@ -326,7 +327,7 @@ def _composed_word(word, images, identity):
     for g, e in word:
         factor = images[g] if e > 0 else images[g].inverse()
         for _ in range(abs(e)):
-            result = result.compose(factor)
+            result = compose(result, factor)
     return result
 
 
@@ -343,12 +344,12 @@ def test_relator_seeds_match_full_composition():
                 continue
             inverses = [g.inverse() for g in images]
             for word in pres.relators:
-                full = _composed_word(word, images, CombIso.identity(dec))
+                full = _composed_word(word, images, rotation_iso(dec, 0))
                 seed = _evaluate_word(word, images, inverses)
                 assert seed == (full.pieces[0], full.lmaps[0]), (n, k, word)
-                assert (seed == (0, 0)) == full.is_identity(), (n, k, word)
+                assert (seed == (0, 0)) == is_identity(full), (n, k, word)
                 checked += 1
-                failing += not full.is_identity()
+                failing += not is_identity(full)
     # the printed table's wrong relators are among those compared
     assert checked == 209 and failing > 0
 
@@ -364,11 +365,11 @@ def test_dihedral_subgroup_always_present(n):
         # r has order n, t inverts it
         power = r
         for _ in range(n - 1):
-            power = power.compose(r)
-        assert power.is_identity()
-        assert t.compose(t).is_identity()
-        trt = t.compose(r).compose(t)
-        assert trt.compose(r).is_identity()  # trt = r^-1
+            power = compose(power, r)
+        assert is_identity(power)
+        assert is_identity(compose(t, t))
+        trt = compose(compose(t, r), t)
+        assert is_identity(compose(trt, r))  # trt = r^-1
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 9])
@@ -402,6 +403,34 @@ def test_isomorphism_existence(n, k, k2, expect):
         assert is_isomorphism(found[0], a, b)
 
 
+class _ReversedQuad(Decomposition):
+    """The quad out of piece 0 glued by (3 2 1 0), which also carries face 3
+    onto face 0: the same slots glued, one by another label map."""
+
+    def _gluings(self):
+        g = super()._gluings()
+        g[2] = g[2][:2] + (PERM_INDEX[(3, 2, 1, 0)],)
+        return g
+
+
+def test_isomorphism_check_rejects_broken_maps():
+    dec, a = Decomposition(9, 4), Decomposition(7, 2)
+    r, u = rotation_iso(dec), reflection_iso(a)
+    assert is_isomorphism(r, dec, dec) and is_isomorphism(u, a, Decomposition(7, 4))
+    relabelled = dataclasses.replace(r, lmaps=(1,) + r.lmaps[1:])
+    merged = dataclasses.replace(r, pieces=(r.pieces[0],) + r.pieces[:1] + r.pieces[2:])
+    assert not is_isomorphism(relabelled, dec, dec)
+    assert not is_isomorphism(merged, dec, dec)
+    assert not is_isomorphism(u, a, Decomposition(7, 3))
+    # a piece outside the target is refused before any lookup; the last
+    # map carries every face right, so only the label check refuses it
+    outside = dataclasses.replace(r, pieces=(dec.num_pieces,) + r.pieces[1:])
+    assert not is_isomorphism(outside, dec, dec)
+    larger = Decomposition(10, 4)  # piece 0 goes to 18, past the target's pieces
+    assert not is_isomorphism(rotation_iso(larger, -1), larger, dec)
+    assert not is_isomorphism(rotation_iso(dec, 0), dec, _ReversedQuad(9, 4))
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_classification_pairs_k_with_complement(n):
     result = classify(n)
@@ -417,23 +446,44 @@ def test_classification_examples():
 
 
 def test_candidate_maps_case1():
-    reports = candidate_maps(build_decomposition(5, 1))
-    # away from the special cells only the identity seed and the mirror extend
-    assert reports[0].extends and reports[0].is_automorphism
-    assert reports[1].extends and reports[1].target_k == 3
-    for rep in reports[2:]:
-        assert not rep.extends
+    dec = build_decomposition(5, 1)
+    # away from the special cells only the identity seed (an automorphism)
+    # and the mirror (onto step 3) extend
+    assert [extend_seed(dec, *seed)[1] for seed in CANDIDATE_SEEDS] == [1, 3] + [None] * 6
 
 
 def test_candidate_maps_selfdual_subcase22():
-    reports = candidate_maps(build_decomposition(9, 4))
-    assert all(rep.extends and rep.target_k == 4 for rep in reports)
+    dec = build_decomposition(9, 4)
+    assert [extend_seed(dec, *seed)[1] for seed in CANDIDATE_SEEDS] == [4] * 8
+
+
+def _phi_identities(dec):
+    # each identity as equality of extended maps, the right factor applied
+    # first; None when either side does not extend
+    phi = [extend_seed(dec, *seed)[0] for seed in CANDIDATE_SEEDS]
+
+    def after(i, inner):  # phi_i, extended from the target of inner, after inner
+        if inner is None:
+            return None
+        outer = extend_seed(Decomposition(*inner.target), *CANDIDATE_SEEDS[i])[0]
+        return None if outer is None else compose(outer, inner)
+
+    def equal(x, y):
+        return None if x is None or y is None else x == y
+
+    return {
+        "phi3 = phi1 . phi2": equal(phi[3], after(1, phi[2])),
+        "phi4 = phi1 . phi5": equal(phi[4], after(1, phi[5])),
+        "phi5 = phi2 . r^-k-1": equal(phi[5], after(2, rotation_iso(dec, -(dec.k + 1)))),
+        "phi6 = phi2 . phi4": equal(phi[6], after(2, phi[4])),
+        "phi7 = phi5 . t": equal(phi[7], after(5, flip_iso(dec))),
+    }
 
 
 def test_candidate_identity_relations():
-    out = candidate_composition_identities(build_decomposition(9, 4))
+    out = _phi_identities(build_decomposition(9, 4))
     assert all(v is True for v in out.values()), out
-    out = candidate_composition_identities(build_decomposition(6, 1))
+    out = _phi_identities(build_decomposition(6, 1))
     assert all(v in (True, None) for v in out.values())
     assert out["phi5 = phi2 . r^-k-1"] is True
 
@@ -464,7 +514,7 @@ def test_enumerated_isomorphisms_preserve_class_invariants():
         for e in aut.elements:
             for idx, cls in enumerate(dec.edge_classes):
                 piece, edge = cls.wedges[0]
-                target = dec.class_of(*e.apply_edge(piece, edge))
+                target = dec.class_of(*image_wedge(e, piece, edge))
                 assert profile[target] == profile[idx]
 
 
@@ -475,14 +525,7 @@ def test_arc_permutation_values():
     assert arc_permutation(r, dec) == (0, 2, 3, 1)   # the 3-cycle (1 2 3)
     assert arc_permutation(t, dec) == (0, 3, 2, 1)   # the transposition (1 3)
     assert arc_permutation(s, dec) == (2, 1, 0, 3)   # the transposition (0 2)
-    identity = CombIso.identity(dec)
-    assert arc_permutation(identity, dec) == (0, 1, 2, 3)
-
-
-def test_arc_permutation_wrong_case():
-    dec = build_decomposition(5, 2)
-    with pytest.raises(WrongCase):
-        arc_permutation(CombIso.identity(dec), dec)
+    assert arc_permutation(rotation_iso(dec, 0), dec) == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (9, 4)])
@@ -494,18 +537,23 @@ def test_arc_permutation_is_homomorphism(n, k):
         for y in elements:
             px = arc_permutation(x, dec)
             py = arc_permutation(y, dec)
-            pxy = arc_permutation(x.compose(y), dec)
+            pxy = arc_permutation(compose(x, y), dec)
             composed = tuple(px[py[i]] for i in range(4))
             assert pxy == composed
+
+
+def _edge_parity(aut):
+    # the parity of the piece receiving the axis edge of piece 0
+    return aut.pieces[0] % 2
 
 
 def test_edge_parity_values():
     dec = build_decomposition(5, 2)
     aut = automorphism_group(dec)
-    assert edge_parity(CombIso.identity(dec)) == 0
-    assert edge_parity(aut.generators["r"]) == 0
-    assert edge_parity(aut.generators["t"]) == 0
-    assert edge_parity(aut.generators["u"]) == 1
+    assert _edge_parity(rotation_iso(dec, 0)) == 0
+    assert _edge_parity(aut.generators["r"]) == 0
+    assert _edge_parity(aut.generators["t"]) == 0
+    assert _edge_parity(aut.generators["u"]) == 1
 
 
 def test_edge_parity_homomorphism_on_case1_group():
@@ -513,14 +561,14 @@ def test_edge_parity_homomorphism_on_case1_group():
     aut = automorphism_group(dec)
     for x in aut.elements:
         for y in aut.elements:
-            assert edge_parity(x.compose(y)) == (edge_parity(x) + edge_parity(y)) % 2
+            assert _edge_parity(compose(x, y)) == (_edge_parity(x) + _edge_parity(y)) % 2
 
 
 def test_r_equals_utut_for_selfdual_case1():
     dec = build_decomposition(5, 2)
     u = reflection_iso(dec)
     t = flip_iso(dec)
-    utut = u.compose(t).compose(u).compose(t)
+    utut = functools.reduce(compose, (u, t, u, t))
     r = rotation_iso(dec)
     assert (utut.pieces, utut.vertex_maps) == (r.pieces, r.vertex_maps)
 
@@ -532,28 +580,6 @@ def test_extend_seed_unique_target():
     assert iso.target == (7, 4)
 
 
-@pytest.mark.parametrize("n,k", [(24, 7), (9, 4)])
-def test_candidate_reports_build_each_step_once(monkeypatch, n, k):
-    dec = build_decomposition(n, k)
-    built = []
-
-    class Counting(symmetry.Decomposition):
-        def __init__(self, n, k):
-            built.append((n, k))
-            super().__init__(n, k)
-
-    monkeypatch.setattr(symmetry, "Decomposition", Counting)
-    reports = candidate_maps(dec)
-    assert len(built) == len(set(built)) <= n - 1
-    built.clear()
-    candidate_composition_identities(dec)
-    assert len(built) == len(set(built)) <= n - 1
-    assert (n, k) not in built
-    # the shared steps give what each seed finds on its own
-    assert [(r.iso, r.target_k) for r in reports] == [
-        extend_seed(dec, piece, vmap) for piece, vmap in CANDIDATE_SEEDS]
-
-
 def test_group_export_shape():
     aut = automorphism_group(build_decomposition(4, 0))
     out = group_to_dict(aut)
@@ -562,10 +588,3 @@ def test_group_export_shape():
     assert len(out["elements"]) == 8
     assert all(len(e["pieces"]) == 8 and len(e["vertex_maps"]) == 8
                for e in out["elements"])
-
-
-def test_compose_requires_matching_endpoints():
-    a = build_decomposition(7, 2)
-    u = reflection_iso(a)  # 2 -> 4
-    with pytest.raises(Exception):
-        u.compose(u)  # target 4 feeds a map expecting source 2
