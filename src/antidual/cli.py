@@ -349,6 +349,7 @@ def cmd_verify_presentations(n_min: int, n_max: int, cfg: RunConfig) -> tuple[di
             "aut_order": report["aut_order"],
             "claimed_order": report["expected_order"],
             "match": match,
+            "certificate_verdict": report["certificate"]["verdict"],
         })
         if (n, k) == (9, 4):
             special = {

@@ -3,13 +3,17 @@
 Presentations are kept exactly as the classification states them, with
 exponent expressions in (m, l) substituted but not otherwise reduced; the
 enumerator is the only place words get normalised.  Orders are computed by
-Todd-Coxeter enumeration over the trivial subgroup with a hard coset cap,
-since a presentation under test could in principle be infinite; an
-enumeration carries its presentation.  Each command enumerates each distinct
-presentation once and hands the result to ``verify_isomorphism``, which
-evaluates each relator on the seed of the automorphism it names (the image
-of piece 0 and its label map), one O(1) step per letter, since an
-automorphism is determined by its seed.
+Todd-Coxeter enumeration over the trivial subgroup, HLT style: each coset in
+turn scans every relator from both ends, deduces an entry where one letter
+is missing and defines a coset only where more are.  Every entry is written
+with its inverse entry, so no g g^-1 relators are needed.  The enumeration
+reads nothing from the automorphism group, so its order is an independent
+check of it; a hard coset cap stops it, since a presentation under test
+could in principle be infinite.  An enumeration carries its presentation.
+Each command enumerates each distinct presentation once and hands the
+result to ``verify_isomorphism``, which evaluates each relator on the seed
+of the automorphism it names (the image of piece 0 and its label map), one
+O(1) step per letter, since an automorphism is determined by its seed.
 
 The text format for presentations is ``gens: r,t ; rels: r^5, t^2, (t*r)^2``
 (whitespace-insensitive; ``^`` exponents possibly negative, ``*``
@@ -279,67 +283,93 @@ def isometry_presentation(n: int, k: int) -> PresentedGroup:
 _UNSET = -1
 
 
-class _CosetGraph:
-    """Schreier coset graph with a union-find over vertex labels."""
+class _CosetTable:
+    """Coset table over the letters 2g (generator g) and 2g+1 (its inverse).
+
+    Each entry is written together with its inverse entry, so every letter
+    acts as a partial injection and c.x = d holds exactly when d.x^-1 = c.
+    ``parent`` is a union-find over cosets: c is live when parent[c] == c,
+    and once a coincidence is processed the live rows point only at live
+    cosets.
+    """
 
     def __init__(self, n_letters: int):
         self.n_letters = n_letters
-        self.labels: list[int] = []
-        self.rows: list[list[int]] = []
-        self.add_vertex()
+        self.rows: list[list[int]] = [[_UNSET] * n_letters]
+        self.parent = [0]
 
-    def add_vertex(self) -> int:
-        c = len(self.labels)
-        self.labels.append(c)
+    def define(self, c: int, x: int):
+        d = len(self.rows)
         self.rows.append([_UNSET] * self.n_letters)
-        return c
+        self.parent.append(d)
+        self.rows[c][x] = d
+        self.rows[d][x ^ 1] = c
 
-    def find(self, c: int) -> int:
-        labels = self.labels
+    def rep(self, c: int) -> int:
+        parent = self.parent
         root = c
-        while labels[root] != root:
-            root = labels[root]
-        while labels[c] != root:
-            labels[c], c = root, labels[c]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
         return root
 
-    def unify(self, c1: int, c2: int):
-        stack = [(c1, c2)]
-        while stack:
-            a, b = stack.pop()
-            a, b = self.find(a), self.find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            self.labels[b] = a
-            row_a, row_b = self.rows[a], self.rows[b]
-            for d in range(self.n_letters):
-                nb = row_b[d]
-                if nb == _UNSET:
+    def coincidence(self, a: int, b: int):
+        """Identify cosets a and b and every pair that this forces; the
+        larger of each pair dies and its row is moved onto the smaller."""
+        rows, parent, rep = self.rows, self.parent, self.rep
+        dead: list[int] = []
+
+        def merge(c: int, d: int):
+            c, d = rep(c), rep(d)
+            if c != d:
+                c, d = min(c, d), max(c, d)
+                parent[d] = c
+                dead.append(d)
+
+        merge(a, b)
+        for gone in dead:  # merge appends while the loop runs
+            for x, d in enumerate(rows[gone]):
+                if d == _UNSET:
                     continue
-                if row_a[d] == _UNSET:
-                    row_a[d] = nb
+                rows[d][x ^ 1] = _UNSET
+                c, d = rep(gone), rep(d)
+                if rows[c][x] != _UNSET:
+                    merge(d, rows[c][x])
+                elif rows[d][x ^ 1] != _UNSET:
+                    merge(c, rows[d][x ^ 1])
                 else:
-                    stack.append((row_a[d], nb))
+                    rows[c][x] = d
+                    rows[d][x ^ 1] = c
 
-    def follow_step(self, c: int, letter: int) -> int:
-        c = self.find(c)
-        row = self.rows[c]
-        if row[letter] == _UNSET:
-            d = self.add_vertex()
-            row[letter] = d
-            # register the inverse edge so g and g^-1 stay consistent
-            self.rows[d][letter ^ 1] = c
-        return self.find(row[letter])
-
-    def follow_word(self, c: int, letters: tuple[int, ...]) -> int:
-        for letter in letters:
-            c = self.follow_step(c, letter)
-        return c
-
-    def live_count(self) -> int:
-        return sum(1 for i, lbl in enumerate(self.labels) if i == lbl)
+    def scan_and_fill(self, alpha: int, word: tuple[int, ...]):
+        """Make alpha . word = alpha hold.  Scan forward from alpha while
+        entries are defined, then backward from alpha along the inverse
+        word: scans that meet at different cosets are a coincidence, a gap
+        of one letter is a deduction, and a longer gap gets one new coset at
+        the front before the scan goes on."""
+        rows = self.rows
+        f, i = alpha, 0
+        b, j = alpha, len(word) - 1
+        while True:
+            while i <= j and (nxt := rows[f][word[i]]) != _UNSET:
+                f = nxt
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and (nxt := rows[b][word[j] ^ 1]) != _UNSET:
+                b = nxt
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                rows[f][word[i]] = b
+                rows[b][word[i] ^ 1] = f
+                return
+            self.define(f, word[i])
 
 
 def _word_letters(word: Word) -> tuple[int, ...]:
@@ -354,6 +384,12 @@ def _word_letters(word: Word) -> tuple[int, ...]:
 def coset_enumerate(group: PresentedGroup, cap: int = DEFAULT_COSET_CAP) -> EnumerationResult:
     """Order of the group by coset enumeration over the trivial subgroup.
 
+    HLT scan-and-fill (Neubueser, LMS Lecture Notes 71, 1982; Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 5.1): each live
+    coset in turn has every relator scanned and filled from it, then every
+    entry of its row still undefined is defined, so that a generator no
+    relator mentions is enumerated too.  Each definition and deduction also
+    writes the inverse entry, so g g^-1 = 1 needs no relator of its own.
     Deterministic for a fixed presentation and cap.  The cap bounds the
     total number of cosets ever allocated (live plus collapsed); exceeding
     it yields status "cap_exceeded" rather than an error.
@@ -362,21 +398,23 @@ def coset_enumerate(group: PresentedGroup, cap: int = DEFAULT_COSET_CAP) -> Enum
         raise GroupError(f"cap must be >= 1, got {cap}")
     n_letters = 2 * len(group.generators)
     rel_letters = [_word_letters(w) for w in group.relators]
-    # inverse relations g g^-1 = g^-1 g = 1
-    for g in range(len(group.generators)):
-        rel_letters.append((2 * g, 2 * g + 1))
-        rel_letters.append((2 * g + 1, 2 * g))
-    graph = _CosetGraph(n_letters)
-    to_visit = 0
-    while to_visit < len(graph.labels):
-        if len(graph.labels) > cap:
-            return EnumerationResult("cap_exceeded", None, len(graph.labels), group)
-        c = graph.find(to_visit)
-        if c == to_visit:
-            for rel in rel_letters:
-                graph.unify(graph.follow_word(c, rel), c)
-        to_visit += 1
-    return EnumerationResult("completed", graph.live_count(), len(graph.labels), group)
+    table = _CosetTable(n_letters)
+    rows, parent = table.rows, table.parent
+    alpha = 0
+    while alpha < len(rows):
+        if len(rows) > cap:
+            return EnumerationResult("cap_exceeded", None, len(rows), group)
+        for rel in rel_letters:
+            if parent[alpha] != alpha:
+                break
+            table.scan_and_fill(alpha, rel)
+        if parent[alpha] == alpha:
+            for x in range(n_letters):
+                if rows[alpha][x] == _UNSET:
+                    table.define(alpha, x)
+        alpha += 1
+    live = sum(1 for c, p in enumerate(parent) if c == p)
+    return EnumerationResult("completed", live, len(rows), group)
 
 
 # -- matching presentations against automorphism groups -----------------------

@@ -154,10 +154,10 @@ def enumerate_isomorphisms(
 # -- distinguished elements ---------------------------------------------------
 
 
-def rotation_iso(dec: Decomposition, steps: int = 1) -> CombIso:
-    """The 2*pi/n rotation about the axis: piece j -> j + 2*steps."""
+def rotation_iso(dec: Decomposition) -> CombIso:
+    """The 2*pi/n rotation about the axis: piece j -> j + 2."""
     m = dec.num_pieces
-    pieces = tuple((j + 2 * steps) % m for j in range(m))
+    pieces = tuple((j + 2) % m for j in range(m))
     return CombIso(pieces, (0,) * m, (dec.n, dec.k), (dec.n, dec.k))
 
 

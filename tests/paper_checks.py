@@ -6,7 +6,9 @@ walks.  The paper's proof device, the eight candidate seeds phi0..phi7 of
 maps fixing or swapping pieces 0 and 1, is extended here over the step-k'
 complexes with the search's own walk; the classical analysis says every
 isometry is one of them composed with the dihedral subgroup, which the
-search finds rather than assumes.
+search finds rather than assumes.  The reference coset enumerator is the
+crudest Todd-Coxeter: it defines cosets along the whole of each relator and
+only then identifies the end with the start.
 """
 
 from collections import Counter
@@ -14,6 +16,7 @@ from collections import Counter
 from antidual.decomposition import (
     _ARC_WEDGES, _EDGES, _ROLES, PERM_INDEX, PERM_PRODUCT, Decomposition, arcs,
 )
+from antidual.groups import DEFAULT_COSET_CAP, EnumerationResult, _word_letters
 from antidual.symmetry import CombIso, _propagate
 
 
@@ -53,6 +56,13 @@ def compose(x, y):
 
 def is_identity(x):
     return x.pieces == tuple(range(len(x.pieces))) and not any(x.lmaps)
+
+
+def rotation(dec, steps):
+    """The rotation r^steps: piece j -> j + 2*steps, labels fixed."""
+    m = dec.num_pieces
+    return CombIso(tuple((j + 2 * steps) % m for j in range(m)), (0,) * m,
+                   (dec.n, dec.k), (dec.n, dec.k))
 
 
 def image_wedge(iso, piece, edge):
@@ -99,3 +109,84 @@ def extend_seed(dec, piece, vmap):
         if iso is not None:
             return iso, k2
     return None, None
+
+
+class _CosetGraph:
+    """Schreier coset graph with a union-find over vertex labels."""
+
+    def __init__(self, n_letters):
+        self.n_letters = n_letters
+        self.labels = []
+        self.rows = []
+        self.add_vertex()
+
+    def add_vertex(self):
+        c = len(self.labels)
+        self.labels.append(c)
+        self.rows.append([-1] * self.n_letters)
+        return c
+
+    def find(self, c):
+        labels = self.labels
+        root = c
+        while labels[root] != root:
+            root = labels[root]
+        while labels[c] != root:
+            labels[c], c = root, labels[c]
+        return root
+
+    def unify(self, c1, c2):
+        stack = [(c1, c2)]
+        while stack:
+            a, b = stack.pop()
+            a, b = self.find(a), self.find(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            self.labels[b] = a
+            row_a, row_b = self.rows[a], self.rows[b]
+            for d in range(self.n_letters):
+                nb = row_b[d]
+                if nb == -1:
+                    continue
+                if row_a[d] == -1:
+                    row_a[d] = nb
+                else:
+                    stack.append((row_a[d], nb))
+
+    def follow_step(self, c, letter):
+        c = self.find(c)
+        row = self.rows[c]
+        if row[letter] == -1:
+            d = self.add_vertex()
+            row[letter] = d
+            self.rows[d][letter ^ 1] = c
+        return self.find(row[letter])
+
+
+def define_along_relators_enumerate(group, cap=DEFAULT_COSET_CAP):
+    """Coset enumeration over the trivial subgroup that follows each relator
+    from each live coset, defining every missing coset on the way, and then
+    identifies the end with the start; g g^-1 and g^-1 g are relators too.
+    The cap rule is the package's: more than ``cap`` cosets ever allocated
+    is "cap_exceeded"."""
+    n_letters = 2 * len(group.generators)
+    relators = [_word_letters(w) for w in group.relators]
+    for g in range(len(group.generators)):
+        relators += [(2 * g, 2 * g + 1), (2 * g + 1, 2 * g)]
+    graph = _CosetGraph(n_letters)
+    to_visit = 0
+    while to_visit < len(graph.labels):
+        if len(graph.labels) > cap:
+            return EnumerationResult("cap_exceeded", None, len(graph.labels), group)
+        c = graph.find(to_visit)
+        if c == to_visit:
+            for rel in relators:
+                end = c
+                for letter in rel:
+                    end = graph.follow_step(end, letter)
+                graph.unify(end, c)
+        to_visit += 1
+    live = sum(1 for i, label in enumerate(graph.labels) if i == label)
+    return EnumerationResult("completed", live, len(graph.labels), group)

@@ -219,6 +219,23 @@ def test_verify_presentations_reports_discrepancies(capsys):
     assert special["agreement"] is False
 
 
+def test_verify_presentations_reports_the_certificate_verdict(capsys):
+    # at n = 24 the k = 1 mod 3 presentations enumerate to |Aut| = 48 but
+    # name the half-turn s, which is no automorphism there: the order
+    # matches and the certificate fails; discrepancies and the exit code
+    # still follow the order match alone
+    code, out = run_capture(capsys, ["verify-presentations",
+                                     "--n-min", "24", "--n-max", "24"])
+    payload = json.loads(out)
+    assert code == 0 and payload["discrepancies"] == []
+    failed = {e["k"] for e in payload["entries"] if not e["certificate_verdict"]}
+    assert failed == set(range(1, 24, 3))
+    for e in payload["entries"]:
+        assert e["match"] is True
+        _, out = run_capture(capsys, ["isom-group", "--n", "24", "--k", str(e["k"])])
+        assert e["certificate_verdict"] is json.loads(out)["certificate"]["verdict"]
+
+
 def test_verify_presentations_clean_range(capsys):
     code, out = run_capture(capsys, ["verify-presentations",
                                      "--n-min", "4", "--n-max", "5"])

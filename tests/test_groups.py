@@ -15,6 +15,7 @@ from antidual.groups import (
     verify_isomorphism,
 )
 from antidual.symmetry import AutGroupData, automorphism_group
+from paper_checks import define_along_relators_enumerate
 
 
 def test_parse_and_format_round_trip():
@@ -71,6 +72,45 @@ def test_coset_enumeration_cap():
     assert res.status == "cap_exceeded"
     assert res.order is None
     assert res.group is free_abelian
+
+
+def test_cap_binds_at_the_group_order():
+    # the dihedral group of order 10 fills its table with exactly 10 cosets
+    dihedral = parse_presentation("gens: r,t ; rels: r^5, t^2, (t*r)^2")
+    res = coset_enumerate(dihedral, cap=10)
+    assert res.completed and res.order == 10 and res.cosets_used == 10
+    res = coset_enumerate(dihedral, cap=9)
+    assert res.status == "cap_exceeded" and res.order is None
+    # a generator no relator mentions is enumerated too: Z * Z/2 is infinite
+    res = coset_enumerate(parse_presentation("gens: r,v ; rels: v^2"), cap=300)
+    assert res.status == "cap_exceeded"
+
+
+def _first_cells(n_max):
+    """The first (n, k) of each distinct isometry presentation up to n_max."""
+    first = {}
+    for n in range(4, n_max + 1):
+        for k in range(n):
+            first.setdefault(isometry_presentation(n, k), (n, k))
+    return list(first.values())
+
+
+@pytest.mark.parametrize("n,k", _first_cells(30))
+def test_enumeration_matches_the_define_along_relators_oracle(n, k):
+    pres = isometry_presentation(n, k)
+    res = coset_enumerate(pres)
+    oracle = define_along_relators_enumerate(pres)
+    assert res.completed and oracle.completed
+    assert res.order == oracle.order
+    assert res.cosets_used <= oracle.cosets_used
+
+
+def test_generic_subcase22_enumeration_does_not_grow_with_n():
+    # the define-along-the-relator oracle needs 100,310 cosets at (300, 1)
+    # and passes the default cap before it completes at (999, 1)
+    res = coset_enumerate(isometry_presentation(999, 1))
+    assert res.completed and res.order == 24
+    assert res.cosets_used < 20_000
 
 
 def test_enumeration_deterministic():

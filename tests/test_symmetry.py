@@ -33,6 +33,7 @@ from paper_checks import (
     image_wedge,
     is_identity,
     is_isomorphism,
+    rotation,
     slot_table,
 )
 
@@ -259,7 +260,7 @@ def test_group_closure_inverses_identity():
         dec = build_decomposition(n, k)
         aut = automorphism_group(dec)  # closure verified inside
         keys = {(e.pieces, e.vertex_maps) for e in aut.elements}
-        identity = rotation_iso(dec, 0)
+        identity = rotation(dec, 0)
         assert (identity.pieces, identity.vertex_maps) in keys
         for e in aut.elements:
             inv = e.inverse()
@@ -344,7 +345,7 @@ def test_relator_seeds_match_full_composition():
                 continue
             inverses = [g.inverse() for g in images]
             for word in pres.relators:
-                full = _composed_word(word, images, rotation_iso(dec, 0))
+                full = _composed_word(word, images, rotation(dec, 0))
                 seed = _evaluate_word(word, images, inverses)
                 assert seed == (full.pieces[0], full.lmaps[0]), (n, k, word)
                 assert (seed == (0, 0)) == is_identity(full), (n, k, word)
@@ -427,8 +428,8 @@ def test_isomorphism_check_rejects_broken_maps():
     outside = dataclasses.replace(r, pieces=(dec.num_pieces,) + r.pieces[1:])
     assert not is_isomorphism(outside, dec, dec)
     larger = Decomposition(10, 4)  # piece 0 goes to 18, past the target's pieces
-    assert not is_isomorphism(rotation_iso(larger, -1), larger, dec)
-    assert not is_isomorphism(rotation_iso(dec, 0), dec, _ReversedQuad(9, 4))
+    assert not is_isomorphism(rotation(larger, -1), larger, dec)
+    assert not is_isomorphism(rotation(dec, 0), dec, _ReversedQuad(9, 4))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -474,7 +475,7 @@ def _phi_identities(dec):
     return {
         "phi3 = phi1 . phi2": equal(phi[3], after(1, phi[2])),
         "phi4 = phi1 . phi5": equal(phi[4], after(1, phi[5])),
-        "phi5 = phi2 . r^-k-1": equal(phi[5], after(2, rotation_iso(dec, -(dec.k + 1)))),
+        "phi5 = phi2 . r^-k-1": equal(phi[5], after(2, rotation(dec, -(dec.k + 1)))),
         "phi6 = phi2 . phi4": equal(phi[6], after(2, phi[4])),
         "phi7 = phi5 . t": equal(phi[7], after(5, flip_iso(dec))),
     }
@@ -525,7 +526,7 @@ def test_arc_permutation_values():
     assert arc_permutation(r, dec) == (0, 2, 3, 1)   # the 3-cycle (1 2 3)
     assert arc_permutation(t, dec) == (0, 3, 2, 1)   # the transposition (1 3)
     assert arc_permutation(s, dec) == (2, 1, 0, 3)   # the transposition (0 2)
-    assert arc_permutation(rotation_iso(dec, 0), dec) == (0, 1, 2, 3)
+    assert arc_permutation(rotation(dec, 0), dec) == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (9, 4)])
@@ -550,7 +551,7 @@ def _edge_parity(aut):
 def test_edge_parity_values():
     dec = build_decomposition(5, 2)
     aut = automorphism_group(dec)
-    assert _edge_parity(rotation_iso(dec, 0)) == 0
+    assert _edge_parity(rotation(dec, 0)) == 0
     assert _edge_parity(aut.generators["r"]) == 0
     assert _edge_parity(aut.generators["t"]) == 0
     assert _edge_parity(aut.generators["u"]) == 1
