@@ -21,13 +21,19 @@ independent isomorphism check.
 
 Isometry classification reduces to this search: two quotients with the same
 n are isometric iff their decompositions are isomorphic, and the isometry
-group is the automorphism group of the decomposition.
+group is the automorphism group of the decomposition.  Piece 0 with its
+labels is a base of length 1 for that group (Seress, *Permutation Group
+Algorithms*, ch. 4): an automorphism is fixed by its seed.  So the group is
+kept as the maps found at the seed pieces, plus whether r is among them;
+its closure check, its generators and the relator words of ``groups`` read
+seeds alone, and the full list of elements is built only when read.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .decomposition import (
     _EDGES, _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition,
@@ -35,6 +41,9 @@ from .decomposition import (
 
 _FLIP = PERM_INDEX[(3, 2, 1, 0)]
 _HALF_TURN = PERM_INDEX[(1, 0, 3, 2)]
+# _PULLBACK[v](counts) reads per-edge counts at the images of the six edges
+# under PERMS[v]
+_PULLBACK = tuple(itemgetter(*image) for image in EDGE_IMAGE)
 
 
 class SymmetryError(ValueError):
@@ -115,6 +124,43 @@ def _wedge_counts(dec: Decomposition, piece: int) -> tuple[int, ...]:
     return tuple(dec.class_summaries[dec.class_of(piece, e)].wedge_count for e in _EDGES)
 
 
+def _seed_search(
+    a: Decomposition, b: Decomposition, find_all: bool = True
+) -> tuple[CombIso | None, list[CombIso]]:
+    """The rotation r of b if one walk confirms it (else None), and the maps
+    a -> b found at the searched seed pieces: 0 and 1 if r is confirmed,
+    every piece of b if not.
+
+    A seed is propagated only if it keeps the wedge counts of the edge classes
+    at piece 0's edges, which every isomorphism does.  With ``find_all=False``
+    the search stops at its first map.
+    """
+    if a.n != b.n:
+        return None, []
+    r = rotation_iso(b)
+    rotation = r if _propagate(b, b, 2, 0) == r else None
+    out = []
+    want = _wedge_counts(a, 0)
+    for seed_piece in range(a.num_pieces if rotation is None else 2):
+        have = _wedge_counts(b, seed_piece)
+        for v, pullback in enumerate(_PULLBACK):
+            if pullback(have) != want:
+                continue
+            iso = _propagate(a, b, seed_piece, v)
+            if iso is not None:
+                out.append(iso)
+                if not find_all:
+                    return rotation, out
+    return rotation, out
+
+
+def _after_rotations(base: list[CombIso] | tuple[CombIso, ...]) -> list[CombIso]:
+    """r^j o g for j = 0..n-1 and g in ``base``, j outermost."""
+    m = len(base[0].pieces) if base else 0
+    return [CombIso(tuple((p + 2 * j) % m for p in iso.pieces), iso.lmaps,
+                    iso.source, iso.target) for j in range(m // 2) for iso in base]
+
+
 def enumerate_isomorphisms(
     a: Decomposition, b: Decomposition, find_all: bool = True
 ) -> list[CombIso]:
@@ -124,31 +170,12 @@ def enumerate_isomorphisms(
     search is skipped.  If one walk confirms the rotation r as an
     automorphism of b, only the seeds at pieces 0 and 1 are propagated and
     the powers of r after the maps found give the rest; otherwise every
-    piece of b is a seed piece.  A seed is propagated only if it keeps the
-    wedge counts of the edge classes at piece 0's edges, which every
-    isomorphism does.  With ``find_all=False`` the list holds at most one
-    element (useful when only existence matters).
+    piece of b is a seed piece.  With ``find_all=False`` the list holds at
+    most one element (useful when only existence matters), and no power of
+    r is formed.
     """
-    if a.n != b.n:
-        return []
-    m = a.num_pieces
-    rotates = _propagate(b, b, 2, 0) == rotation_iso(b)
-    out = []
-    want = _wedge_counts(a, 0)
-    for seed_piece in range(2 if rotates else m):
-        have = _wedge_counts(b, seed_piece)
-        for v, image in enumerate(EDGE_IMAGE):
-            if tuple(have[e] for e in image) != want:
-                continue
-            iso = _propagate(a, b, seed_piece, v)
-            if iso is not None:
-                out.append(iso)
-                if not find_all:
-                    return out
-    if rotates:  # r^j after the maps found, in seed order
-        out = [CombIso(tuple((p + 2 * j) % m for p in iso.pieces), iso.lmaps,
-                       iso.source, iso.target) for j in range(a.n) for iso in out]
-    return out
+    rotation, out = _seed_search(a, b, find_all)
+    return _after_rotations(out) if rotation is not None and find_all else out
 
 
 # -- distinguished elements ---------------------------------------------------
@@ -184,11 +211,26 @@ def reflection_iso(dec: Decomposition) -> CombIso:
 
 @dataclass(frozen=True)
 class AutGroupData:
-    """The automorphism group as an explicit list of elements."""
+    """The automorphism group, encoded by the maps found at its seed pieces.
 
-    elements: tuple[CombIso, ...]
+    ``base`` holds the automorphisms seeded at pieces 0 and 1 when
+    ``rotates`` (the rotation r is an automorphism; every element is then
+    some r^j o g with g in ``base``), or every automorphism otherwise.  An
+    automorphism is fixed by its seed, the image of piece 0 with its label
+    map, so ``order`` is the number of distinct seeds.  ``generators`` maps
+    r, t, u and s to their automorphisms, or to None where absent.
+    """
+
+    base: tuple[CombIso, ...]
+    rotates: bool
     order: int
     generators: dict
+
+    @functools.cached_property
+    def elements(self) -> tuple[CombIso, ...]:
+        """Every element, sorted by (pieces, lmaps); built on first read."""
+        elements = _after_rotations(self.base) if self.rotates else self.base
+        return tuple(sorted(elements, key=lambda e: (e.pieces, e.lmaps)))  # PERMS is lexicographic
 
 
 def generated_subgroup(candidates):
@@ -209,11 +251,13 @@ def generated_subgroup(candidates):
         frontier, multipliers = list(reached), [c]  # closed under gens[:-1]
         while frontier:
             new = []
-            for (p, v), g in itertools.product(frontier, multipliers):
-                y = g.pieces[p], PERM_PRODUCT[24 * g.lmaps[p] + v]
-                if y not in reached:
-                    reached.add(y)
-                    new.append(y)
+            for g in multipliers:
+                pieces, lmaps = g.pieces, g.lmaps
+                for p, v in frontier:
+                    y = pieces[p], PERM_PRODUCT[24 * lmaps[p] + v]
+                    if y not in reached:
+                        reached.add(y)
+                        new.append(y)
             frontier, multipliers = new, gens
     return gens, reached
 
@@ -221,11 +265,14 @@ def generated_subgroup(candidates):
 def automorphism_group(dec: Decomposition) -> AutGroupData:
     """The automorphism group from the seed search, checked to be closed.
 
-    Every call checks, through ``generated_subgroup`` at O(log|G|*|G|) cost,
-    that the enumerated elements generate exactly themselves, and raises
-    ``ClosureFailure`` otherwise.
+    The group is kept as the maps found at its seed pieces; no other element
+    is formed (``AutGroupData.elements`` builds them when read).  When the
+    walk confirms the rotation r, the seeds of the group are those of the
+    base maps moved on by 2j pieces, j = 0..n-1.  Every call checks, through
+    ``generated_subgroup`` at O(log|G|*|G|) cost, that r and the base maps
+    generate exactly that seed set, and raises ``ClosureFailure`` otherwise.
 
-    Identifies the distinguished generators when present: ``r`` (the
+    Identifies the distinguished generators by seed when present: ``r`` (the
     rotation), ``t`` (the top-bottom flip), ``u`` (the mirror through a
     cutting plane, present iff k = n-k-1), ``s`` (the half-turn fixing
     piece 0 with labels (0 1)(2 3)).  ``s`` is present iff 3 | n and
@@ -233,20 +280,25 @@ def automorphism_group(dec: Decomposition) -> AutGroupData:
     with n <= 30, and it rules ``s`` out on most k % 3 == 1 cells, such as
     (9,1), (12,1) and (15,1).
     """
-    elements = enumerate_isomorphisms(dec, dec)
-    elements.sort(key=lambda e: (e.pieces, e.lmaps))  # PERMS is lexicographic
-    by_key = {(e.pieces, e.lmaps): e for e in elements}
-
-    seeds = {(e.pieces[0], e.lmaps[0]) for e in elements}
-    _, reached = generated_subgroup(elements)
+    r, base = _seed_search(dec, dec)
+    m = dec.num_pieces
+    by_seed = {(e.pieces[0], e.lmaps[0]): e for e in base}
+    if r is None:
+        seeds = set(by_seed)
+        _, reached = generated_subgroup(base)
+    else:
+        seeds = {(q, v) for p, v in by_seed for q in range(p, m, 2)}
+        _, reached = generated_subgroup([r, *base])
     if reached != seeds:
         raise ClosureFailure(f"{len(reached)} generated, {len(seeds)} enumerated")
 
-    gens = {name: by_key.get((c.pieces, c.lmaps)) for name, c in
-            (("r", rotation_iso(dec)), ("t", flip_iso(dec)), ("u", reflection_iso(dec)))}
-    gens["s"] = next((e for e in elements
-                      if e.pieces[0] == 0 and e.lmaps[0] == _HALF_TURN), None)
-    return AutGroupData(elements=tuple(elements), order=len(elements),
+    def found(c: CombIso) -> CombIso | None:
+        e = by_seed.get((c.pieces[0], c.lmaps[0]))
+        return e if e is not None and (e.pieces, e.lmaps) == (c.pieces, c.lmaps) else None
+
+    gens = {"r": r, "t": found(flip_iso(dec)), "u": found(reflection_iso(dec)),
+            "s": by_seed.get((0, _HALF_TURN))}
+    return AutGroupData(base=tuple(base), rotates=r is not None, order=len(seeds),
                         generators=gens)
 
 

@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import antidual.cli as cli
+from antidual.cli import run_cli
 from antidual.decomposition import build_decomposition
 from antidual.groups import (
     PRINTED_ORDER_OVER_N,
@@ -209,6 +213,42 @@ def test_verify_isomorphism_negative_control():
     assert not cert.verdict
 
 
+def _isom_group_exit_code(monkeypatch, capsys, aut, enum):
+    """The exit code of ``isom-group`` on (6,1), given its group and enumeration."""
+    monkeypatch.setattr(cli, "automorphism_group", lambda dec: aut)
+    monkeypatch.setattr(cli, "coset_enumerate", lambda pres, cap: enum)
+    code = run_cli(["isom-group", "--n", "6", "--k", "1"])
+    capsys.readouterr()
+    return code
+
+
+def test_surjective_fails_on_a_group_larger_than_the_images_generate(monkeypatch, capsys):
+    # the group and the enumeration both claim twice the true order, so only
+    # the images generating the whole group can fail
+    dec = build_decomposition(6, 1)
+    aut = automorphism_group(dec)
+    enum = coset_enumerate(isometry_presentation(6, 1))
+    doubled = dataclasses.replace(aut, order=2 * aut.order)
+    enum = dataclasses.replace(enum, order=2 * enum.order)
+    cert = verify_isomorphism(enum, doubled, dec)
+    assert cert.relators_hold and cert.order_matches is True
+    assert not cert.surjective
+    assert not cert.verdict
+    assert _isom_group_exit_code(monkeypatch, capsys, doubled, enum) == 1
+
+
+def test_order_matches_fails_on_a_wrong_enumerated_order(monkeypatch, capsys):
+    dec = build_decomposition(6, 1)
+    aut = automorphism_group(dec)
+    enum = coset_enumerate(isometry_presentation(6, 1))
+    wrong = dataclasses.replace(enum, order=enum.order + 1)
+    cert = verify_isomorphism(wrong, aut, dec)
+    assert cert.relators_hold and cert.surjective
+    assert cert.order_matches is False
+    assert not cert.verdict
+    assert _isom_group_exit_code(monkeypatch, capsys, aut, wrong) == 1
+
+
 def test_verify_isomorphism_missing_generator():
     dec = build_decomposition(9, 1)
     aut = automorphism_group(dec)
@@ -228,7 +268,8 @@ def test_verify_isomorphism_missing_generator():
     with pytest.raises(MissingGenerator) as exc:
         verify_isomorphism(coset_enumerate(pres), aut, dec)
     assert str(exc.value) == "mirror u maps step 2 to step 3, not an automorphism"
-    unidentified = AutGroupData(elements=(), order=0, generators=dict.fromkeys("rtus"))
+    unidentified = AutGroupData(base=(), rotates=False, order=0,
+                                generators=dict.fromkeys("rtus"))
     with pytest.raises(MissingGenerator) as exc:
         concrete_generator("r", dec, unidentified)
     assert str(exc.value) == "generator 'r' not in the enumerated group"

@@ -270,30 +270,62 @@ def test_group_closure_inverses_identity():
             assert inv.inverse() == e
 
 
-def _drop_identity(elements):
-    return [e for e in elements if not is_identity(e)]
+def _drop_identity(maps):
+    return [e for e in maps if not is_identity(e)]
 
 
-def _drop_middle_non_identity(elements):
-    i = len(elements) // 2
-    assert not is_identity(elements[i])
-    return elements[:i] + elements[i + 1:]
+def _drop_middle_non_identity(maps):
+    i = len(maps) // 2
+    assert not is_identity(maps[i])
+    return maps[:i] + maps[i + 1:]
 
 
 @pytest.mark.parametrize("n,k", [(9, 4), (6, 1)])
 @pytest.mark.parametrize("drop", [
     _drop_identity,
     _drop_middle_non_identity,
-    lambda elements: elements[:-1],
-    lambda elements: [],
+    lambda maps: maps[:-1],
+    lambda maps: [],
 ], ids=["identity", "non-identity", "last", "all"])
 def test_closure_check_catches_a_broken_set(monkeypatch, n, k, drop):
-    enumerate_all = symmetry.enumerate_isomorphisms
-    monkeypatch.setattr(symmetry, "enumerate_isomorphisms",
-                        lambda a, b: drop(enumerate_all(a, b)))
+    # the search loses some of its base maps: the seed set that r and the
+    # rest give is then not the group they generate
+    search = symmetry._seed_search
+
+    def broken(a, b, find_all=True):
+        rotation, base = search(a, b, find_all)
+        assert rotation is not None
+        return rotation, drop(base)
+
+    monkeypatch.setattr(symmetry, "_seed_search", broken)
     dec = build_decomposition(n, k)
     with pytest.raises(ClosureFailure, match="generated"):
         automorphism_group(dec)
+
+
+def _full_key_generators(dec, elements):
+    """The generators as found by their full maps among all the elements."""
+    by_key = {(e.pieces, e.lmaps): e for e in elements}
+    gens = {name: by_key.get((c.pieces, c.lmaps)) for name, c in
+            (("r", rotation_iso(dec)), ("t", flip_iso(dec)), ("u", reflection_iso(dec)))}
+    half_turn = PERM_INDEX[(1, 0, 3, 2)]
+    gens["s"] = next((e for e in elements if (e.pieces[0], e.lmaps[0]) == (0, half_turn)), None)
+    return gens
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 13) for k in range(n)]
+                         + [(24, 7), (60, 29)])
+def test_seed_encoding_gives_the_full_group(n, k):
+    dec = build_decomposition(n, k)
+    aut = automorphism_group(dec)
+    full = tuple(sorted(enumerate_isomorphisms(dec, dec), key=lambda e: (e.pieces, e.lmaps)))
+    assert aut.elements == full
+    assert len(aut.elements) == aut.order
+    seeds = {(e.pieces[0], e.lmaps[0]) for e in aut.base}
+    assert aut.rotates and {p for p, _ in seeds} <= {0, 1}
+    seeds = {((p + 2 * j) % dec.num_pieces, v) for p, v in seeds for j in range(n)}
+    assert {(e.pieces[0], e.lmaps[0]) for e in aut.elements} == seeds
+    assert aut.generators == _full_key_generators(dec, full)
 
 
 @pytest.mark.parametrize("n,k,order", [(6, 1, 48), (9, 4, 144), (16, 5, 32),
@@ -395,11 +427,20 @@ def test_different_n_never_isomorphic():
     (7, 2, 4, True), (7, 2, 3, False), (7, 2, 2, True),
     (9, 1, 7, True), (9, 1, 4, False), (8, 2, 5, True), (8, 2, 4, False),
 ])
-def test_isomorphism_existence(n, k, k2, expect):
+def test_isomorphism_existence(monkeypatch, n, k, k2, expect):
     a = build_decomposition(n, k)
     b = build_decomposition(n, k2)
+    calls = _count_propagations(monkeypatch)
     found = enumerate_isomorphisms(a, b, find_all=False)
+    walks = len(calls)
     assert bool(found) == expect
+    assert len(found) <= 1  # no power of r is formed after the first hit
+    calls.clear()
+    first = enumerate_isomorphisms(a, b)[:1]
+    assert found == first
+    # the walks of the full search up to its first hit, after the rotation walk
+    stop = calls.index((first[0].pieces[0], first[0].lmaps[0]), 1) + 1 if first else len(calls)
+    assert walks <= stop
     if found:
         assert is_isomorphism(found[0], a, b)
 
