@@ -337,7 +337,6 @@ def cmd_verify_presentations(n_min: int, n_max: int, cfg: RunConfig) -> tuple[di
     for pres, cells in _presentation_groups(grid).items():
         enumerations.update(dict.fromkeys(cells, coset_enumerate(pres, cap=cfg.coset_cap)))
     entries = []
-    special = None
     for (n, k), enum in sorted(enumerations.items()):
         report, _ = _isom_group_report(build_decomposition(n, k), enum, full=False)
         match = report["presentation_matches_aut"]
@@ -351,18 +350,6 @@ def cmd_verify_presentations(n_min: int, n_max: int, cfg: RunConfig) -> tuple[di
             "match": match,
             "certificate_verdict": report["certificate"]["verdict"],
         })
-        if (n, k) == (9, 4):
-            special = {
-                "n": 9,
-                "k": 4,
-                "presentation": report["presentation"],
-                "presentation_order": report["presentation_order"],
-                "aut_order": report["aut_order"],
-                "agreement": match,
-                "note": "" if match else (
-                    "the self-dual presentation has no parameter dependence, so its "
-                    "order cannot track the brute-force group order family"),
-            }
     discrepancies = [{key: e[key] for key in ("n", "k", "case")}
                      for e in entries if not e["match"]]
     all_completed = all(enum.completed for enum in enumerations.values())
@@ -372,7 +359,6 @@ def cmd_verify_presentations(n_min: int, n_max: int, cfg: RunConfig) -> tuple[di
         "entries": entries,
         "discrepancies": discrepancies,
         "all_enumerations_completed": all_completed,
-        "special_case_report": special,
     }
     return payload, all_completed and not discrepancies
 

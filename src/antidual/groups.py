@@ -1,19 +1,19 @@
 """Finitely presented groups, coset enumeration, and isometry-group audits.
 
-Presentations are kept exactly as the classification states them, with
-exponent expressions in (m, l) substituted but not otherwise reduced; the
-enumerator is the only place words get normalised.  Orders are computed by
-Todd-Coxeter enumeration over the trivial subgroup, HLT style: each coset in
-turn scans every relator from both ends, deduces an entry where one letter
-is missing and defines a coset only where more are.  Every entry is written
-with its inverse entry, so no g g^-1 relators are needed.  The enumeration
-reads nothing from the automorphism group, so its order is an independent
-check of it; a hard coset cap stops it, since a presentation under test
-could in principle be infinite.  An enumeration carries its presentation.
-Each command enumerates each distinct presentation once and hands the
-result to ``verify_isomorphism``, which evaluates each relator on the seed
-of the automorphism it names (the image of piece 0 and its label map), one
-O(1) step per letter, since an automorphism is determined by its seed.
+Presentations are kept exactly as the classification states them, as text
+with exponent expressions in (m, l) substituted; the parser merges adjacent
+powers.  Orders are computed by Todd-Coxeter enumeration over the trivial
+subgroup, HLT style: each coset in turn scans every relator from both ends,
+deduces an entry where one letter is missing and defines a coset only where
+more are.  Every entry is written with its inverse entry, so no g g^-1
+relators are needed.  The enumeration reads nothing from the automorphism
+group, so its order is an independent check of it; a hard coset cap stops
+it, since a presentation under test could in principle be infinite.  An
+enumeration carries its presentation.  Each command enumerates each distinct
+presentation once and hands the result to ``verify_isomorphism``, which
+evaluates each relator on the seed of the automorphism it names (the image
+of piece 0 and its label map), one O(1) step per letter, since an
+automorphism is determined by its seed.
 
 The text format for presentations is ``gens: r,t ; rels: r^5, t^2, (t*r)^2``
 (whitespace-insensitive; ``^`` exponents possibly negative, ``*``
@@ -24,6 +24,7 @@ descent once every section is, so ``gens:`` may come last.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -153,6 +154,9 @@ def _parse_relators(text: str, gen_index: dict[str, int]) -> list[Word]:
             exp = int(exp_tok)
         except (TypeError, ValueError):
             raise PresentationSyntaxError(f"bad exponent {exp_tok!r}") from None
+        if len(inner) == 1:  # a power of one generator stays one factor
+            (g, a), = inner
+            return [(g, a * exp)]
         return (inner if exp > 0 else _invert(inner)) * abs(exp)
 
     relators = []
@@ -209,73 +213,45 @@ def format_presentation(g: PresentedGroup) -> str:
 # -- the classification's presentations --------------------------------------
 
 
-# The printed group order over n, per ``isometry_presentation`` provenance tag;
-# the subcase-2.2 entries are wrong on most cells (notes/decisions.md).
-PRINTED_ORDER_OVER_N = {
-    "case1_generic": 2,
-    "subcase21": 2,
-    "case1_selfdual": 4,
-    "subcase22_generic": 8,
-    "subcase22_selfdual": 16,
+# The classification as printed, per ``isometry_presentation`` provenance tag:
+# the group order over n and the presentation, whose exponents are the format
+# fields n, two_n = 2n and e = 3(m - 2l - 2).  The subcase-2.2 rows are wrong
+# on most cells (notes/decisions.md).
+PRINTED_TABLE = {
+    "case1_generic": (2, "gens: r,t ; rels: r^{n}, t^2, (t*r)^2"),
+    "subcase21": (2, "gens: r,t ; rels: r^{n}, t^2, (t*r)^2"),
+    "case1_selfdual": (4, "gens: t,u ; rels: t^2, u^2, (u*t)^{two_n}"),
+    "subcase22_generic": (8, "gens: r,s,t ; rels: r^{n}, s^2, t^2, (t*r)^2, (s*t)^2, "
+                             "s*r^3 = r^3*s, (s*t*r)^3 = r^{e}"),
+    "subcase22_selfdual": (16, "gens: s,t,u ; rels: s^2, t^2, u^2, (s*t)^2, (u*t)^6, "
+                               "(s*u)^2*s = (t*u)^2*t"),
 }
 
+PRINTED_ORDER_OVER_N = {tag: order for tag, (order, _) in PRINTED_TABLE.items()}
 
-def _w(*factors: tuple[int, int]) -> Word:
-    return tuple((g, e) for g, e in factors if e != 0)
+
+@functools.cache
+def _parse_row(text: str, tag: str) -> PresentedGroup:
+    return parse_presentation(text, provenance=tag)
 
 
 def isometry_presentation(n: int, k: int) -> PresentedGroup:
-    """The presentation the classification assigns to the (n, k) quotient.
-
-    Exponent expressions in m = n/3 and l = (k-1)/3 are substituted
-    literally; nothing else is simplified.
-    """
+    """The presentation the classification assigns to the (n, k) quotient:
+    its ``PRINTED_TABLE`` row with n = 3m, k = 3l + 1 substituted, parsed
+    once per distinct text."""
     if n < 4 or not 0 <= k <= n - 1:
         raise GroupError(f"invalid family parameters ({n},{k})")
-    div3 = n % 3 == 0
-    if not div3 and n % 2 == 1 and k == (n - 1) // 2:
-        t, u = 0, 1
-        return PresentedGroup(
-            ("t", "u"),
-            (_w((t, 2)), _w((u, 2)), _w((u, 1), (t, 1)) * (2 * n)),
-            provenance="case1_selfdual",
-        )
-    if not div3 or k % 3 != 1:
-        r, t = 0, 1
-        tag = "case1_generic" if not div3 else "subcase21"
-        return PresentedGroup(
-            ("r", "t"),
-            (_w((r, n)), _w((t, 2)), _w((t, 1), (r, 1)) * 2),
-            provenance=tag,
-        )
     m, l = n // 3, (k - 1) // 3
-    if m % 2 == 1 and l == (m - 1) // 2:
-        s, t, u = 0, 1, 2
-        sus = _w((s, 1), (u, 1), (s, 1), (u, 1), (s, 1))
-        tut = _w((t, 1), (u, 1), (t, 1), (u, 1), (t, 1))
-        return PresentedGroup(
-            ("s", "t", "u"),
-            (
-                _w((s, 2)), _w((t, 2)), _w((u, 2)),
-                _w((s, 1), (t, 1)) * 2,
-                _w((u, 1), (t, 1)) * 6,
-                sus + tuple(_invert(list(tut))),
-            ),
-            provenance="subcase22_selfdual",
-        )
-    r, s, t = 0, 1, 2
-    str_word = _w((s, 1), (t, 1), (r, 1))
-    return PresentedGroup(
-        ("r", "s", "t"),
-        (
-            _w((r, 3 * m)), _w((s, 2)), _w((t, 2)),
-            _w((t, 1), (r, 1)) * 2,
-            _w((s, 1), (t, 1)) * 2,
-            _w((s, 1), (r, 3), (s, -1), (r, -3)),
-            str_word * 3 + _w((r, -3 * (m - 2 * l - 2))),
-        ),
-        provenance="subcase22_generic",
-    )
+    if n % 3:
+        tag = "case1_selfdual" if n % 2 == 1 and k == (n - 1) // 2 else "case1_generic"
+    elif k % 3 != 1:
+        tag = "subcase21"
+    elif m % 2 == 1 and l == (m - 1) // 2:
+        tag = "subcase22_selfdual"
+    else:
+        tag = "subcase22_generic"
+    text = PRINTED_TABLE[tag][1].format(n=n, two_n=2 * n, e=3 * (m - 2 * l - 2))
+    return _parse_row(text, tag)
 
 
 # -- Todd-Coxeter -------------------------------------------------------------

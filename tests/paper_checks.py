@@ -8,7 +8,8 @@ complexes with the search's own walk; the classical analysis says every
 isometry is one of them composed with the dihedral subgroup, which the
 search finds rather than assumes.  The reference coset enumerator is the
 crudest Todd-Coxeter: it defines cosets along the whole of each relator and
-only then identifies the end with the start.
+only then identifies the end with the start.  The reference presentations
+build the printed classification's words factor by factor, with no parser.
 """
 
 from collections import Counter
@@ -16,7 +17,9 @@ from collections import Counter
 from antidual.decomposition import (
     _ARC_WEDGES, _EDGES, _ROLES, PERM_INDEX, PERM_PRODUCT, Decomposition, arcs,
 )
-from antidual.groups import DEFAULT_COSET_CAP, EnumerationResult, _word_letters
+from antidual.groups import (
+    DEFAULT_COSET_CAP, EnumerationResult, GroupError, PresentedGroup, _word_letters,
+)
 from antidual.symmetry import CombIso, _propagate
 
 
@@ -190,3 +193,63 @@ def define_along_relators_enumerate(group, cap=DEFAULT_COSET_CAP):
         to_visit += 1
     live = sum(1 for i, label in enumerate(graph.labels) if i == label)
     return EnumerationResult("completed", live, len(graph.labels), group)
+
+
+def _w(*factors):
+    return tuple((g, e) for g, e in factors if e != 0)
+
+
+def _inverse(word):
+    return tuple((g, -e) for g, e in reversed(word))
+
+
+def reference_presentation(n, k):
+    """The printed classification's presentation of the (n, k) quotient,
+    built word by word: exponents in m = n/3 and l = (k-1)/3 are
+    substituted literally and adjacent powers are not merged."""
+    if n < 4 or not 0 <= k <= n - 1:
+        raise GroupError(f"invalid family parameters ({n},{k})")
+    div3 = n % 3 == 0
+    if not div3 and n % 2 == 1 and k == (n - 1) // 2:
+        t, u = 0, 1
+        return PresentedGroup(
+            ("t", "u"),
+            (_w((t, 2)), _w((u, 2)), _w((u, 1), (t, 1)) * (2 * n)),
+            provenance="case1_selfdual",
+        )
+    if not div3 or k % 3 != 1:
+        r, t = 0, 1
+        tag = "case1_generic" if not div3 else "subcase21"
+        return PresentedGroup(
+            ("r", "t"),
+            (_w((r, n)), _w((t, 2)), _w((t, 1), (r, 1)) * 2),
+            provenance=tag,
+        )
+    m, l = n // 3, (k - 1) // 3
+    if m % 2 == 1 and l == (m - 1) // 2:
+        s, t, u = 0, 1, 2
+        sus = _w((s, 1), (u, 1), (s, 1), (u, 1), (s, 1))
+        tut = _w((t, 1), (u, 1), (t, 1), (u, 1), (t, 1))
+        return PresentedGroup(
+            ("s", "t", "u"),
+            (
+                _w((s, 2)), _w((t, 2)), _w((u, 2)),
+                _w((s, 1), (t, 1)) * 2,
+                _w((u, 1), (t, 1)) * 6,
+                sus + _inverse(tut),
+            ),
+            provenance="subcase22_selfdual",
+        )
+    r, s, t = 0, 1, 2
+    str_word = _w((s, 1), (t, 1), (r, 1))
+    return PresentedGroup(
+        ("r", "s", "t"),
+        (
+            _w((r, 3 * m)), _w((s, 2)), _w((t, 2)),
+            _w((t, 1), (r, 1)) * 2,
+            _w((s, 1), (t, 1)) * 2,
+            _w((s, 1), (r, 3), (s, -1), (r, -3)),
+            str_word * 3 + _w((r, -3 * (m - 2 * l - 2))),
+        ),
+        provenance="subcase22_generic",
+    )

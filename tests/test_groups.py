@@ -11,6 +11,7 @@ from antidual.groups import (
     MissingGenerator,
     PresentationSyntaxError,
     PresentedGroup,
+    _compact,
     concrete_generator,
     coset_enumerate,
     format_presentation,
@@ -19,7 +20,7 @@ from antidual.groups import (
     verify_isomorphism,
 )
 from antidual.symmetry import AutGroupData, automorphism_group
-from paper_checks import define_along_relators_enumerate
+from paper_checks import define_along_relators_enumerate, reference_presentation
 
 
 def test_parse_and_format_round_trip():
@@ -36,6 +37,13 @@ def test_parse_equations_and_negative_exponents():
     g = parse_presentation("gens: s,r ; rels: s*r^3 = r^3*s, (s*r^-1)^2")
     assert g.relators[0] == ((0, 1), (1, 3), (0, -1), (1, -3))
     assert g.relators[1] == ((0, 1), (1, -1), (0, 1), (1, -1))
+
+
+def test_power_of_one_generator_is_one_factor():
+    assert parse_presentation("gens: r ; rels: r^1000000").relators == (((0, 1000000),),)
+    assert parse_presentation("gens: r ; rels: (r^2)^-3").relators == (((0, -6),),)
+    with pytest.raises(PresentationSyntaxError, match="empty word"):
+        parse_presentation("gens: r ; rels: r^0")
 
 
 def test_parse_errors():
@@ -146,11 +154,30 @@ def test_isometry_presentation_cases():
     assert g.provenance == "subcase22_generic"
     # m=2, l=0 gives exponent 3(m-2l-2) = 0, so the closing relator is (str)^3
     assert g.relators[-1] == ((1, 1), (2, 1), (0, 1)) * 3
+    # m=3, l=0 gives (str)^3 = r^3; the parser merges the closing r*r^-3
     g = isometry_presentation(9, 1)
-    assert g.relators[-1] == ((1, 1), (2, 1), (0, 1)) * 3 + ((0, -3),)
+    assert g.relators[-1] == ((1, 1), (2, 1), (0, 1)) * 2 + ((1, 1), (2, 1), (0, -2))
     g = isometry_presentation(9, 4)
     assert g.provenance == "subcase22_selfdual"
     assert g.generators == ("s", "t", "u")
+
+
+_CELLS_TO_60 = [(n, k) for n in range(4, 61) for k in range(n)]
+
+
+def test_printed_table_matches_the_reference_presentations():
+    # the parsed table against the word-by-word builder, on every cell with
+    # n <= 60; the parser merges adjacent powers, the builder does not
+    for n, k in _CELLS_TO_60:
+        g, ref = isometry_presentation(n, k), reference_presentation(n, k)
+        assert g.generators == ref.generators, (n, k)
+        assert g.provenance == ref.provenance, (n, k)
+        assert g.relators == tuple(tuple(_compact(list(w))) for w in ref.relators), (n, k)
+
+
+def test_printed_presentations_round_trip_through_text():
+    for g in {isometry_presentation(n, k) for n, k in _CELLS_TO_60}:
+        assert parse_presentation(format_presentation(g)).relators == g.relators
 
 
 def test_printed_order_table_follows_the_printed_case_split():
