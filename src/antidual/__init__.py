@@ -16,6 +16,7 @@ from .realization import (
     Realization,
     RealizationParams,
     ValidationReport,
+    angle_sum_check,
     build_realization,
     dihedral_angles,
     edge_length,
@@ -39,7 +40,6 @@ from .decomposition import (
     Decomposition,
     EdgeClass,
     FacePairing,
-    angle_sum_check,
     arcs,
     boundary_surface,
     build_decomposition,

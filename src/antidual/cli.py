@@ -9,6 +9,10 @@ be written (no report then reaches standard output).  A computation that
 raises instead (say, a numerically degenerate realization at huge n) exits
 1 with ``antidual: error: <message>`` on stderr and no report.
 
+``survey`` and ``verify-presentations`` share one audit loop, ``_audit``, which
+enumerates each distinct presentation once for all the cells that share it.
+The census angle sums come from ``realization.angle_sum_check``.
+
 A survey row's ``valid`` field and the survey's exit code cover geometry,
 canonicality and the census, not ``isom_verdict``: the printed group table
 it audits is wrong on named subcase-2.2 cells (notes/decisions.md).
@@ -21,12 +25,12 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .decomposition import (
     Decomposition,
-    angle_sum_check,
     arcs,
     boundary_surface,
     build_decomposition,
@@ -45,6 +49,7 @@ from .groups import (
 )
 from .realization import (
     Realization,
+    angle_sum_check,
     build_realization,
     dihedral_angles,
     edge_length,
@@ -251,13 +256,31 @@ def _isom_group_report(dec: Decomposition, enum: EnumerationResult,
     return payload, ok
 
 
-def _presentation_groups(cells: list[tuple[int, int]]) -> dict[PresentedGroup, list]:
-    """The (n, k) cells grouped by their isometry presentation, both in
-    first-seen order, so that each distinct presentation is enumerated once."""
+def _audit_presentation(task: tuple[PresentedGroup, int, Callable, list[tuple]]) -> list[dict]:
+    """The reports of every cell that shares one presentation, which is
+    enumerated once for all of them."""
+    pres, coset_cap, report, cells = task
+    enum = coset_enumerate(pres, cap=coset_cap)
+    return [report(enum, *cell) for cell in cells]
+
+
+def _audit(cells: list[tuple], cfg: RunConfig, report: Callable) -> list[dict]:
+    """``report(enumeration, *cell)`` for each cell, a tuple that starts with
+    (n, k), sorted by (n, k).  One task per distinct presentation enumerates
+    it once; tasks go largest first (by the sum of n over their cells) to no
+    more workers than there are tasks."""
     groups: dict[PresentedGroup, list] = {}
     for cell in cells:
-        groups.setdefault(isometry_presentation(*cell), []).append(cell)
-    return groups
+        groups.setdefault(isometry_presentation(*cell[:2]), []).append(cell)
+    tasks = sorted(((pres, cfg.coset_cap, report, group) for pres, group in groups.items()),
+                   key=lambda task: -sum(cell[0] for cell in task[3]))
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_audit_presentation, tasks))
+    else:
+        results = map(_audit_presentation, tasks)
+    return sorted((row for rows in results for row in rows), key=lambda r: (r["n"], r["k"]))
 
 
 def _survey_geometry(n: int) -> tuple[Realization, bool, float]:
@@ -269,10 +292,9 @@ def _survey_geometry(n: int) -> tuple[Realization, bool, float]:
     return real, valid and canonical, tilt_payload["margin"]
 
 
-def _survey_cell(k: int, geometry: tuple[Realization, bool, float],
-                 enum: EnumerationResult) -> dict:
+def _survey_cell(enum: EnumerationResult, n: int, k: int,
+                 geometry: tuple[Realization, bool, float]) -> dict:
     real, geometry_ok, tilt_margin = geometry
-    n = real.params.n
     dec = build_decomposition(n, k)
     dec_payload, dec_ok = _decompose_report(dec, real, full=False)
     group_payload, _ = _isom_group_report(dec, enum, full=False)
@@ -290,33 +312,11 @@ def _survey_cell(k: int, geometry: tuple[Realization, bool, float],
     }
 
 
-def _survey_group(args: tuple[PresentedGroup, int, list]) -> list[dict]:
-    """The rows of every cell that shares one presentation, which is
-    enumerated once for all of them."""
-    pres, coset_cap, cells = args
-    enum = coset_enumerate(pres, cap=coset_cap)
-    return [_survey_cell(k, geometry, enum) for k, geometry in cells]
-
-
 def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
-    # each n's geometry is built here once; each task is one distinct
-    # presentation with every cell that shares it, enumerated in its worker
-    # and dispatched largest first (by the sum of n over its cells), and the
-    # pool forks no more workers than there are tasks
+    # each n's geometry is built here once and shared by its cells
     geometry = {n: _survey_geometry(n) for n in range(n_min, n_max + 1)}
-    grid = [(n, k) for n in geometry for k in range(n)]
-    groups = sorted(_presentation_groups(grid).items(),
-                    key=lambda group: -sum(n for n, _ in group[1]))
-    tasks = [(pres, cfg.coset_cap, [(k, geometry[n]) for n, k in cells])
-             for pres, cells in groups]
-    workers = min(cfg.jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_survey_group, tasks))
-    else:
-        results = map(_survey_group, tasks)
-    rows = sorted((row for group_rows in results for row in group_rows),
-                  key=lambda r: (r["n"], r["k"]))
+    rows = _audit([(n, k, geometry[n]) for n in geometry for k in range(n)],
+                  cfg, _survey_cell)
     # cannot fail: both fields are min(k, (n - k - 1) mod n) by construction
     consistent = all(
         row["class_representative"] == min(row["k"], row["mirror_target_k"])
@@ -331,28 +331,26 @@ def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
     return payload, consistent and all(r["valid"] for r in rows)
 
 
+def _presentation_entry(enum: EnumerationResult, n: int, k: int) -> dict:
+    report, _ = _isom_group_report(build_decomposition(n, k), enum, full=False)
+    return {
+        "n": n,
+        "k": k,
+        "case": report["presentation_case"],
+        "presentation_order": report["presentation_order"],
+        "aut_order": report["aut_order"],
+        "claimed_order": report["expected_order"],
+        "match": report["presentation_matches_aut"],
+        "certificate_verdict": report["certificate"]["verdict"],
+    }
+
+
 def cmd_verify_presentations(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
-    grid = [(n, k) for n in range(n_min, n_max + 1) for k in range(n)]
-    enumerations = {}
-    for pres, cells in _presentation_groups(grid).items():
-        enumerations.update(dict.fromkeys(cells, coset_enumerate(pres, cap=cfg.coset_cap)))
-    entries = []
-    for (n, k), enum in sorted(enumerations.items()):
-        report, _ = _isom_group_report(build_decomposition(n, k), enum, full=False)
-        match = report["presentation_matches_aut"]
-        entries.append({
-            "n": n,
-            "k": k,
-            "case": report["presentation_case"],
-            "presentation_order": report["presentation_order"],
-            "aut_order": report["aut_order"],
-            "claimed_order": report["expected_order"],
-            "match": match,
-            "certificate_verdict": report["certificate"]["verdict"],
-        })
+    entries = _audit([(n, k) for n in range(n_min, n_max + 1) for k in range(n)],
+                     cfg, _presentation_entry)
     discrepancies = [{key: e[key] for key in ("n", "k", "case")}
                      for e in entries if not e["match"]]
-    all_completed = all(enum.completed for enum in enumerations.values())
+    all_completed = all(e["presentation_order"] != "cap_exceeded" for e in entries)
     payload = {
         "n_min": n_min,
         "n_max": n_max,

@@ -29,16 +29,10 @@ ends of the class; those ends are the vertices of the boundary surface.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
-
-from .minkowski import mink_inner
-from .realization import Realization, dihedral_angles
-
-ANGLE_SUM_TOL = 1e-9
 
 
 class DecompositionError(ValueError):
@@ -402,50 +396,6 @@ def boundary_surface(dec: Decomposition) -> BoundarySurface:
         genus=genus,
         is_orientable=is_orientable,
         is_connected=is_connected,
-    )
-
-
-# -- angle sums --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AngleSumReport:
-    """Per edge class, the sum of its wedge angles minus 2*pi."""
-
-    residuals: tuple[float, ...]
-    classes_checked: int
-    max_residual: float
-    all_within: bool
-
-
-def angle_sum_check(dec: Decomposition, real: Realization) -> AngleSumReport:
-    """Verify that the wedge angles around every edge class sum to 2*pi.
-
-    Axis wedges contribute pi/n, slant and equator wedges the dihedral
-    angles of ``real``, and the two quad-diagonal wedges the angles between
-    the quad face normals and the cutting-plane normals (right angles; each
-    diagonal class has four wedges).  Every class is checked, against
-    ``ANGLE_SUM_TOL``.
-    """
-    angles = dihedral_angles(real)
-    role_angle = {
-        "axis": math.pi / dec.n,
-        "slant_upper": angles.slant,
-        "slant_lower": angles.slant,
-        "equator": angles.equator,
-        "diag_upper": math.acos(-mink_inner(real.normal_far, real.normal_upper)),
-        "diag_lower": math.acos(-mink_inner(real.normal_lower, real.normal_near)),
-    }
-    residuals = tuple(
-        sum(role_angle[role] * count for role, count in cls.roles) - 2 * math.pi
-        for cls in dec.class_summaries
-    )
-    max_res = max(abs(x) for x in residuals)
-    return AngleSumReport(
-        residuals=residuals,
-        classes_checked=len(residuals),
-        max_residual=max_res,
-        all_within=max_res < ANGLE_SUM_TOL,
     )
 
 

@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,7 +33,11 @@ from .minkowski import (
     twist_matrix,
 )
 
+if TYPE_CHECKING:
+    from .decomposition import Decomposition
+
 RESIDUAL_TOL = 1e-10
+ANGLE_SUM_TOL = 1e-9
 
 
 class RealizationError(ValueError):
@@ -355,6 +360,47 @@ def angle_sum_residual(real: Realization) -> float:
     if real.params.case is GluingCase.DIV3:
         total /= 3.0
     return total - 2 * math.pi
+
+
+@dataclass(frozen=True)
+class AngleSumReport:
+    """Per edge class, the sum of its wedge angles minus 2*pi."""
+
+    residuals: tuple[float, ...]
+    classes_checked: int
+    max_residual: float
+    all_within: bool
+
+
+def angle_sum_check(dec: Decomposition, real: Realization) -> AngleSumReport:
+    """Verify that the wedge angles around every edge class sum to 2*pi.
+
+    Axis wedges contribute pi/n, slant and equator wedges the dihedral
+    angles of ``real``, and the two quad-diagonal wedges the angles between
+    the quad face normals and the cutting-plane normals (right angles; each
+    diagonal class has four wedges).  Every class is checked, against
+    ``ANGLE_SUM_TOL``.
+    """
+    angles = dihedral_angles(real)
+    role_angle = {
+        "axis": math.pi / dec.n,
+        "slant_upper": angles.slant,
+        "slant_lower": angles.slant,
+        "equator": angles.equator,
+        "diag_upper": math.acos(-mink_inner(real.normal_far, real.normal_upper)),
+        "diag_lower": math.acos(-mink_inner(real.normal_lower, real.normal_near)),
+    }
+    residuals = tuple(
+        sum(role_angle[role] * count for role, count in cls.roles) - 2 * math.pi
+        for cls in dec.class_summaries
+    )
+    max_res = max(abs(x) for x in residuals)
+    return AngleSumReport(
+        residuals=residuals,
+        classes_checked=len(residuals),
+        max_residual=max_res,
+        all_within=max_res < ANGLE_SUM_TOL,
+    )
 
 
 _EDGE_POLES = {

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import antidual.cli as cli
 import antidual.groups as groups
 import antidual.tilt as tilt
 from antidual.cli import RunConfig, run_cli
+from antidual.realization import ANGLE_SUM_TOL
+from antidual.symmetry import ClassificationResult
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -148,11 +151,11 @@ def test_survey_parallel_matches_serial(monkeypatch, capsys):
     assert serial == parallel
     # one task per distinct presentation, dispatched largest first; the
     # self-dual presentation of n = 9 and 15 is one task carrying both n
-    assert len({pres for pres, _, _ in tasks}) == len(tasks) == 20
-    sizes = [sum(real.params.n for _, (real, _, _) in cells) for _, _, cells in tasks]
+    assert len({pres for pres, _, _, _ in tasks}) == len(tasks) == 20
+    sizes = [sum(real.params.n for _, _, (real, _, _) in cells) for _, _, _, cells in tasks]
     assert sizes == sorted(sizes, reverse=True)
-    assert [sorted({real.params.n for _, (real, _, _) in cells})
-            for pres, _, cells in tasks if pres.provenance == "subcase22_selfdual"] == [[9, 15]]
+    assert [sorted({real.params.n for _, _, (real, _, _) in cells})
+            for pres, _, _, cells in tasks if pres.provenance == "subcase22_selfdual"] == [[9, 15]]
 
 
 def test_survey_forks_no_more_workers_than_tasks(monkeypatch, capsys):
@@ -313,7 +316,7 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
                          (cli, "coset_enumerate"), (groups, "coset_enumerate")]:
         count(module, name)
     per_cell, per_group = {}, []
-    survey_cell, survey_group = cli._survey_cell, cli._survey_group
+    survey_cell, survey_group = cli._survey_cell, cli._audit_presentation
 
     def counted_cell(*args):
         start = len(calls)
@@ -328,7 +331,7 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
         return rows
 
     monkeypatch.setattr(cli, "_survey_cell", counted_cell)
-    monkeypatch.setattr(cli, "_survey_group", counted_group)
+    monkeypatch.setattr(cli, "_audit_presentation", counted_group)
     assert run_cli(["survey", "--n-min", "4", "--n-max", "6"]) == 0
     capsys.readouterr()
     # one realization per n, made outside the tasks, and one task per
@@ -337,9 +340,7 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
     assert calls.count("antidual.cli.coset_enumerate") == len(set(presentations)) == 6
     assert per_group == [["antidual.cli.coset_enumerate"]] * 6
     geometry = cli._survey_geometry(9)
-    rows = [row for pres, cells in cli._presentation_groups([(9, 1), (9, 4)]).items()
-            for row in counted_group((pres, RunConfig().coset_cap,
-                                      [(k, geometry) for _, k in cells]))]
+    rows = cli._audit([(9, 1, geometry), (9, 4, geometry)], RunConfig(), cli._survey_cell)
     # (9, 1) has no mirror generator u, so verify_isomorphism raises
     # MissingGenerator; the cell still enumerates nothing
     assert (rows[0]["k"], rows[0]["isom_verdict"]) == (1, False)
@@ -450,3 +451,104 @@ def test_unwritable_out_is_usage_error(tmp_path):
     assert proc.stderr.endswith(
         f"antidual: error: cannot write --out {out}: No such file or directory\n")
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("extra", [["--n-min", "4", "--n-max", "12"],
+                                   ["--n-min", "12", "--n-max", "15", "--coset-cap", "10"]])
+def test_survey_and_verify_presentations_agree_per_cell(capsys, extra):
+    code, out = run_capture(capsys, ["survey", *extra])
+    assert code == 0  # the survey's exit code does not read the group audit
+    rows = [(r["n"], r["k"], r["aut_order"], r["presentation_order"], r["isom_verdict"])
+            for r in json.loads(out)["rows"]]
+    code, out = run_capture(capsys, ["verify-presentations", *extra])
+    assert code == 1
+    entries = [(e["n"], e["k"], e["aut_order"], e["presentation_order"],
+                e["certificate_verdict"]) for e in json.loads(out)["entries"]]
+    assert rows == entries
+    if "--coset-cap" in extra:
+        assert len(entries) == 54
+        assert {order for _, _, _, order, _ in entries} == {"cap_exceeded"}
+
+
+# -- negative controls: a broken input turns each verdict below false --------
+
+
+@pytest.mark.parametrize("broken,field,value", [
+    (lambda s: dataclasses.replace(s, genus=s.genus + 1), "genus", 7),
+    (lambda s: dataclasses.replace(s, is_orientable=False), "orientable", False),
+])
+def test_decompose_fails_on_a_broken_boundary(monkeypatch, capsys, broken, field, value):
+    surface = cli.boundary_surface
+    monkeypatch.setattr(cli, "boundary_surface", lambda dec: broken(surface(dec)))
+    code, out = run_capture(capsys, ["decompose", "--n", "7", "--k", "2"])
+    assert code == 1
+    payload = json.loads(out)
+    boundary = {**payload["boundary"], field: value}
+    # only the broken term is off: genus 6 = n - 1, connected, angle sums hold
+    assert payload["boundary"] == boundary
+    assert (boundary["genus_expected"], boundary["connected"]) == (6, True)
+    assert payload["angle_sums"]["all_within"] is True
+
+
+def test_decompose_fails_on_the_angles_of_another_n(monkeypatch, capsys):
+    solve = cli.solve_parameters
+    monkeypatch.setattr(cli, "solve_parameters", lambda n: solve(n + 1))
+    code, out = run_capture(capsys, ["decompose", "--n", "7", "--k", "2"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["angle_sums"]["all_within"] is False
+    assert payload["angle_sums"]["max_residual"] > ANGLE_SUM_TOL
+    assert payload["boundary"]["genus"] == payload["boundary"]["genus_expected"]
+
+
+def test_classify_fails_on_merged_classes(monkeypatch, capsys):
+    found = cli.classify
+
+    def merged(n):
+        first, second, *rest = found(n).classes
+        return ClassificationResult(n, (tuple(sorted(first + second)), *rest))
+
+    monkeypatch.setattr(cli, "classify", merged)
+    code, out = run_capture(capsys, ["classify", "--n", "7"])
+    assert code == 1
+    assert json.loads(out)["matches_expected"] is False
+
+
+def _invalid_survey_cells(capsys) -> list[tuple[int, int]]:
+    code, out = run_capture(capsys, ["survey", "--n-min", "4", "--n-max", "6"])
+    assert code == 1
+    return [(r["n"], r["k"]) for r in json.loads(out)["rows"] if not r["valid"]]
+
+
+def test_survey_row_fails_on_a_broken_cell(monkeypatch, capsys):
+    surface = cli.boundary_surface
+
+    def broken(dec):
+        s = surface(dec)
+        return dataclasses.replace(s, genus=s.genus + 1) if (dec.n, dec.k) == (5, 2) else s
+
+    monkeypatch.setattr(cli, "boundary_surface", broken)
+    assert _invalid_survey_cells(capsys) == [(5, 2)]
+
+
+def test_survey_rows_fail_on_an_invalid_realization(monkeypatch, capsys):
+    validate = cli.validate_realization
+
+    def forced(real):
+        report = validate(real)
+        return dataclasses.replace(report, verdict=False) if real.params.n == 5 else report
+
+    monkeypatch.setattr(cli, "validate_realization", forced)
+    assert _invalid_survey_cells(capsys) == [(5, k) for k in range(5)]
+
+
+def test_tilts_fail_on_positive_gram_tilts(monkeypatch, capsys):
+    gram = tilt.tilts_from_gram
+    monkeypatch.setattr(tilt, "tilts_from_gram",
+                        lambda real: tilt.TiltVector(*map(abs, gram(real))))
+    code, out = run_capture(capsys, ["tilts", "--n", "7"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["margin"] > 0
+    assert payload["is_canonical"] is False
+    assert payload["signs_agree"] is False

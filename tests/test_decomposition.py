@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from pathlib import Path
@@ -16,7 +17,6 @@ from antidual.decomposition import (
     NonManifold,
     PERM_INDEX,
     PERMS,
-    angle_sum_check,
     arcs,
     boundary_surface,
     build_decomposition,
@@ -24,7 +24,7 @@ from antidual.decomposition import (
 )
 import antidual.cli as cli
 from antidual.minkowski import MinkVec, mink_inner
-from antidual.realization import dihedral_angles, realize
+from antidual.realization import angle_sum_check, dihedral_angles, realize
 from antidual.symmetry import automorphism_group
 from paper_checks import of_kind, role_counts, slot_table
 
@@ -712,3 +712,18 @@ def test_only_the_table_gluing_meets_the_census(n, k):
         for name in _KITE_CORRESPONDENCES for offset in (0, 1, 2)
     }
     assert [key for key, ok in holds.items() if ok] == [("table", 1)]
+
+
+@pytest.mark.parametrize("module", ["decomposition", "symmetry", "groups"])
+def test_combinatorial_core_imports_no_geometry(module):
+    # the complex, its symmetries and the group audit read no float geometry
+    path = Path(cli.__file__).with_name(f"{module}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert parts.isdisjoint({"minkowski", "realization", "tilt", "numpy"}), module
