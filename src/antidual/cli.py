@@ -31,9 +31,11 @@ from dataclasses import dataclass, fields
 
 from .decomposition import (
     Decomposition,
+    Quotient,
     arcs,
     boundary_surface,
     build_decomposition,
+    build_quotient,
     decomposition_to_dict,
 )
 from .groups import (
@@ -142,28 +144,31 @@ def _tilts_report(real: Realization) -> tuple[dict, bool]:
 
 def cmd_decompose(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[dict, bool]:
     real = build_realization(solve_parameters(n))
-    return _decompose_report(build_decomposition(n, k), real, full)
+    return _decompose_report(build_quotient(n, k), real, full)
 
 
-def _decompose_report(dec: Decomposition, real: Realization, full: bool) -> tuple[dict, bool]:
-    n = dec.n
-    surf = boundary_surface(dec)
-    angle_report = angle_sum_check(dec, real)
+def _decompose_report(quotient: Quotient, real: Realization, full: bool) -> tuple[dict, bool]:
+    # the census and boundary are lifted from the quotient; only --full
+    # builds the complex, to list its pairings and wedges
+    n, k = quotient.n, quotient.k
+    surf = boundary_surface(quotient)
+    angle_report = angle_sum_check(quotient, real)
     genus_expected = n - 3 if n % 3 == 0 else n - 1
     payload = {
         "n": n,
-        "k": dec.k,
-        "pieces": dec.num_pieces,
-        "pairings": len(dec.slot_nbr) // 2,
+        "k": k,
+        "pieces": quotient.num_pieces,
+        # each piece has 4 glued faces, two to a pairing
+        "pairings": 2 * quotient.num_pieces,
         "edge_classes": [
             {
                 "kind": cls.kind,
                 "wedge_count": cls.wedge_count,
                 "distinct_pieces": cls.distinct_pieces,
             }
-            for cls in dec.class_summaries
+            for cls in quotient.class_summaries
         ],
-        "arcs": arcs(dec),
+        "arcs": arcs(quotient),
         "boundary": {
             "vertices": surf.vertex_count,
             "edges": surf.edge_count,
@@ -181,7 +186,7 @@ def _decompose_report(dec: Decomposition, real: Realization, full: bool) -> tupl
         },
     }
     if full:
-        payload["complex"] = decomposition_to_dict(dec)
+        payload["complex"] = decomposition_to_dict(build_decomposition(n, k))
     ok = (
         surf.is_orientable
         and surf.is_connected
@@ -295,8 +300,8 @@ def _survey_geometry(n: int) -> tuple[Realization, bool, float]:
 def _survey_cell(enum: EnumerationResult, n: int, k: int,
                  geometry: tuple[Realization, bool, float]) -> dict:
     real, geometry_ok, tilt_margin = geometry
+    dec_payload, dec_ok = _decompose_report(build_quotient(n, k), real, full=False)
     dec = build_decomposition(n, k)
-    dec_payload, dec_ok = _decompose_report(dec, real, full=False)
     group_payload, _ = _isom_group_report(dec, enum, full=False)
     return {
         "n": n,

@@ -11,7 +11,15 @@ and faces are addressed by their opposite vertex.  The step-k rule matches
 the upper quad through pieces (2i, 2i+1) with the lower quad through pieces
 (2(i+k)+1, 2(i+k)+2); together with the side cuts this yields 4n internal
 triangle gluings, each a permutation of the four labels carrying one face
-onto the other, and the complex keeps them as two tables indexed by slot.
+onto the other.
+
+The rotation r (piece p -> p + 2) respects every gluing, so the complex is
+the n-fold cyclic cover of a quotient with 2 pieces and 8 slots.
+``_STEP_RULE`` states the rule once, as the quotient's four gluings, each
+with a voltage a*k + b in Z_n: how many steps of r it moves.
+``Decomposition`` lifts it to the complex's slot tables; ``build_quotient``
+reads the census and the boundary off the quotient instead, by lifting its
+walks, which are made once (notes/decisions.md §3).
 
 Internal edges fall into three families, each closed under the pairings:
 
@@ -22,13 +30,16 @@ Internal edges fall into three families, each closed under the pairings:
 * the quad diagonals {0,2} and {1,3} created by the cutting (n classes of
   4 wedges each; they contribute to the boundary genus).
 
-Each class is found by one walk round its edge link, which also counts the
-ends of the class; those ends are the vertices of the boundary surface.
+In the quotient each family is one cycle round its edge link, of length 2,
+6 and 4 with voltage 1, -3 and 0; a cycle of voltage v lifts to gcd(n, v)
+classes.  The ends of the classes are the vertices of the boundary surface.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -164,49 +175,77 @@ _OTHER_FACES = tuple(tuple(w for w in range(4) if w != v) for v in range(4))
 # gluings are the identity on the shared face
 _QUAD = PERM_INDEX[(1, 2, 3, 0)]
 
+# The step rule, stated once as the four gluings of the complex's quotient by
+# r (piece p -> p + 2).  The quotient's pieces 0 and 1 stand for the even and
+# the odd pieces, and its slot 4*q + face lifts at each level l mod n to the
+# slot 8*l + 4*q + face of piece 2l + q.  A row (slot, partner, PERMS index,
+# a, b) glues the lift at level l of its slot to the lift at level
+# l + a*k + b of its partner: the voltage a*k + b counts the steps of r the
+# gluing moves.
+_STEP_RULE = (
+    (1, 5, 0, 0, 0),      # the lower side cut (2l, 1) - (2l+1, 1)
+    (6, 2, 0, 0, 1),      # the upper side cut (2l+1, 2) - (2l+2, 2)
+    (3, 0, _QUAD, 1, 1),  # the upper quad of piece 2l onto piece 2(l+k+1)
+    (7, 4, _QUAD, 1, 0),  # and that of piece 2l+1 onto piece 2(l+k)+1
+)
+
+
+def _check_step(n: int, k: int) -> None:
+    if n < 4:
+        raise InvalidStep(f"n must be >= 4, got {n}")
+    if not 0 <= k <= n - 1:
+        raise InvalidStep(f"k must lie in 0..{n - 1}, got {k}")
+
+
+def _pair_slots(gluings, slot_count: int) -> tuple[list[int], list[int]]:
+    """The slot tables of the gluings (slot, partner slot, PERMS index):
+    the slot each slot is glued to and the PERMS index of its label map, each
+    gluing entered from both of its slots."""
+    nbr, lmap = [-1] * slot_count, [0] * slot_count
+    for sa, sb, i in gluings:
+        if PERMS[i][sa & 3] != sb & 3:
+            raise DecompositionError(
+                f"gluing {divmod(sa, 4)} -> {divmod(sb, 4)} by {PERMS[i]} "
+                f"does not carry face onto face")
+        for s, s2, m in ((sa, sb, i), (sb, sa, _INVERSE[i])):
+            if nbr[s] >= 0:
+                raise NonManifold(f"slot {divmod(s, 4)} is paired twice")
+            nbr[s], lmap[s] = s2, m
+    if -1 in nbr:
+        raise NonManifold(f"slot {divmod(nbr.index(-1), 4)} is unpaired")
+    # the cut diagonal of an upper quad is the {0,2} edge of its two opp-3
+    # faces; the step rule must send it onto the {1,3} diagonal of the
+    # receiving lower quad, otherwise the quad identification does not
+    # descend to the cut triangles
+    for s in range(3, slot_count, 4):
+        image = _EDGES[EDGE_IMAGE[lmap[s]][_EDGE_INDEX[(0, 2)]]]
+        if image != (1, 3):
+            raise DescentFailure(
+                f"slot {divmod(s, 4)} carries the upper diagonal to {list(image)}")
+    return nbr, lmap
+
 
 class Decomposition:
     """The face-paired complex of 2n labelled tetrahedra for given (n, k)."""
 
     def __init__(self, n: int, k: int):
-        if n < 4:
-            raise InvalidStep(f"n must be >= 4, got {n}")
-        if not 0 <= k <= n - 1:
-            raise InvalidStep(f"k must lie in 0..{n - 1}, got {k}")
+        _check_step(n, k)
         self.n = n
         self.k = k
         self.num_pieces = 2 * n
         # the complex's only tables: slot_nbr[s] is the slot glued to slot
         # s = 4*piece + face and slot_lmap[s] the PERMS index of its label map
-        self.slot_nbr = [-1] * (4 * self.num_pieces)
-        self.slot_lmap = [0] * (4 * self.num_pieces)
-        for sa, sb, i in self._gluings():
-            if PERMS[i][sa & 3] != sb & 3:
-                raise DecompositionError(
-                    f"gluing {divmod(sa, 4)} -> {divmod(sb, 4)} by {PERMS[i]} "
-                    f"does not carry face onto face")
-            for s, s2, lmap in ((sa, sb, i), (sb, sa, _INVERSE[i])):
-                if self.slot_nbr[s] >= 0:
-                    raise NonManifold(f"slot {divmod(s, 4)} is paired twice")
-                self.slot_nbr[s], self.slot_lmap[s] = s2, lmap
-        if -1 in self.slot_nbr:
-            raise NonManifold(f"slot {divmod(self.slot_nbr.index(-1), 4)} is unpaired")
-        self._check_descent()
+        self.slot_nbr, self.slot_lmap = _pair_slots(self._gluings(), 4 * self.num_pieces)
         self.class_summaries = self._compute_edge_classes()
 
     # -- construction -----------------------------------------------------
 
     def _gluings(self) -> list[tuple[int, int, int]]:
-        """The step rule's 4n gluings (slot, partner slot, PERMS index),
-        slot = 4*piece + face: for each even piece p the lower side gluing
-        (p, 1)-(p+1, 1) and the upper one (p+1, 2)-(p+2, 2), then the quad
-        gluings out of pieces p and p+1."""
-        m, k = self.num_pieces, self.k
-        return [g for p in range(0, m, 2) for g in (
-            (4 * p + 1, 4 * p + 5, 0),
-            (4 * p + 6, 4 * ((p + 2) % m) + 2, 0),
-            (4 * p + 3, 4 * ((p + 2 * k + 2) % m), _QUAD),
-            (4 * p + 7, 4 * ((p + 2 * k + 1) % m), _QUAD))]
+        """The 4n gluings (slot, partner slot, PERMS index), slot =
+        4*piece + face: ``_STEP_RULE`` lifted to each level l in turn."""
+        n, k = self.n, self.k
+        return [(8 * l + s, 8 * ((l + a * k + b) % n) + t, i)
+                for l in range(n) for s, t, i, a, b in _STEP_RULE]
 
     @property
     def pairings(self) -> tuple[FacePairing, ...]:
@@ -214,17 +253,6 @@ class Decomposition:
         return tuple(FacePairing(sa >> 2, sa & 3, sb >> 2, sb & 3,
                                  tuple(_LABEL_MAPS[4 * i + (sa & 3)].items()))
                      for sa, sb, i in self._gluings())
-
-    def _check_descent(self):
-        # the cut diagonal of an upper quad is the {0,2} edge of its two
-        # opp-3 faces; the step rule must send it onto the {1,3} diagonal of
-        # the receiving lower quad, otherwise the quad identification does
-        # not descend to the cut triangles
-        for s in range(3, len(self.slot_lmap), 4):
-            image = _EDGES[EDGE_IMAGE[self.slot_lmap[s]][_EDGE_INDEX[(0, 2)]]]
-            if image != (1, 3):
-                raise DescentFailure(
-                    f"slot {divmod(s, 4)} carries the upper diagonal to {list(image)}")
 
     # -- edge classes ------------------------------------------------------
 
@@ -234,8 +262,7 @@ class Decomposition:
         # by and cross that slot's gluing, until the walk is back at its
         # start.  Walks start in (kind, piece, edge) order, so each starts at
         # its class's first wedge and the classes come out in (kind, first
-        # wedge) order.  A class whose walk closes with its ends swapped (odd
-        # parity) has both ends on one boundary vertex, any other has two
+        # wedge) order
         nbr, lmap, step = self.slot_nbr, self.slot_lmap, _LINK_STEP
         m = self.num_pieces
         # _wedge_class[x] is the index of the class of wedge x, or its
@@ -247,14 +274,13 @@ class Decomposition:
         # have equal summaries if they have at most two roles, since the
         # first role comes first; a third role's place needs _summarize
         shared: dict[tuple[int, ...], ClassSummary] = {}
-        vertices = 0
         for family, (kind, edges) in enumerate(_EDGES_BY_KIND):
             left, start = len(edges) * m, 0
             while left:
                 start = wedge_class.index(-1 - family, start)
                 idx = len(summaries)
                 count = [0] * 6
-                pieces = parity = 0
+                pieces = 0
                 p, e = divmod(start, 6)
                 s, x = 4 * p + _FIRST_FACE[e], start
                 while True:
@@ -263,13 +289,11 @@ class Decomposition:
                     if piece_mark[p] != idx:
                         piece_mark[p] = idx
                         pieces += 1
-                    e, f, bit = step[24 * lmap[s] + 6 * (s & 3) + e]
+                    e, f, _ = step[24 * lmap[s] + 6 * (s & 3) + e]
                     p = nbr[s] >> 2
                     s, x = 4 * p + f, 6 * p + e
-                    parity ^= bit
                     if x == start:
                         break
-                vertices += 2 - parity
                 key = (start % 6, pieces, *count)
                 summary = shared.get(key)
                 if summary is None:
@@ -278,7 +302,6 @@ class Decomposition:
                         shared[key] = summary
                 summaries.append(summary)
                 left -= summary.wedge_count
-        self._boundary_vertex_count = vertices
         return tuple(summaries)
 
     def _summarize(self, idx, kind, edges, count, pieces) -> ClassSummary:
@@ -319,12 +342,240 @@ def build_decomposition(n: int, k: int) -> Decomposition:
     return Decomposition(n, k)
 
 
+# -- the quotient by r -------------------------------------------------------
+
+
+class _EdgeCycle(NamedTuple):
+    """One cycle of the quotient's edge-link walk: its wedges 6*q + edge in
+    walk order, the level (a, b), for a*k + b, at which the walk reaches each,
+    the voltage and parity with which it closes, and its wedges per edge."""
+
+    kind: str
+    wedges: tuple[int, ...]
+    levels: tuple[tuple[int, int], ...]
+    voltage: tuple[int, int]
+    parity: int
+    counts: tuple[int, ...]
+
+
+class _QuotientWalk:
+    """The walks of a quotient table, which hold for every (n, k).
+
+    ``families`` holds the cycles of the 12 quotient wedges round their edge
+    links, by family; ``boundary`` the fundamental cycles of each component
+    of the 8 quotient truncation triangles, each as (a, b, sign): voltage
+    a*k + b and the product of the twists along it.  The slot tables give
+    each of the 8 slots its partner, label map and voltage (a, b).
+    """
+
+    def __init__(self, nbr, lmap, volt):
+        # the boundary edge gluing is a fixed-point-free involution exactly
+        # when each slot is glued to another that is glued back by the
+        # inverse map and the opposite voltage
+        for s, s2 in enumerate(nbr):
+            if (s2 == s or nbr[s2] != s or lmap[s2] != _INVERSE[lmap[s]]
+                    or volt[s2] != (-volt[s][0], -volt[s][1])):
+                raise NonManifold(f"boundary edges on slot {divmod(s, 4)} glued inconsistently")
+        self.families = _edge_cycles(nbr, lmap, volt)
+        # each wedge's family, cycle (counted over all families) and place in
+        # its cycle
+        cycles = [(f, cycle) for f, family in enumerate(self.families) for cycle in family]
+        self.place = {w: (f, c, i) for c, (f, cycle) in enumerate(cycles)
+                      for i, w in enumerate(cycle.wedges)}
+        self.boundary = _boundary_cycles(nbr, lmap, volt)
+
+
+def _edge_cycles(nbr, lmap, volt) -> list[list[_EdgeCycle]]:
+    # the walk of Decomposition._compute_edge_classes on the two quotient
+    # pieces, adding up the voltages of the slots it crosses
+    families, walked = [], set()
+    for kind, edges in _EDGES_BY_KIND:
+        cycles = []
+        for start in [6 * q + e for q in (0, 1) for e in edges]:
+            if start in walked:
+                continue
+            wedges, levels, counts = [], [], [0] * 6
+            a = b = parity = 0
+            q, e = divmod(start, 6)
+            s, w = 4 * q + _FIRST_FACE[e], start
+            while True:
+                wedges.append(w)
+                levels.append((a, b))
+                counts[e] += 1
+                e, f, bit = _LINK_STEP[24 * lmap[s] + 6 * (s & 3) + e]
+                a, b = a + volt[s][0], b + volt[s][1]
+                q = nbr[s] >> 2
+                s, w = 4 * q + f, 6 * q + e
+                parity ^= bit
+                if w == start:
+                    break
+            kinds = {_KIND_OF_EDGE[x % 6] for x in wedges}
+            if len(kinds) > 1:
+                raise DecompositionError(
+                    f"edge class mixes families {kinds}: "
+                    f"{[(x // 6, _EDGES[x % 6]) for x in sorted(wedges)[:4]]}..."
+                )
+            walked.update(wedges)
+            cycles.append(_EdgeCycle(kind, tuple(wedges), tuple(levels), (a, b), parity,
+                                     tuple(counts)))
+        families.append(cycles)
+    return families
+
+
+def _boundary_cycles(nbr, lmap, volt) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    # a spanning tree of each component of the triangles t = 4*q + v, joined
+    # across their glued sides (the side facing face w lies on slot
+    # 4*q + w), gives each triangle the voltage and sign of its tree path;
+    # every side that disagrees with them closes a fundamental cycle
+    place: list[tuple[int, int, int] | None] = [None] * 8
+    components = []
+    for root in range(8):
+        if place[root] is not None:
+            continue
+        place[root] = (0, 0, 1)
+        stack, cycles = [root], set()
+        while stack:
+            t = stack.pop()
+            v = t & 3
+            a, b, sign = place[t]
+            for w in _OTHER_FACES[v]:
+                s = t - v + w
+                v2, twist = _TRIANGLE_GLUE[4 * lmap[s] + v]
+                t2 = (nbr[s] & ~3) + v2
+                here = (a + volt[s][0], b + volt[s][1], sign * twist)
+                there = place[t2]
+                if there is None:
+                    place[t2] = here
+                    stack.append(t2)
+                elif here != there:
+                    cycles.add((here[0] - there[0], here[1] - there[1], here[2] * there[2]))
+        components.append(tuple(sorted(cycles)))
+    return tuple(components)
+
+
+def _quotient_tables(rule) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The quotient's slot tables from the rows of a rule: partner slot,
+    label map and voltage (a, b) of each of its 8 slots."""
+    nbr, lmap = _pair_slots((row[:3] for row in rule), 8)
+    volt = [(0, 0)] * 8
+    for sa, sb, _, a, b in rule:
+        volt[sa], volt[sb] = (a, b), (-a, -b)
+    return nbr, lmap, volt
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_rule(rule) -> _QuotientWalk:
+    return _QuotientWalk(*_quotient_tables(rule))
+
+
+def _stretches(cycle: _EdgeCycle, d: list[int], g: int, rounds: int):
+    """(lo, hi, m, summary) for the classes r in lo..hi-1 of the lift of
+    ``cycle`` whose wedge i lies at the levels d[i] + r (mod g).
+
+    Class r first holds each wedge (x, w) of the cycle, x = d[i], at level
+    x + r, or x + r - g once r >= g - x.  In (x, w) order the wedges wrap
+    from the last, so within a stretch where none wraps anew they come, in
+    the order of their first wedges 12*level + w = 6*piece + edge, as one
+    rotation of that order: each class there has its first wedge at
+    12*r + m and the same roles in the same order, by piece and then edge.
+    """
+    placed = sorted(zip(d, cycle.wedges))
+    size = len(placed)
+    pieces = rounds * len({(x, w // 6) for x, w in placed})
+    out, lo, wrapped = [], 0, 0
+    while True:
+        # the last ``wrapped`` of placed have wrapped; placed[0] has x = 0,
+        # as the cycle's first wedge has, and never wraps
+        x = placed[size - 1 - wrapped][0]
+        hi = g - x if x else g
+        rotated = placed[size - wrapped:] + placed[:size - wrapped]
+        roles = dict.fromkeys([w % 6 for _, w in rotated])
+        summary = ClassSummary(cycle.kind, rounds * size, pieces,
+                               tuple([(_ROLES[e], rounds * cycle.counts[e]) for e in roles]))
+        first_x, first_w = rotated[0]
+        out.append((lo, hi, 12 * (first_x - g if wrapped else first_x) + first_w, summary))
+        if hi == g:
+            return out
+        lo = hi
+        while placed[size - 1 - wrapped][0] == x:
+            wrapped += 1
+
+
+class Quotient:
+    """The (n, k) complex read off its quotient by r, without building it.
+
+    A quotient cycle of length L and voltage v lifts to g = gcd(n, v)
+    classes of L*n/g wedges (Gross-Tucker, Topological Graph Theory, ch. 2),
+    and a class closes with its ends swapped when the cycle's parity is odd
+    and n/g is.  ``class_summaries`` and ``class_of`` agree with those of
+    ``Decomposition(n, k)``, and ``boundary_vertex_count`` counts the ends of
+    the classes: two per class, one where it closes with its ends swapped.
+    """
+
+    def __init__(self, n: int, k: int, walk: _QuotientWalk):
+        self.n = n
+        self.k = k
+        self.num_pieces = 2 * n
+        self._walk = walk
+        # per cycle its lift (g, d, stretches), and per family the index of
+        # its first class and the stretches of all its cycles
+        self._lifts = []
+        self._by_family = []
+        summaries: list[ClassSummary] = []
+        vertices = 0
+        for cycles in walk.families:
+            runs = []
+            for cycle in cycles:
+                a, b = cycle.voltage
+                g = math.gcd(n, a * k + b)
+                rounds = n // g
+                vertices += g * (2 - (rounds * cycle.parity & 1))
+                d = [(x * k + y) % g for x, y in cycle.levels]
+                stretches = _stretches(cycle, d, g, rounds)
+                self._lifts.append((g, d, stretches))
+                runs += stretches
+            self._by_family.append((len(summaries), runs))
+            # the family's classes in the order of their first wedges, which
+            # are distinct, so the sort never compares two summaries
+            summaries += [summary for _, summary in sorted(itertools.chain.from_iterable(
+                zip(range(12 * lo + m, 12 * hi + m, 12), itertools.repeat(summary))
+                for lo, hi, m, summary in runs))]
+        self.class_summaries = tuple(summaries)
+        self.boundary_vertex_count = vertices
+
+    def class_of(self, piece: int, edge: tuple[int, int]) -> int:
+        """Index of the edge class containing the given wedge slot."""
+        if not 0 <= piece < self.num_pieces:
+            raise KeyError((piece, edge))
+        level, q = divmod(piece, 2)
+        family, c, i = self._walk.place[6 * q + _EDGE_INDEX[tuple(sorted(edge))]]
+        g, d, stretches = self._lifts[c]
+        r = (level - d[i]) % g
+        for _, hi, m, _ in stretches:
+            if r < hi:
+                break
+        first = 12 * r + m
+        # count the family's classes whose first wedges come before this one's
+        index, runs = self._by_family[family]
+        for lo, hi, m, _ in runs:
+            if 12 * lo + m < first:
+                index += min(hi - lo, (first - 12 * lo - m + 11) // 12)
+        return index
+
+
+def build_quotient(n: int, k: int) -> Quotient:
+    """The (n, k) complex as the lift of ``_STEP_RULE``, whose quotient is
+    walked once per table."""
+    _check_step(n, k)
+    return Quotient(n, k, _walk_rule(_STEP_RULE))
+
+
 # a (piece, edge) wedge of each arc e0..e3: the axis edge of piece 0, then
 # the slant edges of pieces 0, 2, 4
 _ARC_WEDGES = ((0, (0, 3)), (0, (0, 1)), (2, (0, 1)), (4, (0, 1)))
 
 
-def arcs(dec: Decomposition) -> dict[str, int]:
+def arcs(dec: Decomposition | Quotient) -> dict[str, int]:
     """Arc labels to edge-class indices.
 
     For n divisible by 3 the polyhedron edges split into the three arcs
@@ -338,58 +589,35 @@ def arcs(dec: Decomposition) -> dict[str, int]:
 # -- boundary surface -------------------------------------------------------
 
 
-def boundary_surface(dec: Decomposition) -> BoundarySurface:
-    """Euler characteristic, genus, orientability of the quotient boundary.
+def boundary_surface(quotient: Quotient) -> BoundarySurface:
+    """Euler characteristic, genus, orientability of the boundary surface.
 
     The boundary is assembled from the 8n truncation triangles; each
-    internal pairing glues the triangle edges lying on the identified faces.
-    Its vertices are the ends of the internal edge classes, so their count
-    comes from the edge-link walks of ``dec``: two per class, one where the
-    walk closes a class up with its ends swapped.
+    internal pairing glues the triangle sides lying on the identified faces,
+    and its vertices are the ends of the edge classes.  The triangles and
+    their glued sides are the n-fold cover of the quotient's 8, so a
+    component of those whose fundamental cycles have voltages v_j lifts to
+    g = gcd(n, v_j, ...) components.  They are orientable exactly when the
+    cycles' twist signs are a character of the subgroup the v_j generate:
+    all +1, or (-1)^(v_j/g) when n/g is even.
     """
-    nbr, lmap = dec.slot_nbr, dec.slot_lmap
-    # the boundary edge gluing is a fixed-point-free involution exactly when
-    # each slot is glued to another that is glued back by the inverse map
-    for s, s2 in enumerate(nbr):
-        if s2 == s or nbr[s2] != s or lmap[s2] != _INVERSE[lmap[s]]:
-            raise NonManifold(f"boundary edges on slot {divmod(s, 4)} glued inconsistently")
-
-    tris = 4 * dec.num_pieces
+    n, k = quotient.n, quotient.k
+    tris = 4 * quotient.num_pieces
     edge_count = 3 * tris // 2
-    euler = dec._boundary_vertex_count - edge_count + tris
-
-    # orientability by 2-colouring the triangles t = 4*piece + v across
-    # their glued sides; the side facing face w lies on slot 4*piece + w
-    orientation = [0] * tris
-    is_orientable = True
-    components = 0
-    for start in range(tris):
-        if orientation[start]:
-            continue
-        components += 1
-        orientation[start] = 1
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            v = t & 3
-            piece_slot = t - v
-            sign = orientation[t]
-            for w in _OTHER_FACES[v]:
-                s = piece_slot + w
-                v2, twist = _TRIANGLE_GLUE[4 * lmap[s] + v]
-                t2 = (nbr[s] & ~3) + v2
-                needed = sign * twist
-                seen = orientation[t2]
-                if not seen:
-                    orientation[t2] = needed
-                    stack.append(t2)
-                elif seen != needed:
-                    is_orientable = False
-
+    euler = quotient.boundary_vertex_count - edge_count + tris
+    components, is_orientable = 0, True
+    for cycles in quotient._walk.boundary:
+        voltages = [(a * k + b) % n for a, b, _ in cycles]
+        g = math.gcd(n, *voltages)
+        components += g
+        signs = [sign for _, _, sign in cycles]
+        is_orientable &= all(sign == 1 for sign in signs) or (
+            n // g % 2 == 0
+            and all(sign == (-1) ** (v // g) for v, sign in zip(voltages, signs)))
     is_connected = components == 1
     genus = (2 - euler) // 2 if is_orientable and is_connected else -1
     return BoundarySurface(
-        vertex_count=dec._boundary_vertex_count,
+        vertex_count=quotient.boundary_vertex_count,
         edge_count=edge_count,
         face_count=tris,
         euler_characteristic=euler,

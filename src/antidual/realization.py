@@ -34,7 +34,7 @@ from .minkowski import (
 )
 
 if TYPE_CHECKING:
-    from .decomposition import Decomposition
+    from .decomposition import Decomposition, Quotient
 
 RESIDUAL_TOL = 1e-10
 ANGLE_SUM_TOL = 1e-9
@@ -372,7 +372,7 @@ class AngleSumReport:
     all_within: bool
 
 
-def angle_sum_check(dec: Decomposition, real: Realization) -> AngleSumReport:
+def angle_sum_check(dec: Decomposition | Quotient, real: Realization) -> AngleSumReport:
     """Verify that the wedge angles around every edge class sum to 2*pi.
 
     Axis wedges contribute pi/n, slant and equator wedges the dihedral

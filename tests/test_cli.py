@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import antidual.cli as cli
 import antidual.groups as groups
 import antidual.tilt as tilt
 from antidual.cli import RunConfig, run_cli
+from antidual.decomposition import Decomposition
 from antidual.realization import ANGLE_SUM_TOL
 from antidual.symmetry import ClassificationResult
 
@@ -59,6 +61,33 @@ def test_decompose_full_embeds_complex(capsys):
     payload = json.loads(out)
     assert payload["complex"]["pieces"] == 8
     assert len(payload["complex"]["pairings"]) == 16
+
+
+# sha256 of the decompose reports of every census cell, n <= 40, each as
+# json.dumps(payload, indent=2) and a newline, recorded from the complex walk
+# and 2-colouring before the reports were read off the quotient
+DECOMPOSE_CENSUS_SHA256 = "46442a3f2de5a2dce48bafb31087d94bd082ad20c04fac410033b7198b545a1a"
+
+
+def test_decompose_reports_over_the_census_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(4, 41):
+        for k in range(n):
+            payload, ok = cli.cmd_decompose(n, k, RunConfig())
+            assert ok, (n, k)
+            digest.update(json.dumps(payload, indent=2).encode() + b"\n")
+    assert digest.hexdigest() == DECOMPOSE_CENSUS_SHA256
+
+
+def test_decompose_builds_the_complex_only_for_full(monkeypatch, capsys):
+    def refuse(self, n, k):
+        raise AssertionError("a Decomposition was built")
+
+    monkeypatch.setattr(Decomposition, "__init__", refuse)
+    code, out = run_capture(capsys, ["decompose", "--n", "12", "--k", "5"])
+    assert code == 0 and json.loads(out)["boundary"]["genus"] == 9
+    with pytest.raises(AssertionError, match="a Decomposition was built"):
+        run_cli(["decompose", "--n", "12", "--k", "5", "--full"])
 
 
 def test_classify_output(capsys):

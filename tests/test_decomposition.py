@@ -20,9 +20,11 @@ from antidual.decomposition import (
     arcs,
     boundary_surface,
     build_decomposition,
+    build_quotient,
     decomposition_to_dict,
 )
 import antidual.cli as cli
+import antidual.decomposition as decomposition
 from antidual.minkowski import MinkVec, mink_inner
 from antidual.realization import angle_sum_check, dihedral_angles, realize
 from antidual.symmetry import automorphism_group
@@ -144,8 +146,7 @@ def test_arc_classes_contain_slant_edges_of_pieces_0_2_4():
 
 @pytest.mark.parametrize("n", range(4, 31))
 def test_boundary_genus_formula(n):
-    dec = build_decomposition(n, min(1, n - 1))
-    surf = boundary_surface(dec)
+    surf = boundary_surface(build_quotient(n, min(1, n - 1)))
     assert surf.is_orientable
     assert surf.is_connected
     assert surf.face_count == 8 * n
@@ -158,7 +159,7 @@ def test_boundary_genus_formula(n):
 def test_boundary_vertices_count_twice_the_edge_classes():
     for (n, k) in [(5, 1), (6, 2), (9, 4)]:
         dec = build_decomposition(n, k)
-        surf = boundary_surface(dec)
+        surf = boundary_surface(build_quotient(n, k))
         assert surf.vertex_count == 2 * len(dec.edge_classes)
 
 
@@ -173,7 +174,7 @@ def test_census_properties_random_cells(n, data):
     else:
         assert [c.wedge_count for c in polys] == [6 * n]
     assert dec.edge_classes[0].wedge_count == 2 * n
-    surf = boundary_surface(dec)
+    surf = boundary_surface(build_quotient(n, k))
     assert surf.genus == (n - 3 if n % 3 == 0 else n - 1)
 
 
@@ -373,23 +374,83 @@ def _assert_matches_the_oracle(dec):
                 list(summary.roles)) == (cls.kind, cls.wedge_count,
                                          cls.distinct_piece_count,
                                          list(role_counts(cls).items()))
-    assert boundary_surface(dec) == _oracle_boundary_surface(dec)
     for idx, cls in enumerate(classes):
         assert all(dec.class_of(p, e[::-1]) == idx for p, e in cls.wedges)
+
+
+def _assert_the_quotient_matches(dec, oracle=True, every_wedge=False):
+    """The quotient route against the walk of a complex that lifts the same
+    table, and its boundary against the oracle's 2-colouring of it."""
+    quotient = build_quotient(dec.n, dec.k)
+    assert (quotient.n, quotient.k, quotient.num_pieces) == (dec.n, dec.k, dec.num_pieces)
+    assert quotient.class_summaries == dec.class_summaries
+    assert arcs(quotient) == arcs(dec)
+    if every_wedge:
+        for piece in range(dec.num_pieces):
+            for edge in decomposition._EDGES:
+                assert quotient.class_of(piece, edge) == dec.class_of(piece, edge)
+    if oracle:
+        assert boundary_surface(quotient) == _oracle_boundary_surface(dec)
 
 
 @pytest.mark.parametrize("n", range(4, 21))
 def test_kernels_match_the_tuple_keyed_oracle(n):
     for k in range(n):
-        _assert_matches_the_oracle(build_decomposition(n, k))
+        dec = build_decomposition(n, k)
+        _assert_matches_the_oracle(dec)
+        _assert_the_quotient_matches(dec, every_wedge=True)
 
 
 @pytest.mark.parametrize("n", range(4, 41))
 def test_boundary_surface_matches_the_oracle_on_the_census(n):
-    # every cell the census decomposes, past the n <= 20 of the test above
+    # every cell the census decomposes; class_of on every wedge to n = 24
     for k in range(n):
-        dec = build_decomposition(n, k)
-        assert boundary_surface(dec) == _oracle_boundary_surface(dec), (n, k)
+        _assert_the_quotient_matches(build_decomposition(n, k), every_wedge=n <= 24)
+
+
+@pytest.mark.parametrize("n", range(41, 61))
+def test_the_quotient_matches_the_walk_past_the_census(n):
+    # without the oracle's 2-colouring, whose cost grows as n^2 per n: it
+    # would take about twice as long again as the census cells above
+    for k in range(n):
+        _assert_the_quotient_matches(build_decomposition(n, k), oracle=False)
+
+
+@pytest.mark.parametrize("n,k", [(999, 1), (1000, 0), (1000, 333), (2999, 7), (3000, 0),
+                                 (3000, 1499)])
+def test_the_quotient_matches_the_walk_at_large_n(n, k):
+    _assert_the_quotient_matches(build_decomposition(n, k), oracle=(n, k) == (999, 1))
+    # the lemma of notes/decisions.md section 3
+    g = math.gcd(n, 3)
+    surf = boundary_surface(build_quotient(n, k))
+    assert (surf.vertex_count, surf.genus) == (2 * (n + 1 + g), n - g)
+    assert surf.is_orientable and surf.is_connected
+
+
+def test_the_quotient_walk_is_made_once_per_table(monkeypatch):
+    made = []
+    walk = decomposition._QuotientWalk
+
+    def counted(*tables):
+        made.append(tables)
+        return walk(*tables)
+
+    decomposition._walk_rule.cache_clear()
+    monkeypatch.setattr(decomposition, "_QuotientWalk", counted)
+    for n in range(4, 13):
+        for k in range(n):
+            build_quotient(n, k)
+    assert len(made) == 1
+    # its three cycles, the same for every (n, k): lengths 2, 6 and 4,
+    # voltages 1, -3 and 0 (as a*k + b), all closing with even parity
+    walked = decomposition._walk_rule(decomposition._STEP_RULE)
+    assert [[(len(c.wedges), c.voltage, c.parity) for c in cycles]
+            for cycles in walked.families] == [[(2, (0, 1), 0)], [(6, (0, -3), 0)],
+                                               [(4, (0, 0), 0)]]
+    # one component of boundary triangles, every cycle of sign +1, one of
+    # voltage 1
+    (cycles,) = walked.boundary
+    assert {sign for _, _, sign in cycles} == {1} and (0, 1, 1) in cycles
 
 
 # -- the guards, fed broken gluings -----------------------------------------
@@ -411,16 +472,23 @@ class _Regluing(Decomposition):
         return gluings
 
 
+def _default_quotient_tables():
+    return decomposition._quotient_tables(decomposition._STEP_RULE)
+
+
 def test_non_involutive_edge_gluing_is_non_manifold():
     dec = build_decomposition(7, 2)
     # slot (0, 3) now points at the lower quad of the next upper quad, whose
     # own pairing still points elsewhere
     p2, w2 = divmod(dec.slot_nbr[3], 4)
     dec.slot_nbr[3] = 4 * ((p2 + 2) % dec.num_pieces) + w2
-    with pytest.raises(NonManifold, match="glued inconsistently"):
-        boundary_surface(dec)
     with pytest.raises(AssertionError):
         _oracle_boundary_surface(dec)
+    # the same edit on the quotient's slot tables: one level further on
+    nbr, lmap, volt = _default_quotient_tables()
+    volt[3] = (volt[3][0], volt[3][1] + 1)
+    with pytest.raises(NonManifold, match="glued inconsistently"):
+        decomposition._QuotientWalk(nbr, lmap, volt)
 
 
 def test_a_label_map_not_inverted_across_its_slot_is_non_manifold():
@@ -428,14 +496,17 @@ def test_a_label_map_not_inverted_across_its_slot_is_non_manifold():
     # slot (0, 3) still goes to face 0 of its partner, which still points
     # back, but two of its label images are swapped, so the partner's map
     # is no longer the inverse
+    nbr, lmap, volt = _default_quotient_tables()
+    assert lmap[3] == dec.slot_lmap[3]
     perm = list(PERMS[dec.slot_lmap[3]])
     perm[0], perm[1] = perm[1], perm[0]
     assert perm[3] == 0
-    dec.slot_lmap[3] = PERM_INDEX[tuple(perm)]
-    with pytest.raises(NonManifold, match="glued inconsistently"):
-        boundary_surface(dec)
+    dec.slot_lmap[3] = lmap[3] = PERM_INDEX[tuple(perm)]
     with pytest.raises(AssertionError):
         _oracle_boundary_surface(dec)
+    # the same edit on the quotient's slot tables
+    with pytest.raises(NonManifold, match="glued inconsistently"):
+        decomposition._QuotientWalk(nbr, lmap, volt)
 
 
 class _Repairing(Decomposition):
@@ -471,7 +542,7 @@ def test_a_transposed_label_map_makes_the_boundary_non_orientable(n, k):
     # to the cut diagonal, so the complex builds, but that one gluing now
     # reverses orientation
     dec = _Regluing(n, k, 3, (3, 2, 1, 0))
-    surf = boundary_surface(dec)
+    surf = _oracle_boundary_surface(dec)
     assert surf.is_orientable is False
     assert surf.genus == -1
     # and some edge class now closes up with its ends swapped, so it has
@@ -503,6 +574,78 @@ def test_a_gluing_that_misses_its_partner_face_is_refused():
         _Regluing(5, 1, 1, (0, 2, 1, 3))
 
 
+# -- negative controls on the quotient route ---------------------------------
+#
+# Each feeds a broken table through _STEP_RULE, which build_quotient and
+# Decomposition._gluings both read, so the quotient route is checked against
+# the walk and the oracle on the complex that lifts the same table.
+
+_RULE = decomposition._STEP_RULE
+
+
+def _reglued(row, perm):
+    """The step rule with the label map of one row replaced by ``perm``."""
+    sa, sb, _, a, b = _RULE[row]
+    return _RULE[:row] + ((sa, sb, PERM_INDEX[perm], a, b),) + _RULE[row + 1:]
+
+
+def _decompose_exit_code(capsys, n, k):
+    code = cli.run_cli(["decompose", "--n", str(n), "--k", str(k)])
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("rule,error,match", [
+    # slot (0, 0) stated a second time, by a map that is not the inverse of
+    # the one slot (0, 3) is glued by
+    (_RULE + ((0, 3, PERM_INDEX[(3, 1, 0, 2)], -1, -1),), NonManifold, "is paired twice"),
+    # the quad map 0->1, 1->3, 2->2 sends the cut diagonal onto {1, 2}
+    (_reglued(2, (1, 3, 2, 0)), DescentFailure,
+     r"slot \(0, 3\) carries the upper diagonal to \[1, 2\]"),
+    # the side map composed with (2 3) links the axis to a diagonal
+    (_reglued(0, (0, 1, 3, 2)), DecompositionError, "edge class mixes families"),
+])
+def test_a_broken_table_is_refused_on_both_routes(monkeypatch, capsys, rule, error, match):
+    monkeypatch.setattr(decomposition, "_STEP_RULE", rule)
+    with pytest.raises(error, match=match):
+        build_quotient(5, 1)
+    with pytest.raises(error, match=match):
+        build_decomposition(5, 1)
+    assert _decompose_exit_code(capsys, 5, 1) == 1
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (6, 1), (9, 4)])
+def test_a_reversed_quad_map_makes_the_lifted_boundary_non_orientable(monkeypatch, capsys,
+                                                                      n, k):
+    # the quad map (3, 2, 1, 0) of test_a_transposed_label_map_... on every
+    # upper quad of the even pieces, not on one
+    monkeypatch.setattr(decomposition, "_STEP_RULE", _reglued(2, (3, 2, 1, 0)))
+    dec = build_decomposition(n, k)
+    surf = boundary_surface(build_quotient(n, k))
+    assert surf.is_orientable is False
+    assert surf.genus == -1
+    assert surf.vertex_count < 2 * len(dec.class_summaries)
+    _assert_matches_the_oracle(dec)
+    _assert_the_quotient_matches(dec, every_wedge=True)
+    assert _decompose_exit_code(capsys, n, k) == 1
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 1), (6, 1), (8, 3), (9, 4), (12, 5)])
+def test_doubled_voltages_disconnect_the_lifted_boundary_at_even_n(monkeypatch, capsys,
+                                                                   n, k):
+    # every voltage even: at even n the levels split by parity
+    doubled = tuple((sa, sb, i, 2 * a, 2 * b) for sa, sb, i, a, b in _RULE)
+    monkeypatch.setattr(decomposition, "_STEP_RULE", doubled)
+    dec = build_decomposition(n, k)
+    surf = boundary_surface(build_quotient(n, k))
+    assert surf.is_connected is (n % 2 == 1)
+    _assert_matches_the_oracle(dec)
+    _assert_the_quotient_matches(dec, every_wedge=True)
+    if n % 2 == 0:
+        assert surf.genus == -1
+        assert _decompose_exit_code(capsys, n, k) == 1
+
+
 def test_building_and_reporting_a_complex_makes_no_face_pairing(monkeypatch):
     # FacePairing is a view for export and for the tests' oracles; the
     # construction, the kernels and the decompose report read slot tables
@@ -510,12 +653,12 @@ def test_building_and_reporting_a_complex_makes_no_face_pairing(monkeypatch):
         raise AssertionError("a FacePairing view was built")
 
     monkeypatch.setattr("antidual.decomposition.FacePairing", refuse)
-    dec = Decomposition(12, 5)
+    dec, quotient = Decomposition(12, 5), build_quotient(12, 5)
     real = realize(12)
-    assert boundary_surface(dec).genus == 9
+    assert boundary_surface(quotient).genus == 9
     assert angle_sum_check(dec, real).all_within
     assert automorphism_group(dec).order > 0
-    payload, ok = cli._decompose_report(dec, real, full=False)
+    payload, ok = cli._decompose_report(quotient, real, full=False)
     assert ok and payload["pairings"] == 48
 
 
@@ -527,12 +670,12 @@ def test_building_and_reporting_a_complex_makes_no_edge_class(monkeypatch):
         raise AssertionError("an EdgeClass was built")
 
     monkeypatch.setattr("antidual.decomposition.EdgeClass", refuse)
-    dec = Decomposition(12, 5)
+    dec, quotient = Decomposition(12, 5), build_quotient(12, 5)
     real = realize(12)
-    assert boundary_surface(dec).genus == 9
+    assert boundary_surface(quotient).genus == 9
     assert angle_sum_check(dec, real).all_within
     assert automorphism_group(dec).order > 0
-    payload, ok = cli._decompose_report(dec, real, full=False)
+    payload, ok = cli._decompose_report(quotient, real, full=False)
     assert ok and len(payload["edge_classes"]) == 16
     with pytest.raises(AssertionError, match="an EdgeClass was built"):
         decomposition_to_dict(dec)
@@ -542,7 +685,7 @@ def test_nonmanifold_guard_is_not_triggered_on_valid_input():
     # the guard exists for corrupted pairing tables; valid decompositions
     # must never trip it
     for (n, k) in [(4, 3), (6, 5)]:
-        boundary_surface(build_decomposition(n, k))
+        boundary_surface(build_quotient(n, k))
 
 
 # -- the quad gluing, derived from the geometry -----------------------------
@@ -668,7 +811,7 @@ def _census_holds(dec):
         census = len(polys) == 3 and all(
             c.wedge_count == 2 * n and c.distinct_piece_count == pieces
             for c in polys)
-    surf = boundary_surface(dec)
+    surf = _oracle_boundary_surface(dec)
     return (census and surf.is_orientable and surf.is_connected
             and surf.genus == (n - 3 if n % 3 == 0 else n - 1))
 
