@@ -112,6 +112,7 @@ def _realize_report(real: Realization) -> tuple[dict, bool]:
             "unit_norm": report.residual_unit_norm,
             "polar_orthogonality": report.residual_polar_orthogonality,
             "twist_consistency": report.residual_twist_consistency,
+            "normal_agreement": report.residual_normal_agreement,
         },
         "h_exceeds_one": report.h_exceeds_one,
         "r_exceeds_one": report.r_exceeds_one,

@@ -17,9 +17,12 @@ The rotation r (piece p -> p + 2) respects every gluing, so the complex is
 the n-fold cyclic cover of a quotient with 2 pieces and 8 slots.
 ``_STEP_RULE`` states the rule once, as the quotient's four gluings, each
 with a voltage a*k + b in Z_n: how many steps of r it moves.
-``Decomposition`` lifts it to the complex's slot tables; ``build_quotient``
-reads the census and the boundary off the quotient instead, by lifting its
-walks, which are made once (notes/decisions.md §3).
+``Decomposition`` lifts it to the complex's slot tables, which the
+isomorphism search walks.  ``build_quotient`` states the edge classes, the
+census and the boundary off the quotient instead, by lifting its walks,
+which are made once (notes/decisions.md §3).  The complex keeps of its edge
+classes only their sizes (``class_sizes``), walked on its own slot tables,
+so that the search's prefilter holds on complexes no quotient describes.
 
 Internal edges fall into three families, each closed under the pairings:
 
@@ -122,13 +125,9 @@ _EDGE_INDEX = {e: i for i, e in enumerate(_EDGES)}
 # polyhedron edges
 _ROLES = ("slant_upper", "diag_upper", "axis", "equator", "diag_lower", "slant_lower")
 _KIND_OF_EDGE = ("poly", "diagonal", "axis", "poly", "diagonal", "poly")
-# the families in class order, each with the indices of its edges, and at
-# each edge the mark -1 - (index of its family) that a wedge bears until the
-# walk round its edge link reaches it
-_KIND_ORDER = ("axis", "poly", "diagonal")
+# the families in class order, each with the indices of its edges
 _EDGES_BY_KIND = tuple((kind, tuple(e for e in range(6) if _KIND_OF_EDGE[e] == kind))
-                       for kind in _KIND_ORDER)
-_UNWALKED = tuple(-1 - _KIND_ORDER.index(kind) for kind in _KIND_OF_EDGE)
+                       for kind in ("axis", "poly", "diagonal"))
 
 
 # the 24 label permutations (perm[x] is the image of x) in lexicographic
@@ -236,7 +235,9 @@ class Decomposition:
         # the complex's only tables: slot_nbr[s] is the slot glued to slot
         # s = 4*piece + face and slot_lmap[s] the PERMS index of its label map
         self.slot_nbr, self.slot_lmap = _pair_slots(self._gluings(), 4 * self.num_pieces)
-        self.class_summaries = self._compute_edge_classes()
+        # the family-mixing guard lives in the quotient walk of the rule,
+        # which is cached, so a broken rule is refused here as well
+        _walk_rule(_STEP_RULE)
 
     # -- construction -----------------------------------------------------
 
@@ -254,88 +255,33 @@ class Decomposition:
                                  tuple(_LABEL_MAPS[4 * i + (sa & 3)].items()))
                      for sa, sb, i in self._gluings())
 
-    # -- edge classes ------------------------------------------------------
-
-    def _compute_edge_classes(self) -> tuple[ClassSummary, ...]:
-        # one walk round each edge link over wedges x = 6*piece + index of
-        # the edge in _EDGES: leave through the face of the edge not entered
-        # by and cross that slot's gluing, until the walk is back at its
-        # start.  Walks start in (kind, piece, edge) order, so each starts at
-        # its class's first wedge and the classes come out in (kind, first
-        # wedge) order
-        nbr, lmap, step = self.slot_nbr, self.slot_lmap, _LINK_STEP
-        m = self.num_pieces
-        # _wedge_class[x] is the index of the class of wedge x, or its
-        # _UNWALKED mark, by which list.index finds each family's next start
-        wedge_class = self._wedge_class = list(_UNWALKED) * m
-        piece_mark = [-1] * m
-        summaries = []
-        # two classes with the same first role, piece count and role counts
-        # have equal summaries if they have at most two roles, since the
-        # first role comes first; a third role's place needs _summarize
-        shared: dict[tuple[int, ...], ClassSummary] = {}
-        for family, (kind, edges) in enumerate(_EDGES_BY_KIND):
-            left, start = len(edges) * m, 0
-            while left:
-                start = wedge_class.index(-1 - family, start)
-                idx = len(summaries)
-                count = [0] * 6
-                pieces = 0
-                p, e = divmod(start, 6)
-                s, x = 4 * p + _FIRST_FACE[e], start
-                while True:
-                    wedge_class[x] = idx
-                    count[e] += 1
-                    if piece_mark[p] != idx:
-                        piece_mark[p] = idx
-                        pieces += 1
-                    e, f, _ = step[24 * lmap[s] + 6 * (s & 3) + e]
-                    p = nbr[s] >> 2
-                    s, x = 4 * p + f, 6 * p + e
-                    if x == start:
-                        break
-                key = (start % 6, pieces, *count)
-                summary = shared.get(key)
-                if summary is None:
-                    summary = self._summarize(idx, kind, edges, count, pieces)
-                    if len(summary.roles) < 3:
-                        shared[key] = summary
-                summaries.append(summary)
-                left -= summary.wedge_count
-        return tuple(summaries)
-
-    def _summarize(self, idx, kind, edges, count, pieces) -> ClassSummary:
-        # roles in the order of their first wedges: by the piece of each
-        # role's first wedge, and the stable sort keeps edge order within it
-        wedge_class = self._wedge_class
-        roles = [e for e in edges if count[e]]
-        roles.sort(key=lambda e: wedge_class[e::6].index(idx))
-        wedge_count = sum(count)
-        if wedge_count != sum(count[e] for e in roles):
-            members = [x for x, c in enumerate(wedge_class) if c == idx]
-            kinds = {_KIND_OF_EDGE[x % 6] for x in members}
-            raise DecompositionError(
-                f"edge class mixes families {kinds}: "
-                f"{[(x // 6, _EDGES[x % 6]) for x in members[:4]]}..."
-            )
-        return ClassSummary(kind, wedge_count, pieces,
-                            tuple((_ROLES[e], count[e]) for e in roles))
-
     @cached_property
-    def edge_classes(self) -> tuple[EdgeClass, ...]:
-        """The classes with their wedge lists, in ``class_summaries`` order;
-        built on first read from the class of each wedge."""
-        members = [[] for _ in self.class_summaries]
-        for x, c in enumerate(self._wedge_class):
-            members[c].append((x // 6, _EDGES[x % 6]))
-        return tuple(EdgeClass(wedges=tuple(w), kind=s.kind)
-                     for w, s in zip(members, self.class_summaries))
+    def class_sizes(self) -> tuple[int, ...]:
+        """Per wedge x = 6*piece + index of the edge in _EDGES, the wedge
+        count of its edge class: one walk round each edge link of this
+        complex's own slot tables, for the isomorphism search's prefilter.
 
-    def class_of(self, piece: int, edge: tuple[int, int]) -> int:
-        """Index of the edge class containing the given wedge slot."""
-        if not 0 <= piece < self.num_pieces:
-            raise KeyError((piece, edge))
-        return self._wedge_class[6 * piece + _EDGE_INDEX[tuple(sorted(edge))]]
+        A walk leaves through the face of the edge not entered by and
+        crosses that slot's gluing, until it is back at its start.
+        """
+        nbr, lmap, step = self.slot_nbr, self.slot_lmap, _LINK_STEP
+        sizes = [0] * (6 * self.num_pieces)
+        for start in range(len(sizes)):
+            if sizes[start]:
+                continue
+            members = []
+            p, e = divmod(start, 6)
+            s, x = 4 * p + _FIRST_FACE[e], start
+            while True:
+                members.append(x)
+                e, f, _ = step[24 * lmap[s] + 6 * (s & 3) + e]
+                p = nbr[s] >> 2
+                s, x = 4 * p + f, 6 * p + e
+                if x == start:
+                    break
+            for x in members:
+                sizes[x] = len(members)
+        return tuple(sizes)
 
 
 def build_decomposition(n: int, k: int) -> Decomposition:
@@ -386,8 +332,8 @@ class _QuotientWalk:
 
 
 def _edge_cycles(nbr, lmap, volt) -> list[list[_EdgeCycle]]:
-    # the walk of Decomposition._compute_edge_classes on the two quotient
-    # pieces, adding up the voltages of the slots it crosses
+    # the walk of Decomposition.class_sizes on the two quotient pieces, by
+    # family, adding up the voltages of the slots it crosses
     families, walked = [], set()
     for kind, edges in _EDGES_BY_KIND:
         cycles = []
@@ -507,9 +453,10 @@ class Quotient:
     A quotient cycle of length L and voltage v lifts to g = gcd(n, v)
     classes of L*n/g wedges (Gross-Tucker, Topological Graph Theory, ch. 2),
     and a class closes with its ends swapped when the cycle's parity is odd
-    and n/g is.  ``class_summaries`` and ``class_of`` agree with those of
-    ``Decomposition(n, k)``, and ``boundary_vertex_count`` counts the ends of
-    the classes: two per class, one where it closes with its ends swapped.
+    and n/g is.  The classes come in (family, first wedge) order, each wedge
+    being 6*piece + index of its edge in _EDGES; ``boundary_vertex_count``
+    counts their ends: two per class, one where it closes with its ends
+    swapped.
     """
 
     def __init__(self, n: int, k: int, walk: _QuotientWalk):
@@ -562,6 +509,17 @@ class Quotient:
                 index += min(hi - lo, (first - 12 * lo - m + 11) // 12)
         return index
 
+    @cached_property
+    def edge_classes(self) -> tuple[EdgeClass, ...]:
+        """The classes with their wedge lists, in ``class_summaries`` order;
+        built on first read from ``class_of`` on every wedge."""
+        members = [[] for _ in self.class_summaries]
+        for piece in range(self.num_pieces):
+            for edge in _EDGES:
+                members[self.class_of(piece, edge)].append((piece, edge))
+        return tuple(EdgeClass(wedges=tuple(w), kind=s.kind)
+                     for w, s in zip(members, self.class_summaries))
+
 
 def build_quotient(n: int, k: int) -> Quotient:
     """The (n, k) complex as the lift of ``_STEP_RULE``, whose quotient is
@@ -575,15 +533,15 @@ def build_quotient(n: int, k: int) -> Quotient:
 _ARC_WEDGES = ((0, (0, 3)), (0, (0, 1)), (2, (0, 1)), (4, (0, 1)))
 
 
-def arcs(dec: Decomposition | Quotient) -> dict[str, int]:
+def arcs(quotient: Quotient) -> dict[str, int]:
     """Arc labels to edge-class indices.
 
     For n divisible by 3 the polyhedron edges split into the three arcs
     e1, e2, e3 containing the slant edges of pieces 0, 2, 4; otherwise they
     merge into a single arc.  e0 is always the axis arc.
     """
-    labels = ("e0", "e1", "e2", "e3") if dec.n % 3 == 0 else ("e0", "single")
-    return {label: dec.class_of(*wedge) for label, wedge in zip(labels, _ARC_WEDGES)}
+    labels = ("e0", "e1", "e2", "e3") if quotient.n % 3 == 0 else ("e0", "single")
+    return {label: quotient.class_of(*wedge) for label, wedge in zip(labels, _ARC_WEDGES)}
 
 
 # -- boundary surface -------------------------------------------------------
@@ -631,7 +589,9 @@ def boundary_surface(quotient: Quotient) -> BoundarySurface:
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:
-    """Documented JSON form: pieces, pairings with vertex maps, edge classes."""
+    """Documented JSON form: pieces, pairings with vertex maps, edge classes;
+    the classes and arcs are read off the quotient of the same (n, k)."""
+    quotient = build_quotient(dec.n, dec.k)
     return {
         "n": dec.n,
         "k": dec.k,
@@ -651,7 +611,7 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
                 "distinct_pieces": cls.distinct_piece_count,
                 "wedges": [[p, list(e)] for p, e in cls.wedges],
             }
-            for cls in dec.edge_classes
+            for cls in quotient.edge_classes
         ],
-        "arcs": arcs(dec),
+        "arcs": arcs(quotient),
     }

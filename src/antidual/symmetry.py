@@ -35,9 +35,7 @@ import functools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .decomposition import (
-    _EDGES, _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition,
-)
+from .decomposition import _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition
 
 _FLIP = PERM_INDEX[(3, 2, 1, 0)]
 _HALF_TURN = PERM_INDEX[(1, 0, 3, 2)]
@@ -121,7 +119,7 @@ def _propagate(a: Decomposition, b: Decomposition,
 
 def _wedge_counts(dec: Decomposition, piece: int) -> tuple[int, ...]:
     """Wedge counts of the edge classes at the six edges of ``piece``."""
-    return tuple(dec.class_summaries[dec.class_of(piece, e)].wedge_count for e in _EDGES)
+    return tuple(dec.class_sizes[6 * piece:6 * piece + 6])
 
 
 def _seed_search(

@@ -94,7 +94,7 @@ def test_criterion_4_census():
     failures = []
     for n in range(4, 31):
         for k in range(n):
-            dec = build_decomposition(n, k)
+            dec = build_quotient(n, k)
             ax = dec.edge_classes[0]
             polys = of_kind(dec, "poly")
             ok = ax.wedge_count == 2 * n and ax.distinct_piece_count == 2 * n

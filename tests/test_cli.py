@@ -13,7 +13,7 @@ import antidual.groups as groups
 import antidual.tilt as tilt
 from antidual.cli import RunConfig, run_cli
 from antidual.decomposition import Decomposition
-from antidual.realization import ANGLE_SUM_TOL
+from antidual.realization import ANGLE_SUM_TOL, ValidationReport
 from antidual.symmetry import ClassificationResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,6 +33,14 @@ def test_realize_json(capsys):
     assert payload["h"] == pytest.approx(1.9319, abs=1e-3)
     assert payload["valid"] is True
     assert payload["residuals"]["angle_sum"] < 1e-10
+
+
+def test_realize_prints_every_residual_its_verdict_reads(capsys):
+    # validate_realization gates on each residual_* field of its report
+    _, out = run_capture(capsys, ["realize", "--n", "7"])
+    fields = [f.name for f in dataclasses.fields(ValidationReport)]
+    assert list(json.loads(out)["residuals"]) == [
+        f.removeprefix("residual_") for f in fields if f.startswith("residual_")]
 
 
 def test_tilts_json(capsys):
@@ -290,19 +298,22 @@ def test_verify_presentations_clean_range(capsys):
     (["realize", "--n", "100"], "realize_100.json"),
     (["realize", "--n", "300"], "realize_300.json"),
     (["tilts", "--n", "300"], "tilts_300.json"),
+    (["classify", "--n", "30"], "classify_30.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
     # realization and one decomposition, the decompose ones before the
     # decomposition kernels moved to integer slot indices, and the isom-group
     # (whose 48 elements pin their order) and classify ones before the
-    # isomorphism search did, and the two at the top of the census range
-    # before the boundary vertices came from the edge-class union-find, and
-    # the (10, 3) one, whose single polyhedron class has 6n wedges, before
-    # the classes came from edge-link walks, and the csv one before the
-    # header came from the survey row's keys, and the realize and (300) tilts
-    # ones, which pin the geometry's floats, before the normals, twist images
-    # and hull solves were stacked;
+    # isomorphism search did, the (30) classify one before the search's
+    # prefilter read the complex's class sizes, and the two at the top of
+    # the census range before the boundary vertices came from the edge-class
+    # union-find, and the (10, 3) one, whose single polyhedron class has 6n
+    # wedges, before the classes came from edge-link walks, and the csv one
+    # before the header came from the survey row's keys, and the realize and
+    # (300) tilts ones, which pin the geometry's floats, before the normals,
+    # twist images and hull solves were stacked (the realize ones rewritten
+    # when their residuals gained normal_agreement);
     # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies,
     # isom-group (9, 1) on its missing half-turn, and realize (300) on its
     # twist residual above the tolerance

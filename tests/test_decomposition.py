@@ -82,15 +82,15 @@ def test_every_internal_slot_paired_once():
 
 def test_class_of_refuses_a_wedge_outside_the_complex():
     # piece -1 must not wrap round to the last piece
-    dec = build_decomposition(7, 3)
-    for piece, edge in [(-1, (0, 1)), (dec.num_pieces, (0, 1)), (0, (1, 1)), (0, (0, 4))]:
+    quotient = build_quotient(7, 3)
+    for piece, edge in [(-1, (0, 1)), (quotient.num_pieces, (0, 1)), (0, (1, 1)), (0, (0, 4))]:
         with pytest.raises(KeyError):
-            dec.class_of(piece, edge)
+            quotient.class_of(piece, edge)
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 0), (8, 3), (10, 7)])
 def test_not_div3_census(n, k):
-    dec = build_decomposition(n, k)
+    dec = build_quotient(n, k)
     axis = dec.edge_classes[0]
     assert axis.wedge_count == 2 * n
     assert axis.distinct_piece_count == 2 * n
@@ -106,7 +106,7 @@ def test_not_div3_census(n, k):
     (12, 5, False),
 ])
 def test_div3_census(n, k, subcase22):
-    dec = build_decomposition(n, k)
+    dec = build_quotient(n, k)
     polys = of_kind(dec, "poly")
     assert len(polys) == 3
     for cls in polys:
@@ -122,26 +122,24 @@ def test_div3_census(n, k, subcase22):
 
 def test_wedge_slots_conserved():
     for (n, k) in [(4, 1), (6, 3), (9, 4)]:
-        dec = build_decomposition(n, k)
+        dec = build_quotient(n, k)
         total = sum(c.wedge_count for c in dec.edge_classes)
         assert total == 12 * n  # 6 edges per piece, no loss or double count
 
 
 def test_arcs_labels():
-    dec = build_decomposition(6, 1)
-    labels = arcs(dec)
+    labels = arcs(build_quotient(6, 1))
     assert set(labels) == {"e0", "e1", "e2", "e3"}
     assert len(set(labels.values())) == 4
-    dec = build_decomposition(5, 2)
-    labels = arcs(dec)
+    labels = arcs(build_quotient(5, 2))
     assert set(labels) == {"e0", "single"}
 
 
 def test_arc_classes_contain_slant_edges_of_pieces_0_2_4():
-    dec = build_decomposition(9, 4)
-    labels = arcs(dec)
+    quotient = build_quotient(9, 4)
+    labels = arcs(quotient)
     for i, name in enumerate(("e1", "e2", "e3")):
-        assert dec.class_of(2 * i, (0, 1)) == labels[name]
+        assert quotient.class_of(2 * i, (0, 1)) == labels[name]
 
 
 @pytest.mark.parametrize("n", range(4, 31))
@@ -158,29 +156,28 @@ def test_boundary_genus_formula(n):
 
 def test_boundary_vertices_count_twice_the_edge_classes():
     for (n, k) in [(5, 1), (6, 2), (9, 4)]:
-        dec = build_decomposition(n, k)
         surf = boundary_surface(build_quotient(n, k))
-        assert surf.vertex_count == 2 * len(dec.edge_classes)
+        assert surf.vertex_count == 2 * len(_oracle_edge_classes(build_decomposition(n, k)))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=4, max_value=16), st.data())
 def test_census_properties_random_cells(n, data):
     k = data.draw(st.integers(min_value=0, max_value=n - 1))
-    dec = build_decomposition(n, k)
+    dec = build_quotient(n, k)
     polys = of_kind(dec, "poly")
     if n % 3 == 0:
         assert sorted(c.wedge_count for c in polys) == [2 * n] * 3
     else:
         assert [c.wedge_count for c in polys] == [6 * n]
     assert dec.edge_classes[0].wedge_count == 2 * n
-    surf = boundary_surface(build_quotient(n, k))
+    surf = boundary_surface(dec)
     assert surf.genus == (n - 3 if n % 3 == 0 else n - 1)
 
 
 @pytest.mark.parametrize("n,k", [(5, 0), (6, 1), (9, 2), (12, 7)])
 def test_angle_sums_all_classes(n, k):
-    dec = build_decomposition(n, k)
+    dec = build_quotient(n, k)
     real = realize(n)
     report = angle_sum_check(dec, real)
     assert report.classes_checked == len(dec.edge_classes)
@@ -205,7 +202,7 @@ def test_angle_sum_residuals_are_bit_identical_to_the_role_count_sums():
             "diag_lower": math.acos(-mink_inner(real.normal_lower, real.normal_near)),
         }
         for k in range(n):
-            dec = build_decomposition(n, k)
+            dec = build_quotient(n, k)
             expected = tuple(
                 sum(role_angle[r] * c for r, c in role_counts(cls).items()) - 2 * math.pi
                 for cls in dec.edge_classes)
@@ -218,8 +215,7 @@ def test_angle_sum_residuals_are_bit_identical_to_the_role_count_sums():
 
 def test_axis_class_sums_exactly():
     for n in (4, 9, 17):
-        dec = build_decomposition(n, 1)
-        total = dec.edge_classes[0].wedge_count * (math.pi / n)
+        total = build_quotient(n, 1).edge_classes[0].wedge_count * (math.pi / n)
         assert abs(total - 2 * math.pi) < 1e-12
 
 
@@ -242,10 +238,9 @@ def test_quad_rule_descends_to_diagonals():
 
 def test_diagonal_classes_meet_four_pieces_along_the_step():
     n, k = 7, 2
-    dec = build_decomposition(n, k)
+    quotient = build_quotient(n, k)
     for i in range(n):
-        idx = dec.class_of(2 * i, (0, 2))
-        cls = dec.edge_classes[idx]
+        cls = quotient.edge_classes[quotient.class_of(2 * i, (0, 2))]
         assert cls.wedge_count == 4
         pieces = {p for p, _ in cls.wedges}
         expected = {2 * i, 2 * i + 1,
@@ -364,62 +359,77 @@ def _oracle_boundary_surface(dec):
                            is_orientable, is_connected)
 
 
-def _assert_matches_the_oracle(dec):
-    classes = _oracle_edge_classes(dec)
-    assert dec.edge_classes == classes
-    # the summaries the reports read, role counts in the oracle's order
-    assert len(dec.class_summaries) == len(classes)
-    for summary, cls in zip(dec.class_summaries, classes):
-        assert (summary.kind, summary.wedge_count, summary.distinct_pieces,
-                list(summary.roles)) == (cls.kind, cls.wedge_count,
-                                         cls.distinct_piece_count,
-                                         list(role_counts(cls).items()))
-    for idx, cls in enumerate(classes):
-        assert all(dec.class_of(p, e[::-1]) == idx for p, e in cls.wedges)
+def _oracle_class_sizes(dec):
+    """Per wedge 6*piece + edge index, the wedge count of its oracle class."""
+    sizes = [0] * (6 * dec.num_pieces)
+    for cls in _oracle_edge_classes(dec):
+        for p, e in cls.wedges:
+            sizes[6 * p + decomposition._EDGE_INDEX[e]] = cls.wedge_count
+    return tuple(sizes)
 
 
-def _assert_the_quotient_matches(dec, oracle=True, every_wedge=False):
-    """The quotient route against the walk of a complex that lifts the same
-    table, and its boundary against the oracle's 2-colouring of it."""
+def _assert_the_quotient_matches(dec, classes=True, boundary=True):
+    """The quotient route on a complex that lifts the same table: its class
+    sizes against the complex's own walk on every wedge, with ``classes``
+    its classes against the union-find oracle's, and with ``boundary`` its
+    boundary against the oracle's 2-colouring."""
     quotient = build_quotient(dec.n, dec.k)
     assert (quotient.n, quotient.k, quotient.num_pieces) == (dec.n, dec.k, dec.num_pieces)
-    assert quotient.class_summaries == dec.class_summaries
-    assert arcs(quotient) == arcs(dec)
-    if every_wedge:
-        for piece in range(dec.num_pieces):
-            for edge in decomposition._EDGES:
-                assert quotient.class_of(piece, edge) == dec.class_of(piece, edge)
-    if oracle:
+    # both routes are r-invariant, so pieces 0 and 1 stand for the rest
+    sizes = dec.class_sizes
+    assert sizes[12:] + sizes[:12] == sizes
+    assert sizes[:12] == tuple(quotient.class_summaries[quotient.class_of(p, e)].wedge_count
+                               for p in (0, 1) for e in decomposition._EDGES)
+    if boundary:
         assert boundary_surface(quotient) == _oracle_boundary_surface(dec)
+    if not classes:
+        return
+    oracle = _oracle_edge_classes(dec)
+    # the summaries the reports read, role counts in the oracle's order
+    assert [(s.kind, s.wedge_count, s.distinct_pieces, list(s.roles))
+            for s in quotient.class_summaries] == [
+        (c.kind, c.wedge_count, c.distinct_piece_count, list(role_counts(c).items()))
+        for c in oracle]
+    class_of = {w: i for i, c in enumerate(oracle) for w in c.wedges}
+    labels = ("e0", "e1", "e2", "e3") if dec.n % 3 == 0 else ("e0", "single")
+    assert arcs(quotient) == {label: class_of[w]
+                              for label, w in zip(labels, decomposition._ARC_WEDGES)}
+    assert quotient.edge_classes == oracle
+    assert all(quotient.class_of(p, e[::-1]) == i for (p, e), i in class_of.items())
 
 
 @pytest.mark.parametrize("n", range(4, 21))
 def test_kernels_match_the_tuple_keyed_oracle(n):
+    # and the complex's own class sizes, by which the search prefilters
+    # its seeds, on every wedge; the census test below colours the boundary
     for k in range(n):
         dec = build_decomposition(n, k)
-        _assert_matches_the_oracle(dec)
-        _assert_the_quotient_matches(dec, every_wedge=True)
+        _assert_the_quotient_matches(dec, boundary=False)
+        assert dec.class_sizes == _oracle_class_sizes(dec)
 
 
 @pytest.mark.parametrize("n", range(4, 41))
 def test_boundary_surface_matches_the_oracle_on_the_census(n):
-    # every cell the census decomposes; class_of on every wedge to n = 24
+    # every cell the census decomposes; the oracle's classes to n = 24
     for k in range(n):
-        _assert_the_quotient_matches(build_decomposition(n, k), every_wedge=n <= 24)
+        _assert_the_quotient_matches(build_decomposition(n, k), classes=n <= 24)
 
 
 @pytest.mark.parametrize("n", range(41, 61))
 def test_the_quotient_matches_the_walk_past_the_census(n):
-    # without the oracle's 2-colouring, whose cost grows as n^2 per n: it
-    # would take about twice as long again as the census cells above
+    # the oracle's classes on a spread of k, and not its 2-colouring, as
+    # their costs grow as n^2 per n: on every cell they would take about
+    # twice as long again as the census above
     for k in range(n):
-        _assert_the_quotient_matches(build_decomposition(n, k), oracle=False)
+        _assert_the_quotient_matches(build_decomposition(n, k), boundary=False,
+                                     classes=k in (0, 1, n // 3, n // 2))
 
 
 @pytest.mark.parametrize("n,k", [(999, 1), (1000, 0), (1000, 333), (2999, 7), (3000, 0),
                                  (3000, 1499)])
 def test_the_quotient_matches_the_walk_at_large_n(n, k):
-    _assert_the_quotient_matches(build_decomposition(n, k), oracle=(n, k) == (999, 1))
+    on = (n, k) == (999, 1)
+    _assert_the_quotient_matches(build_decomposition(n, k), classes=on, boundary=on)
     # the lemma of notes/decisions.md section 3
     g = math.gcd(n, 3)
     surf = boundary_surface(build_quotient(n, k))
@@ -546,16 +556,19 @@ def test_a_transposed_label_map_makes_the_boundary_non_orientable(n, k):
     assert surf.is_orientable is False
     assert surf.genus == -1
     # and some edge class now closes up with its ends swapped, so it has
-    # one boundary vertex, not two
-    assert surf.vertex_count < 2 * len(dec.edge_classes)
-    _assert_matches_the_oracle(dec)
+    # one boundary vertex, not two; no quotient describes this complex, but
+    # its own class sizes still hold
+    assert surf.vertex_count < 2 * len(_oracle_edge_classes(dec))
+    assert dec.class_sizes == _oracle_class_sizes(dec)
 
 
 def test_a_link_from_an_axis_slot_to_a_diagonal_slot_is_refused():
     # the side map, the identity on {0, 2, 3}, composed with (2 3) sends the
-    # axis edge {0, 3} of piece 0 onto the diagonal {0, 2} of piece 1
+    # axis edge {0, 3} of piece 0 onto the diagonal {0, 2} of piece 1; the
+    # family guard is the quotient walk's, so it reads that map in the rule
+    tables = decomposition._quotient_tables(_reglued(0, (0, 1, 3, 2)))
     with pytest.raises(DecompositionError, match="edge class mixes families") as exc:
-        _Regluing(5, 1, 1, (0, 1, 3, 2))
+        decomposition._QuotientWalk(*tables)
     assert "'axis'" in str(exc.value) and "'diagonal'" in str(exc.value)
 
 
@@ -620,13 +633,13 @@ def test_a_reversed_quad_map_makes_the_lifted_boundary_non_orientable(monkeypatc
     # the quad map (3, 2, 1, 0) of test_a_transposed_label_map_... on every
     # upper quad of the even pieces, not on one
     monkeypatch.setattr(decomposition, "_STEP_RULE", _reglued(2, (3, 2, 1, 0)))
-    dec = build_decomposition(n, k)
-    surf = boundary_surface(build_quotient(n, k))
+    dec, quotient = build_decomposition(n, k), build_quotient(n, k)
+    surf = boundary_surface(quotient)
     assert surf.is_orientable is False
     assert surf.genus == -1
-    assert surf.vertex_count < 2 * len(dec.class_summaries)
-    _assert_matches_the_oracle(dec)
-    _assert_the_quotient_matches(dec, every_wedge=True)
+    assert surf.vertex_count < 2 * len(quotient.class_summaries)
+    assert dec.class_sizes == _oracle_class_sizes(dec)
+    _assert_the_quotient_matches(dec)
     assert _decompose_exit_code(capsys, n, k) == 1
 
 
@@ -639,8 +652,8 @@ def test_doubled_voltages_disconnect_the_lifted_boundary_at_even_n(monkeypatch, 
     dec = build_decomposition(n, k)
     surf = boundary_surface(build_quotient(n, k))
     assert surf.is_connected is (n % 2 == 1)
-    _assert_matches_the_oracle(dec)
-    _assert_the_quotient_matches(dec, every_wedge=True)
+    assert dec.class_sizes == _oracle_class_sizes(dec)
+    _assert_the_quotient_matches(dec)
     if n % 2 == 0:
         assert surf.genus == -1
         assert _decompose_exit_code(capsys, n, k) == 1
@@ -656,16 +669,16 @@ def test_building_and_reporting_a_complex_makes_no_face_pairing(monkeypatch):
     dec, quotient = Decomposition(12, 5), build_quotient(12, 5)
     real = realize(12)
     assert boundary_surface(quotient).genus == 9
-    assert angle_sum_check(dec, real).all_within
+    assert angle_sum_check(quotient, real).all_within
     assert automorphism_group(dec).order > 0
     payload, ok = cli._decompose_report(quotient, real, full=False)
     assert ok and payload["pairings"] == 48
 
 
 def test_building_and_reporting_a_complex_makes_no_edge_class(monkeypatch):
-    # EdgeClass wedge lists are built on first read of edge_classes, for
-    # export and the tests; the kernels, the search and the decompose
-    # report read the class summaries
+    # EdgeClass wedge lists are built on first read of Quotient.edge_classes,
+    # for export and the tests; the kernels and the decompose report read
+    # the class summaries, the search the complex's class sizes
     def refuse(*args, **kwargs):
         raise AssertionError("an EdgeClass was built")
 
@@ -673,7 +686,7 @@ def test_building_and_reporting_a_complex_makes_no_edge_class(monkeypatch):
     dec, quotient = Decomposition(12, 5), build_quotient(12, 5)
     real = realize(12)
     assert boundary_surface(quotient).genus == 9
-    assert angle_sum_check(dec, real).all_within
+    assert angle_sum_check(quotient, real).all_within
     assert automorphism_group(dec).order > 0
     payload, ok = cli._decompose_report(quotient, real, full=False)
     assert ok and len(payload["edge_classes"]) == 16
@@ -801,7 +814,8 @@ class _KiteGluing(Decomposition):
 def _census_holds(dec):
     """The census and genus claims of acceptance criteria 4 and 5."""
     n, k = dec.n, dec.k
-    axis, polys = dec.edge_classes[0], of_kind(dec, "poly")
+    classes = _oracle_edge_classes(dec)
+    axis, polys = classes[0], [c for c in classes if c.kind == "poly"]
     if not (axis.wedge_count == 2 * n and axis.distinct_piece_count == 2 * n):
         return False
     if n % 3 != 0:

@@ -8,7 +8,7 @@ import pytest
 
 import antidual.symmetry as symmetry
 from antidual.decomposition import (
-    PERM_INDEX, PERM_PRODUCT, Decomposition, build_decomposition,
+    PERM_INDEX, PERM_PRODUCT, Decomposition, build_decomposition, build_quotient,
 )
 from antidual.groups import (
     MissingGenerator, _evaluate_word, concrete_generator, isometry_presentation,
@@ -25,6 +25,7 @@ from antidual.symmetry import (
     reflection_iso,
     rotation_iso,
 )
+from test_decomposition import _oracle_class_sizes
 from paper_checks import (
     CANDIDATE_SEEDS,
     arc_permutation,
@@ -198,6 +199,17 @@ def test_search_without_rotation_takes_the_full_path(monkeypatch, n, k, broken):
     calls = _count_propagations(monkeypatch)
     assert any(e.pieces[0] > 1 for e in enumerate_isomorphisms(x, x))
     assert max(piece for piece, _ in calls[1:]) > 1
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 1), (9, 4)])
+@pytest.mark.parametrize("broken", [_SwappedQuads, _RelabelledPieces])
+def test_the_prefilter_sizes_hold_where_no_quotient_applies(n, k, broken):
+    # the search keeps a seed only if it keeps the class sizes the complex
+    # walks on its own slot tables; on these targets the rotation check
+    # fails, so no quotient describes them, and the sizes must still be the
+    # union-find oracle's on every wedge
+    x = broken(n, k)
+    assert x.class_sizes == _oracle_class_sizes(x)
 
 
 def _corrupt_lmap(tau):
@@ -548,15 +560,15 @@ def test_every_automorphism_has_candidate_seed_shape():
 def test_enumerated_isomorphisms_preserve_class_invariants():
     # necessary condition used as a soundness check on the search
     for (n, k) in [(5, 2), (6, 1), (9, 4)]:
-        dec = build_decomposition(n, k)
-        aut = automorphism_group(dec)
+        aut = automorphism_group(build_decomposition(n, k))
+        quotient = build_quotient(n, k)
         profile = {}
-        for idx, cls in enumerate(dec.edge_classes):
+        for idx, cls in enumerate(quotient.edge_classes):
             profile[idx] = (cls.wedge_count, cls.distinct_piece_count)
         for e in aut.elements:
-            for idx, cls in enumerate(dec.edge_classes):
+            for idx, cls in enumerate(quotient.edge_classes):
                 piece, edge = cls.wedges[0]
-                target = dec.class_of(*image_wedge(e, piece, edge))
+                target = quotient.class_of(*image_wedge(e, piece, edge))
                 assert profile[target] == profile[idx]
 
 
