@@ -4,20 +4,28 @@ An isomorphism is a bijection of pieces together with a vertex-label
 bijection per piece, commuting with every face pairing.  Because the
 pairing graph is connected, such a map is determined by its value on piece
 0, so the full search space is (2n pieces) x (24 label bijections).  The
-search first walks the rotation r (piece j -> j + 2, identity labels) on the
-target; if r is an automorphism there, every isomorphism is a power of r
-after one seeded at piece 0 or 1, so 48 seeds replace 48n.  r is verified
-on each call, never assumed; a target without it gets the full search.  A seed
-is propagated breadth-first only if it carries the edge classes at piece 0's
-six edges onto classes of the same wedge counts, an isomorphism invariant
-rather than a geometric assumption.  The walk compares the forced piece and
-label map across every slot of every piece it reaches, and keeps a seed only
-if it reaches all pieces, so it is its own consistency check.  Label maps
-are indices into ``PERMS`` throughout.  No other restriction prunes the seed
-space: the classical ones (axis preservation, the paper's eight candidate
-seeds) come out of the search rather than going in, and
-``tests/paper_checks.py`` checks its output against them and against an
-independent isomorphism check.
+search first checks the rotation r (piece j -> j + 2, identity labels) on
+the target's slot tables: slot s + 8 must be glued to the slot 8 after the
+partner of s, by the same label map.  If r is an automorphism there, every
+isomorphism is a power of r after one seeded at piece 0 or 1, so 48 seeds
+replace 48n.  r is checked on each call, never assumed; a target without it
+gets the full search.  A seed is tried only if it carries the edge classes
+at piece 0's six edges onto classes of the same wedge counts, an
+isomorphism invariant rather than a geometric assumption.
+
+When r is an automorphism of both complexes and the source is connected,
+a seed is first tried as a lift: the map that carries r to r or to r^-1,
+which the 8 slots of pieces 0 and 1 fix and check, since r carries those
+checks to every slot (notes/decisions.md §4).  A seed it does not accept
+is propagated breadth-first: the walk compares the forced piece and label
+map across every slot of every piece it reaches, and keeps a seed only if
+it reaches all pieces.  So only the walk rejects a seed, and it alone finds
+the maps that carry r to neither r nor r^-1.  Label maps are indices into
+``PERMS`` throughout.  No other restriction prunes the seed space: the
+classical ones (axis preservation, the paper's eight candidate seeds) come
+out of the search rather than going in, and ``tests/paper_checks.py``
+checks its output against them and against an independent isomorphism
+check.
 
 Isometry classification reduces to this search: two quotients with the same
 n are isometric iff their decompositions are isomorphic, and the isometry
@@ -32,6 +40,7 @@ seeds alone, and the full list of elements is built only when read.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -117,6 +126,70 @@ def _propagate(a: Decomposition, b: Decomposition,
     return CombIso(tuple(pieces), tuple(lmaps), (a.n, a.k), (b.n, b.k))
 
 
+def _rotates(dec: Decomposition) -> bool:
+    """Whether the rotation r is an automorphism of ``dec``, read off its slot
+    tables: for every slot s, slot s + 8 is glued to the slot 8 after the
+    partner of s, by the same label map (slots mod 8n)."""
+    nbr, lmap = dec.slot_nbr, dec.slot_lmap
+    m = len(nbr)
+    return lmap[8:] + lmap[:8] == lmap and nbr[8:] + nbr[:8] == [(s + 8) % m for s in nbr]
+
+
+def _connected(dec: Decomposition) -> bool:
+    """Whether ``dec``, of which r is an automorphism, is connected.
+
+    Piece 2l + q is the lift at level l of quotient piece q, and slot s < 8
+    joins level 0 of piece s >> 2 to level nbr[s] >> 3 of piece
+    (nbr[s] >> 2) & 1.  The cover is connected iff some slot of piece 0
+    reaches an odd piece and the voltages of the quotient's closed walks
+    generate Z_n (Gross-Tucker, Topological Graph Theory, ch. 2).
+    """
+    nbr = dec.slot_nbr
+    s0 = next((s for s in range(4) if nbr[s] & 4), None)
+    if s0 is None:
+        return False
+    level = (0, nbr[s0] >> 3)  # of each quotient piece, along slot s0
+    g = dec.n
+    for s in range(8):
+        g = math.gcd(g, (nbr[s] >> 3) + level[s >> 2] - level[(nbr[s] >> 2) & 1])
+    return g == 1
+
+
+def _lift(a: Decomposition, b: Decomposition, piece: int, lmap: int) -> CombIso | None:
+    """The map a -> b seeded at (piece, lmap) that carries r to r or to
+    r^-1, if it commutes with the pairings at the 8 slots of pieces 0 and 1;
+    else None.
+
+    Such a map sends piece 2i + q to F(q) + 2ei (mod 2n), e = +-1, by the
+    label map L(q) of its parity q.  F(0), L(0) is the seed, and F(1), L(1)
+    is forced across the first slot of piece 0 glued to an odd piece.  Only
+    for r an automorphism of a and of b, and a connected: r then carries the
+    8 checks to every slot, and the map is a bijection iff F(0) and F(1)
+    differ in parity (notes/decisions.md §4).
+    """
+    a_nbr, a_lmap, b_nbr, b_lmap = a.slot_nbr, a.slot_lmap, b.slot_nbr, b.slot_lmap
+    m = a.num_pieces
+    s0 = next(s for s in range(4) if a_nbr[s] & 4)
+    t = 4 * piece + PERMS[lmap][s0]
+    odd = b_nbr[t] >> 2
+    if (odd - piece) % 2 == 0:
+        return None
+    labels = (lmap, PERM_PRODUCT[24 * PERM_PRODUCT[24 * b_lmap[t] + lmap] + a_lmap[a_nbr[s0]]])
+    for e in (1, -1):
+        image = (piece, (odd - 2 * e * (a_nbr[s0] >> 3)) % m)
+        for s in range(8):  # each slot as _propagate compares it
+            v, s2 = labels[s >> 2], a_nbr[s]
+            t, q = 4 * image[s >> 2] + PERMS[v][s & 3], (s2 >> 2) & 1
+            if (b_nbr[t] >> 2 != (image[q] + 2 * e * (s2 >> 3)) % m
+                    or PERM_PRODUCT[24 * PERM_PRODUCT[24 * b_lmap[t] + v] + a_lmap[s2]]
+                    != labels[q]):
+                break
+        else:
+            pieces = tuple([(image[j & 1] + e * (j & -2)) % m for j in range(m)])
+            return CombIso(pieces, labels * (m // 2), (a.n, a.k), (b.n, b.k))
+    return None
+
+
 def _wedge_counts(dec: Decomposition, piece: int) -> tuple[int, ...]:
     """Wedge counts of the edge classes at the six edges of ``piece``."""
     return tuple(dec.class_sizes[6 * piece:6 * piece + 6])
@@ -125,18 +198,20 @@ def _wedge_counts(dec: Decomposition, piece: int) -> tuple[int, ...]:
 def _seed_search(
     a: Decomposition, b: Decomposition, find_all: bool = True
 ) -> tuple[CombIso | None, list[CombIso]]:
-    """The rotation r of b if one walk confirms it (else None), and the maps
-    a -> b found at the searched seed pieces: 0 and 1 if r is confirmed,
+    """The rotation r of b if its slot tables show it (else None), and the
+    maps a -> b found at the searched seed pieces: 0 and 1 if r is shown,
     every piece of b if not.
 
-    A seed is propagated only if it keeps the wedge counts of the edge classes
-    at piece 0's edges, which every isomorphism does.  With ``find_all=False``
-    the search stops at its first map.
+    A seed is tried only if it keeps the wedge counts of the edge classes at
+    piece 0's edges, which every isomorphism does.  It is tried as a lift
+    when r is an automorphism of a and of b and a is connected, and walked
+    if not or if the lift fails.  With ``find_all=False`` the search stops
+    at its first map.
     """
     if a.n != b.n:
         return None, []
-    r = rotation_iso(b)
-    rotation = r if _propagate(b, b, 2, 0) == r else None
+    rotation = rotation_iso(b) if _rotates(b) else None
+    lift = rotation is not None and (a is b or _rotates(a)) and _connected(a)
     out = []
     want = _wedge_counts(a, 0)
     for seed_piece in range(a.num_pieces if rotation is None else 2):
@@ -144,7 +219,9 @@ def _seed_search(
         for v, pullback in enumerate(_PULLBACK):
             if pullback(have) != want:
                 continue
-            iso = _propagate(a, b, seed_piece, v)
+            iso = _lift(a, b, seed_piece, v) if lift else None
+            if iso is None:
+                iso = _propagate(a, b, seed_piece, v)
             if iso is not None:
                 out.append(iso)
                 if not find_all:
@@ -165,10 +242,10 @@ def enumerate_isomorphisms(
     """All combinatorial isomorphisms a -> b, by image of piece 0, then label map.
 
     Different n never admit isomorphisms (the piece counts differ), so the
-    search is skipped.  If one walk confirms the rotation r as an
-    automorphism of b, only the seeds at pieces 0 and 1 are propagated and
-    the powers of r after the maps found give the rest; otherwise every
-    piece of b is a seed piece.  With ``find_all=False`` the list holds at
+    search is skipped.  If b's slot tables show the rotation r as an
+    automorphism of b, only the seeds at pieces 0 and 1 are tried and the
+    powers of r after the maps found give the rest; otherwise every piece
+    of b is a seed piece.  With ``find_all=False`` the list holds at
     most one element (useful when only existence matters), and no power of
     r is formed.
     """
@@ -265,7 +342,7 @@ def automorphism_group(dec: Decomposition) -> AutGroupData:
 
     The group is kept as the maps found at its seed pieces; no other element
     is formed (``AutGroupData.elements`` builds them when read).  When the
-    walk confirms the rotation r, the seeds of the group are those of the
+    slot tables show the rotation r, the seeds of the group are those of the
     base maps moved on by 2j pieces, j = 0..n-1.  Every call checks, through
     ``generated_subgroup`` at O(log|G|*|G|) cost, that r and the base maps
     generate exactly that seed set, and raises ``ClosureFailure`` otherwise.
@@ -311,7 +388,8 @@ class ClassificationResult:
 
 def classify(n: int) -> ClassificationResult:
     """Partition of the steps 0..n-1 into isometry classes by pairwise
-    searches, each quotiented by the rotation when the walk verifies it."""
+    searches, each quotiented by the rotation when the target's slot
+    tables show it."""
     decs = {k: Decomposition(n, k) for k in range(n)}
     assigned: dict[int, int] = {}
     classes: list[list[int]] = []

@@ -299,6 +299,7 @@ def test_verify_presentations_clean_range(capsys):
     (["realize", "--n", "300"], "realize_300.json"),
     (["tilts", "--n", "300"], "tilts_300.json"),
     (["classify", "--n", "30"], "classify_30.json"),
+    (["isom-group", "--n", "18", "--k", "4", "--full"], "isom_group_18_4_full.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
@@ -313,14 +314,16 @@ def test_output_matches_golden_bytes(capsys, argv, golden):
     # before the header came from the survey row's keys, and the realize and
     # (300) tilts ones, which pin the geometry's floats, before the normals,
     # twist images and hull solves were stacked (the realize ones rewritten
-    # when their residuals gained normal_agreement);
+    # when their residuals gained normal_agreement), and the (18, 4) one, a
+    # cell with the half-turn s, before the search tried seeds as lifts;
     # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies,
-    # isom-group (9, 1) on its missing half-turn, and realize (300) on its
-    # twist residual above the tolerance
+    # isom-group (9, 1) on its missing half-turn and (18, 4) on its printed
+    # presentation of order 48, and realize (300) on its twist residual above
+    # the tolerance
     code, out = run_capture(capsys, argv)
     assert out == (GOLDEN / golden).read_text()
-    assert code == (1 if argv[0] == "verify-presentations"
-                    or golden in ("isom_group_9_1.json", "realize_300.json") else 0)
+    assert code == (1 if argv[0] == "verify-presentations" or golden in (
+        "isom_group_9_1.json", "isom_group_18_4_full.json", "realize_300.json") else 0)
 
 
 def test_tilts_report_evaluates_each_route_once(monkeypatch, capsys):

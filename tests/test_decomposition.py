@@ -602,6 +602,10 @@ def _reglued(row, perm):
     return _RULE[:row] + ((sa, sb, PERM_INDEX[perm], a, b),) + _RULE[row + 1:]
 
 
+# the step rule with every voltage doubled
+_DOUBLED = tuple((sa, sb, i, 2 * a, 2 * b) for sa, sb, i, a, b in _RULE)
+
+
 def _decompose_exit_code(capsys, n, k):
     code = cli.run_cli(["decompose", "--n", str(n), "--k", str(k)])
     capsys.readouterr()
@@ -647,8 +651,7 @@ def test_a_reversed_quad_map_makes_the_lifted_boundary_non_orientable(monkeypatc
 def test_doubled_voltages_disconnect_the_lifted_boundary_at_even_n(monkeypatch, capsys,
                                                                    n, k):
     # every voltage even: at even n the levels split by parity
-    doubled = tuple((sa, sb, i, 2 * a, 2 * b) for sa, sb, i, a, b in _RULE)
-    monkeypatch.setattr(decomposition, "_STEP_RULE", doubled)
+    monkeypatch.setattr(decomposition, "_STEP_RULE", _DOUBLED)
     dec = build_decomposition(n, k)
     surf = boundary_surface(build_quotient(n, k))
     assert surf.is_connected is (n % 2 == 1)

@@ -6,6 +6,7 @@ from collections import deque
 
 import pytest
 
+import antidual.decomposition as decomposition
 import antidual.symmetry as symmetry
 from antidual.decomposition import (
     PERM_INDEX, PERM_PRODUCT, Decomposition, build_decomposition, build_quotient,
@@ -25,7 +26,7 @@ from antidual.symmetry import (
     reflection_iso,
     rotation_iso,
 )
-from test_decomposition import _oracle_class_sizes
+from test_decomposition import _DOUBLED, _oracle_class_sizes, _reglued
 from paper_checks import (
     CANDIDATE_SEEDS,
     arc_permutation,
@@ -110,6 +111,8 @@ def _oracle_propagate(a, b, slots_a, slots_b, seed_piece, seed_vmap):
                 queue.append(j2)
             elif pieces[j2] != tp or vmaps[j2] != tuple(new_vm):
                 return None
+    if None in pieces:  # piece 0 does not reach every piece
+        return None
     iso = CombIso(tuple(pieces), tuple(PERM_INDEX[v] for v in vmaps), (a.n, a.k), (b.n, b.k))
     return iso if is_isomorphism(iso, a, b) else None
 
@@ -134,7 +137,10 @@ def test_flat_search_matches_the_dict_keyed_oracle(n):
     decs = [build_decomposition(n, k) for k in range(n)]
     for a in decs:
         for b in (decs if n <= 9 else [a]):
-            assert enumerate_isomorphisms(a, b) == _oracle_enumerate(a, b), (n, a.k, b.k)
+            oracle = _oracle_enumerate(a, b)
+            assert enumerate_isomorphisms(a, b) == oracle, (n, a.k, b.k)
+            # the first map in seed order, at piece 0 or 1 when r is shown
+            assert enumerate_isomorphisms(a, b, find_all=False) == oracle[:1], (n, a.k, b.k)
 
 
 def _count_propagations(monkeypatch):
@@ -149,24 +155,46 @@ def _count_propagations(monkeypatch):
     return calls
 
 
+def _log_seeds(monkeypatch):
+    """Log the seed (piece, label map) of every lift attempt and every walk.
+
+    A seed the lift refuses is walked right after, and one search tries each
+    seed once, so the seeds a search tries are the log's distinct entries in
+    order (``_seeds``)."""
+    log = []
+    for name in ("_lift", "_propagate"):
+        def logged(a, b, piece, lmap, original=getattr(symmetry, name)):
+            log.append((piece, lmap))
+            return original(a, b, piece, lmap)
+        monkeypatch.setattr(symmetry, name, logged)
+    return log
+
+
+def _seeds(log):
+    return list(dict.fromkeys(log))
+
+
 # full_seeds: the prefiltered seeds over all 2n pieces, which the full search
 # walks.  When the rotation check on the target passes, only the seeds at
-# pieces 0 and 1 are walked: at most 1 + 48 walks, whatever n is
+# pieces 0 and 1 are tried, each as a lift and, if refused, by a walk: at
+# most 48 seeds, whatever n is
 @pytest.mark.parametrize("n,k,full_seeds",
                          [(9, 1, 144), (16, 5, 64), (24, 7, 384), (60, 29, 960)])
 def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, full_seeds):
     dec = build_decomposition(n, k)
-    calls = _count_propagations(monkeypatch)
+    log = _log_seeds(monkeypatch)
     automorphism_group(dec)
-    assert len(calls) == 1 + full_seeds // n <= 1 + 2 * 24
-    assert calls[0] == (2, 0)  # the rotation seed, walked before any other
-    assert {piece for piece, _ in calls[1:]} <= {0, 1}
+    seeds = _seeds(log)
+    assert len(seeds) == full_seeds // n <= 2 * 24
+    assert {piece for piece, _ in seeds} <= {0, 1}
     quotiented = enumerate_isomorphisms(dec, dec)
-    # a failed rotation check sends the same target down the full search
+    # a failed rotation check sends the same target down the full search,
+    # which walks every seed and tries none as a lift
     monkeypatch.setattr(symmetry, "rotation_iso", lambda dec: None)
-    calls.clear()
+    walks = _count_propagations(monkeypatch)
+    log.clear()
     assert enumerate_isomorphisms(dec, dec) == quotiented
-    assert len(calls) == 1 + full_seeds
+    assert len(_seeds(log)) == len(log) == len(walks) == full_seeds
 
 
 class _SwappedQuads(Decomposition):
@@ -198,7 +226,7 @@ def test_search_without_rotation_takes_the_full_path(monkeypatch, n, k, broken):
     # onto x, maps with piece 0 beyond piece 1 are found by seeds there
     calls = _count_propagations(monkeypatch)
     assert any(e.pieces[0] > 1 for e in enumerate_isomorphisms(x, x))
-    assert max(piece for piece, _ in calls[1:]) > 1
+    assert max(piece for piece, _ in calls) > 1
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 1), (9, 4)])
@@ -226,14 +254,115 @@ def _corrupt_nbr(target, t):
 @pytest.mark.parametrize("corrupt", [_corrupt_lmap(1), _corrupt_lmap(6), _corrupt_nbr],
                          ids=["lmap-(2 3)", "lmap-(0 1)", "nbr+1"])
 def test_search_walk_checks_every_slot(n, k, corrupt):
-    # the walk is the search's only check on a found map: one wrong slot of
-    # the target, whichever of the 8n it is, must reject the rotation seed
+    # the walk is the search's only check on a map the lift does not accept,
+    # and the only way it rejects a seed: one wrong slot of the target,
+    # whichever of the 8n it is, must reject the rotation seed
     dec = build_decomposition(n, k)
     assert symmetry._propagate(dec, build_decomposition(n, k), 2, 0) == rotation_iso(dec)
     for t in range(4 * dec.num_pieces):
         target = build_decomposition(n, k)
         corrupt(target, t)
         assert symmetry._propagate(dec, target, 2, 0) is None, t
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (7, 3), (9, 4)])
+@pytest.mark.parametrize("corrupt", [_corrupt_lmap(1), _corrupt_lmap(6), _corrupt_nbr],
+                         ids=["lmap-(2 3)", "lmap-(0 1)", "nbr+1"])
+def test_rotation_check_reads_every_slot(n, k, corrupt):
+    # the lift rests on r being an automorphism of both complexes: one wrong
+    # slot, whichever of the 8n it is, must fail the table check
+    assert symmetry._rotates(build_decomposition(n, k))
+    for t in range(8 * n):
+        target = build_decomposition(n, k)
+        corrupt(target, t)
+        assert not symmetry._rotates(target), t
+
+
+@functools.cache
+def _cells_to_60():
+    return [build_decomposition(n, k) for n in range(4, 61) for k in range(n)]
+
+
+def test_walk_only_search_gives_the_same_groups(monkeypatch):
+    # with every lift refused, each seed goes to the walk
+    lifted = [automorphism_group(dec) for dec in _cells_to_60()]
+    monkeypatch.setattr(symmetry, "_lift", lambda a, b, piece, lmap: None)
+    walked = [automorphism_group(dec) for dec in _cells_to_60()]
+    assert lifted == walked  # base maps, rotates, order and generators
+
+
+def test_only_the_half_turn_cells_need_the_walk(monkeypatch):
+    # a map the walk finds when r holds carries r to neither r nor r^-1: on
+    # n <= 60 these are maps of the 19 cells with s, where 3 | n and
+    # n | 2(2k + 1)
+    found, propagate = [], symmetry._propagate
+
+    def walked(a, b, piece, lmap):
+        iso = propagate(a, b, piece, lmap)
+        if iso is not None:
+            found.append((a.n, a.k))
+        return iso
+
+    monkeypatch.setattr(symmetry, "_propagate", walked)
+    with_s = {(dec.n, dec.k) for dec in _cells_to_60()
+              if automorphism_group(dec).generators["s"] is not None}
+    assert set(found) == with_s == {(n, k) for n in range(6, 61, 3) for k in range(n)
+                                    if 2 * (2 * k + 1) % n == 0}
+    assert len(with_s) == 19 and min(with_s) == (6, 1) and max(with_s) == (57, 28)
+
+
+@pytest.mark.parametrize("rule", [_reglued(2, (3, 2, 1, 0)), _DOUBLED],
+                         ids=["reversed-quad", "doubled-voltages"])
+@pytest.mark.parametrize("n", [4, 5, 6, 9])
+def test_search_on_edited_step_rules_matches_the_oracle(monkeypatch, rule, n):
+    # the edited rules of test_decomposition.py that build: r still maps each
+    # complex to itself, so the search tries lifts; doubled voltages
+    # disconnect it at even n, where no seed reaches every piece
+    monkeypatch.setattr(decomposition, "_STEP_RULE", rule)
+    decs = [build_decomposition(n, k) for k in range(n)]
+    assert all(symmetry._rotates(dec) for dec in decs)
+    assert all(symmetry._connected(dec) for dec in decs) is (rule != _DOUBLED or n % 2 == 1)
+    for a in decs:
+        for b in decs:
+            oracle = _oracle_enumerate(a, b)
+            assert enumerate_isomorphisms(a, b) == oracle, (a.k, b.k)
+            assert enumerate_isomorphisms(a, b, find_all=False) == oracle[:1], (a.k, b.k)
+
+
+_QUAD = decomposition._QUAD
+
+
+class _HalfTurnSides(Decomposition):
+    """Side cuts half-way round (piece 2l onto piece 2(l + n/2) + 1, n even)
+    and both quads one level on: connected, with r, and swapping each even
+    piece with the odd piece cut against it is an automorphism."""
+
+    def _gluings(self):
+        n, h = self.n, self.n // 2
+        return [row for l in range(n) for row in (
+            (8 * l + 1, 8 * ((l + h) % n) + 5, 0), (8 * l + 6, 8 * ((l + h) % n) + 2, 0),
+            (8 * l + 3, 8 * ((l + 1) % n), _QUAD), (8 * l + 7, 8 * ((l + 1) % n) + 4, _QUAD))]
+
+
+class _Folded(_HalfTurnSides):
+    """_HalfTurnSides folded by that swap onto its even pieces, with a copy on
+    the odd ones: r still maps it to itself, but it is disconnected."""
+
+    def _gluings(self):
+        h = self.n // 2
+        sides = [(8 * l + f, 8 * (l + h) + f, 0) for l in range(h) for f in (1, 2, 5, 6)]
+        return sides + [row for row in super()._gluings() if row[0] & 3 == 3]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_the_lift_refuses_a_fold_onto_the_even_pieces(n):
+    # piece j -> 2(j // 2) with identity labels commutes with every pairing
+    # but covers the target's even pieces twice: its 8 slots agree, so only
+    # the parity of F(0) and F(1) refuses it
+    a, b = _HalfTurnSides(n, 0), _Folded(n, 0)
+    assert symmetry._rotates(a) and symmetry._connected(a) and symmetry._rotates(b)
+    assert symmetry._lift(a, b, 0, 0) is None
+    assert enumerate_isomorphisms(a, b) == _oracle_enumerate(a, b) == []
 
 
 def test_table_composition_matches_the_label_formula():
@@ -442,17 +571,18 @@ def test_different_n_never_isomorphic():
 def test_isomorphism_existence(monkeypatch, n, k, k2, expect):
     a = build_decomposition(n, k)
     b = build_decomposition(n, k2)
-    calls = _count_propagations(monkeypatch)
+    log = _log_seeds(monkeypatch)
     found = enumerate_isomorphisms(a, b, find_all=False)
-    walks = len(calls)
+    tried = _seeds(log)
     assert bool(found) == expect
     assert len(found) <= 1  # no power of r is formed after the first hit
-    calls.clear()
+    log.clear()
     first = enumerate_isomorphisms(a, b)[:1]
     assert found == first
-    # the walks of the full search up to its first hit, after the rotation walk
-    stop = calls.index((first[0].pieces[0], first[0].lmaps[0]), 1) + 1 if first else len(calls)
-    assert walks <= stop
+    # the seeds the full search tries up to its first hit
+    full = _seeds(log)
+    stop = full.index((first[0].pieces[0], first[0].lmaps[0])) + 1 if first else len(full)
+    assert tried == full[:stop]
     if found:
         assert is_isomorphism(found[0], a, b)
 
