@@ -20,9 +20,9 @@ with a voltage a*k + b in Z_n: how many steps of r it moves.
 ``Decomposition`` lifts it to the complex's slot tables, which the
 isomorphism search walks.  ``build_quotient`` states the edge classes, the
 census and the boundary off the quotient instead, by lifting its walks,
-which are made once (notes/decisions.md §3).  The complex keeps of its edge
-classes only their sizes (``class_sizes``), walked on its own slot tables,
-so that the search's prefilter holds on complexes no quotient describes.
+which are made once (notes/decisions.md §3).  The edge-link walk
+``_edge_cycles`` is written once: the search runs it on each complex's own
+8 slots at pieces 0 and 1, which r makes a quotient, for its prefilter.
 
 Internal edges fall into three families, each closed under the pairings:
 
@@ -255,34 +255,6 @@ class Decomposition:
                                  tuple(_LABEL_MAPS[4 * i + (sa & 3)].items()))
                      for sa, sb, i in self._gluings())
 
-    @cached_property
-    def class_sizes(self) -> tuple[int, ...]:
-        """Per wedge x = 6*piece + index of the edge in _EDGES, the wedge
-        count of its edge class: one walk round each edge link of this
-        complex's own slot tables, for the isomorphism search's prefilter.
-
-        A walk leaves through the face of the edge not entered by and
-        crosses that slot's gluing, until it is back at its start.
-        """
-        nbr, lmap, step = self.slot_nbr, self.slot_lmap, _LINK_STEP
-        sizes = [0] * (6 * self.num_pieces)
-        for start in range(len(sizes)):
-            if sizes[start]:
-                continue
-            members = []
-            p, e = divmod(start, 6)
-            s, x = 4 * p + _FIRST_FACE[e], start
-            while True:
-                members.append(x)
-                e, f, _ = step[24 * lmap[s] + 6 * (s & 3) + e]
-                p = nbr[s] >> 2
-                s, x = 4 * p + f, 6 * p + e
-                if x == start:
-                    break
-            for x in members:
-                sizes[x] = len(members)
-        return tuple(sizes)
-
 
 def build_decomposition(n: int, k: int) -> Decomposition:
     return Decomposition(n, k)
@@ -332,8 +304,8 @@ class _QuotientWalk:
 
 
 def _edge_cycles(nbr, lmap, volt) -> list[list[_EdgeCycle]]:
-    # the walk of Decomposition.class_sizes on the two quotient pieces, by
-    # family, adding up the voltages of the slots it crosses
+    # one walk round the edge link (_LINK_STEP) of each quotient wedge not
+    # yet walked, by family, adding up the voltages of the slots it crosses
     families, walked = [], set()
     for kind, edges in _EDGES_BY_KIND:
         cycles = []

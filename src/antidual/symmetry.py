@@ -1,40 +1,43 @@
 """Combinatorial isomorphisms of the tetrahedral decompositions.
 
 An isomorphism is a bijection of pieces together with a vertex-label
-bijection per piece, commuting with every face pairing.  Because the
-pairing graph is connected, such a map is determined by its value on piece
-0, so the full search space is (2n pieces) x (24 label bijections).  The
-search first checks the rotation r (piece j -> j + 2, identity labels) on
-the target's slot tables: slot s + 8 must be glued to the slot 8 after the
-partner of s, by the same label map.  If r is an automorphism there, every
-isomorphism is a power of r after one seeded at piece 0 or 1, so 48 seeds
-replace 48n.  r is checked on each call, never assumed; a target without it
-gets the full search.  A seed is tried only if it carries the edge classes
-at piece 0's six edges onto classes of the same wedge counts, an
-isomorphism invariant rather than a geometric assumption.
+bijection per piece, commuting with every face pairing.  The search serves
+connected r-covers only: every complex the package builds is the n-fold
+cyclic cover of a 2-piece quotient by the rotation r (piece j -> j + 2,
+identity labels).  For two complexes with the same n it checks, on each
+one's own slot tables, that r is an automorphism of both and that the
+source is connected, and raises ``SymmetryError`` otherwise; r is checked
+on each call, never assumed.  Every isomorphism is then a power of r after
+one seeded at piece 0 or 1 of the target, so 48 seeds replace 48n.  A seed
+is tried only if it carries the wedge counts of the edge classes at piece
+0's six edges onto the same counts, an isomorphism invariant rather than a
+geometric assumption.  The counts are read off each complex's own 8 slots
+by the quotient's edge-link walk (``decomposition._edge_cycles``), which
+needs that no power of r reverses a gluing; a complex with such a gluing
+is refused too.
 
-When r is an automorphism of both complexes and the source is connected,
-a seed is first tried as a lift: the map that carries r to r or to r^-1,
-which the 8 slots of pieces 0 and 1 fix and check, since r carries those
-checks to every slot (notes/decisions.md §4).  A seed it does not accept
-is propagated breadth-first: the walk compares the forced piece and label
-map across every slot of every piece it reaches, and keeps a seed only if
-it reaches all pieces.  So only the walk rejects a seed, and it alone finds
-the maps that carry r to neither r nor r^-1.  Label maps are indices into
-``PERMS`` throughout.  No other restriction prunes the seed space: the
-classical ones (axis preservation, the paper's eight candidate seeds) come
-out of the search rather than going in, and ``tests/paper_checks.py``
-checks its output against them and against an independent isomorphism
-check.
+Each seed is first tried as a lift: the map that carries r to r or to
+r^-1, which the 8 slots of pieces 0 and 1 fix and check, since r carries
+those checks to every slot (notes/decisions.md §4).  A seed it does not
+accept is propagated breadth-first: the walk compares the forced piece and
+label map across every slot of every piece it reaches, and keeps a seed
+only if it reaches all pieces.  So only the walk rejects a seed, and it
+alone finds the maps that carry r to neither r nor r^-1.  Label maps are
+indices into ``PERMS`` throughout.  No other restriction prunes the seed
+space: the classical ones (axis preservation, the paper's eight candidate
+seeds) come out of the search rather than going in, and
+``tests/paper_checks.py`` checks its output against them and against an
+independent isomorphism check.
 
 Isometry classification reduces to this search: two quotients with the same
 n are isometric iff their decompositions are isomorphic, and the isometry
 group is the automorphism group of the decomposition.  Piece 0 with its
 labels is a base of length 1 for that group (Seress, *Permutation Group
 Algorithms*, ch. 4): an automorphism is fixed by its seed.  So the group is
-kept as the maps found at the seed pieces, plus whether r is among them;
-its closure check, its generators and the relator words of ``groups`` read
-seeds alone, and the full list of elements is built only when read.
+kept as the maps found at pieces 0 and 1, each element being some power of
+r after one of them; its closure check, its generators and the relator
+words of ``groups`` read seeds alone, and the full list of elements is
+built only when read.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .decomposition import _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition
+from .decomposition import (
+    _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition, _edge_cycles,
+)
 
 _FLIP = PERM_INDEX[(3, 2, 1, 0)]
 _HALF_TURN = PERM_INDEX[(1, 0, 3, 2)]
@@ -190,43 +195,69 @@ def _lift(a: Decomposition, b: Decomposition, piece: int, lmap: int) -> CombIso 
     return None
 
 
-def _wedge_counts(dec: Decomposition, piece: int) -> tuple[int, ...]:
-    """Wedge counts of the edge classes at the six edges of ``piece``."""
-    return tuple(dec.class_sizes[6 * piece:6 * piece + 6])
+def _wedge_counts(dec: Decomposition) -> tuple[int, ...]:
+    """Per wedge x = 6*piece + index of the edge in _EDGES of pieces 0 and 1,
+    the wedge count of its edge class, for ``dec`` of which r is an
+    automorphism.
+
+    Read off the complex's own 8 slots as a quotient: slot s < 8 is glued to
+    quotient slot nbr[s] & 7 by its label map, with voltage the level
+    nbr[s] >> 3.  A link cycle of length L and voltage v lifts to classes of
+    L*n/gcd(n, v) wedges.  That needs every quotient slot glued to another:
+    a slot glued to itself is a gluing some power of r reverses, at which
+    the walk would turn back, so such a complex is refused.
+    """
+    nbr = dec.slot_nbr[:8]
+    if any(s == s2 & 7 for s, s2 in enumerate(nbr)):
+        raise SymmetryError(f"a power of r reverses a gluing of ({dec.n}, {dec.k})")
+    return _lifted_counts(dec.n, tuple(nbr), tuple(dec.slot_lmap[:8]))
 
 
-def _seed_search(
-    a: Decomposition, b: Decomposition, find_all: bool = True
-) -> tuple[CombIso | None, list[CombIso]]:
-    """The rotation r of b if its slot tables show it (else None), and the
-    maps a -> b found at the searched seed pieces: 0 and 1 if r is shown,
-    every piece of b if not.
+@functools.lru_cache(maxsize=1024)
+def _lifted_counts(n: int, nbr: tuple[int, ...], lmap: tuple[int, ...]) -> tuple[int, ...]:
+    # keyed by the 8 slots, which fix the counts: classify reads each
+    # complex's counts once per pair
+    sizes = [0] * 12
+    for cycles in _edge_cycles([s2 & 7 for s2 in nbr], lmap, [(0, s2 >> 3) for s2 in nbr]):
+        for cycle in cycles:
+            size = len(cycle.wedges) * n // math.gcd(n, cycle.voltage[1])
+            for w in cycle.wedges:
+                sizes[w] = size
+    return tuple(sizes)
 
-    A seed is tried only if it keeps the wedge counts of the edge classes at
-    piece 0's edges, which every isomorphism does.  It is tried as a lift
-    when r is an automorphism of a and of b and a is connected, and walked
-    if not or if the lift fails.  With ``find_all=False`` the search stops
-    at its first map.
+
+def _seed_search(a: Decomposition, b: Decomposition, find_all: bool = True) -> list[CombIso]:
+    """The maps a -> b seeded at pieces 0 and 1 of b; [] for different n.
+
+    Refuses with ``SymmetryError`` unless r is an automorphism of a and of b
+    none of whose powers reverses a gluing, and a is connected.  A seed is
+    tried only if it keeps the wedge counts of the edge classes at piece 0's
+    edges, which every isomorphism does.  It is tried as a lift, and walked
+    if the lift fails.  With ``find_all=False`` the search stops at its
+    first map.
     """
     if a.n != b.n:
-        return None, []
-    rotation = rotation_iso(b) if _rotates(b) else None
-    lift = rotation is not None and (a is b or _rotates(a)) and _connected(a)
+        return []
+    if not (_rotates(b) and (a is b or _rotates(a))):
+        raise SymmetryError(f"the rotation r is no automorphism of ({a.n}, {a.k}) "
+                            f"or of ({b.n}, {b.k})")
+    if not _connected(a):
+        raise SymmetryError(f"({a.n}, {a.k}) is not connected")
     out = []
-    want = _wedge_counts(a, 0)
-    for seed_piece in range(a.num_pieces if rotation is None else 2):
-        have = _wedge_counts(b, seed_piece)
+    have, want = _wedge_counts(b), _wedge_counts(a)[:6]
+    for seed_piece in (0, 1):
+        counts = have[6 * seed_piece:6 * seed_piece + 6]
         for v, pullback in enumerate(_PULLBACK):
-            if pullback(have) != want:
+            if pullback(counts) != want:
                 continue
-            iso = _lift(a, b, seed_piece, v) if lift else None
+            iso = _lift(a, b, seed_piece, v)
             if iso is None:
                 iso = _propagate(a, b, seed_piece, v)
             if iso is not None:
                 out.append(iso)
                 if not find_all:
-                    return rotation, out
-    return rotation, out
+                    return out
+    return out
 
 
 def _after_rotations(base: list[CombIso] | tuple[CombIso, ...]) -> list[CombIso]:
@@ -242,15 +273,14 @@ def enumerate_isomorphisms(
     """All combinatorial isomorphisms a -> b, by image of piece 0, then label map.
 
     Different n never admit isomorphisms (the piece counts differ), so the
-    search is skipped.  If b's slot tables show the rotation r as an
-    automorphism of b, only the seeds at pieces 0 and 1 are tried and the
-    powers of r after the maps found give the rest; otherwise every piece
-    of b is a seed piece.  With ``find_all=False`` the list holds at
-    most one element (useful when only existence matters), and no power of
-    r is formed.
+    search is skipped.  Otherwise r must be an automorphism of a and of b and
+    a connected, or ``SymmetryError`` is raised; the seeds at pieces 0 and 1
+    are tried and the powers of r after the maps found give the rest.  With
+    ``find_all=False`` the list holds at most one element (useful when only
+    existence matters), and no power of r is formed.
     """
-    rotation, out = _seed_search(a, b, find_all)
-    return _after_rotations(out) if rotation is not None and find_all else out
+    out = _seed_search(a, b, find_all)
+    return _after_rotations(out) if find_all else out
 
 
 # -- distinguished elements ---------------------------------------------------
@@ -288,24 +318,22 @@ def reflection_iso(dec: Decomposition) -> CombIso:
 class AutGroupData:
     """The automorphism group, encoded by the maps found at its seed pieces.
 
-    ``base`` holds the automorphisms seeded at pieces 0 and 1 when
-    ``rotates`` (the rotation r is an automorphism; every element is then
-    some r^j o g with g in ``base``), or every automorphism otherwise.  An
-    automorphism is fixed by its seed, the image of piece 0 with its label
-    map, so ``order`` is the number of distinct seeds.  ``generators`` maps
+    ``base`` holds the automorphisms seeded at pieces 0 and 1; every element
+    is some r^j o g with g in ``base``, r the rotation.  An automorphism is
+    fixed by its seed, the image of piece 0 with its label map, so ``order``
+    is the number of distinct seeds.  ``generators`` maps
     r, t, u and s to their automorphisms, or to None where absent.
     """
 
     base: tuple[CombIso, ...]
-    rotates: bool
     order: int
     generators: dict
 
     @functools.cached_property
     def elements(self) -> tuple[CombIso, ...]:
         """Every element, sorted by (pieces, lmaps); built on first read."""
-        elements = _after_rotations(self.base) if self.rotates else self.base
-        return tuple(sorted(elements, key=lambda e: (e.pieces, e.lmaps)))  # PERMS is lexicographic
+        return tuple(sorted(_after_rotations(self.base),
+                            key=lambda e: (e.pieces, e.lmaps)))  # PERMS is lexicographic
 
 
 def generated_subgroup(candidates):
@@ -341,11 +369,11 @@ def automorphism_group(dec: Decomposition) -> AutGroupData:
     """The automorphism group from the seed search, checked to be closed.
 
     The group is kept as the maps found at its seed pieces; no other element
-    is formed (``AutGroupData.elements`` builds them when read).  When the
-    slot tables show the rotation r, the seeds of the group are those of the
-    base maps moved on by 2j pieces, j = 0..n-1.  Every call checks, through
-    ``generated_subgroup`` at O(log|G|*|G|) cost, that r and the base maps
-    generate exactly that seed set, and raises ``ClosureFailure`` otherwise.
+    is formed (``AutGroupData.elements`` builds them when read).  The seeds
+    of the group are those of the base maps moved on by 2j pieces,
+    j = 0..n-1.  Every call checks, through ``generated_subgroup`` at
+    O(log|G|*|G|) cost, that r and the base maps generate exactly that seed
+    set, and raises ``ClosureFailure`` otherwise.
 
     Identifies the distinguished generators by seed when present: ``r`` (the
     rotation), ``t`` (the top-bottom flip), ``u`` (the mirror through a
@@ -355,15 +383,11 @@ def automorphism_group(dec: Decomposition) -> AutGroupData:
     with n <= 30, and it rules ``s`` out on most k % 3 == 1 cells, such as
     (9,1), (12,1) and (15,1).
     """
-    r, base = _seed_search(dec, dec)
-    m = dec.num_pieces
+    base = _seed_search(dec, dec)
+    r, m = rotation_iso(dec), dec.num_pieces
     by_seed = {(e.pieces[0], e.lmaps[0]): e for e in base}
-    if r is None:
-        seeds = set(by_seed)
-        _, reached = generated_subgroup(base)
-    else:
-        seeds = {(q, v) for p, v in by_seed for q in range(p, m, 2)}
-        _, reached = generated_subgroup([r, *base])
+    seeds = {(q, v) for p, v in by_seed for q in range(p, m, 2)}
+    _, reached = generated_subgroup([r, *base])
     if reached != seeds:
         raise ClosureFailure(f"{len(reached)} generated, {len(seeds)} enumerated")
 
@@ -373,8 +397,7 @@ def automorphism_group(dec: Decomposition) -> AutGroupData:
 
     gens = {"r": r, "t": found(flip_iso(dec)), "u": found(reflection_iso(dec)),
             "s": by_seed.get((0, _HALF_TURN))}
-    return AutGroupData(base=tuple(base), rotates=r is not None, order=len(seeds),
-                        generators=gens)
+    return AutGroupData(base=tuple(base), order=len(seeds), generators=gens)
 
 
 # -- classification -------------------------------------------------------------
@@ -388,8 +411,7 @@ class ClassificationResult:
 
 def classify(n: int) -> ClassificationResult:
     """Partition of the steps 0..n-1 into isometry classes by pairwise
-    searches, each quotiented by the rotation when the target's slot
-    tables show it."""
+    searches, each quotiented by the rotation."""
     decs = {k: Decomposition(n, k) for k in range(n)}
     assigned: dict[int, int] = {}
     classes: list[list[int]] = []

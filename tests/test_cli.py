@@ -14,7 +14,7 @@ import antidual.tilt as tilt
 from antidual.cli import RunConfig, run_cli
 from antidual.decomposition import Decomposition
 from antidual.realization import ANGLE_SUM_TOL, ValidationReport
-from antidual.symmetry import ClassificationResult
+from antidual.symmetry import ClassificationResult, classify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,6 +127,26 @@ def test_isom_group_disputed_cell_exits_one(capsys):
     assert "missing_generator" in payload["certificate"]
 
 
+def test_isom_group_refuses_a_complex_without_the_rotation(monkeypatch, capsys):
+    # gluings in which the quads out of pieces 0 and 2 trade targets: r is
+    # no automorphism, so the search refuses the complex and no report is
+    # printed
+    gluings = Decomposition._gluings
+
+    def swapped(self):
+        g = gluings(self)
+        (a0, b0, i0), (a2, b2, i2) = g[2], g[6]
+        g[2], g[6] = (a0, b2, i0), (a2, b0, i2)
+        return g
+
+    monkeypatch.setattr(Decomposition, "_gluings", swapped)
+    code = run_cli(["isom-group", "--n", "9", "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("antidual: error: the rotation r is no automorphism")
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "antidual.cli", "realize"],
@@ -156,6 +176,19 @@ def test_survey_small_grid(capsys):
     assert payload["internally_consistent"] is True
     for row in rows:
         assert row["class_representative"] == min(row["k"], row["mirror_target_k"])
+
+
+def test_survey_class_representatives_are_the_least_of_their_classes(capsys):
+    # internally_consistent compares two fields that are equal by
+    # construction; here each row's representative is checked against the
+    # isometry classes the search finds
+    code, out = run_capture(capsys, ["survey", "--n-min", "4", "--n-max", "16"])
+    assert code == 0
+    least = {(n, k): min(cls) for n in range(4, 17) for cls in classify(n).classes
+             for k in cls}
+    rows = json.loads(out)["rows"]
+    assert [(r["n"], r["k"]) for r in rows] == sorted(least)
+    assert all(r["class_representative"] == least[r["n"], r["k"]] for r in rows)
 
 
 def test_survey_csv(capsys):

@@ -25,9 +25,10 @@ from antidual.decomposition import (
 )
 import antidual.cli as cli
 import antidual.decomposition as decomposition
+import antidual.symmetry as symmetry
 from antidual.minkowski import MinkVec, mink_inner
 from antidual.realization import angle_sum_check, dihedral_angles, realize
-from antidual.symmetry import automorphism_group
+from antidual.symmetry import SymmetryError, automorphism_group
 from paper_checks import of_kind, role_counts, slot_table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -359,10 +360,11 @@ def _oracle_boundary_surface(dec):
                            is_orientable, is_connected)
 
 
-def _oracle_class_sizes(dec):
-    """Per wedge 6*piece + edge index, the wedge count of its oracle class."""
+def _oracle_class_sizes(dec, classes=None):
+    """Per wedge 6*piece + edge index, the wedge count of its oracle class;
+    ``classes`` are the oracle's classes of ``dec`` if already built."""
     sizes = [0] * (6 * dec.num_pieces)
-    for cls in _oracle_edge_classes(dec):
+    for cls in classes or _oracle_edge_classes(dec):
         for p, e in cls.wedges:
             sizes[6 * p + decomposition._EDGE_INDEX[e]] = cls.wedge_count
     return tuple(sizes)
@@ -370,21 +372,24 @@ def _oracle_class_sizes(dec):
 
 def _assert_the_quotient_matches(dec, classes=True, boundary=True):
     """The quotient route on a complex that lifts the same table: its class
-    sizes against the complex's own walk on every wedge, with ``classes``
-    its classes against the union-find oracle's, and with ``boundary`` its
-    boundary against the oracle's 2-colouring."""
+    sizes at pieces 0 and 1 against those the isomorphism search reads off
+    the complex's own 8 slots, with ``classes`` both against the union-find
+    oracle's and its classes too, and with ``boundary`` its boundary against
+    the oracle's 2-colouring."""
     quotient = build_quotient(dec.n, dec.k)
     assert (quotient.n, quotient.k, quotient.num_pieces) == (dec.n, dec.k, dec.num_pieces)
-    # both routes are r-invariant, so pieces 0 and 1 stand for the rest
-    sizes = dec.class_sizes
-    assert sizes[12:] + sizes[:12] == sizes
-    assert sizes[:12] == tuple(quotient.class_summaries[quotient.class_of(p, e)].wedge_count
-                               for p in (0, 1) for e in decomposition._EDGES)
+    sizes = symmetry._wedge_counts(dec)
+    assert sizes == tuple(quotient.class_summaries[quotient.class_of(p, e)].wedge_count
+                          for p in (0, 1) for e in decomposition._EDGES)
     if boundary:
         assert boundary_surface(quotient) == _oracle_boundary_surface(dec)
     if not classes:
         return
     oracle = _oracle_edge_classes(dec)
+    # the oracle's sizes are r-invariant, so pieces 0 and 1 stand for the rest
+    oracle_sizes = _oracle_class_sizes(dec, oracle)
+    assert oracle_sizes[12:] + oracle_sizes[:12] == oracle_sizes
+    assert sizes == oracle_sizes[:12]
     # the summaries the reports read, role counts in the oracle's order
     assert [(s.kind, s.wedge_count, s.distinct_pieces, list(s.roles))
             for s in quotient.class_summaries] == [
@@ -400,12 +405,10 @@ def _assert_the_quotient_matches(dec, classes=True, boundary=True):
 
 @pytest.mark.parametrize("n", range(4, 21))
 def test_kernels_match_the_tuple_keyed_oracle(n):
-    # and the complex's own class sizes, by which the search prefilters
-    # its seeds, on every wedge; the census test below colours the boundary
+    # and the class sizes by which the search prefilters its seeds; the
+    # census test below colours the boundary
     for k in range(n):
-        dec = build_decomposition(n, k)
-        _assert_the_quotient_matches(dec, boundary=False)
-        assert dec.class_sizes == _oracle_class_sizes(dec)
+        _assert_the_quotient_matches(build_decomposition(n, k), boundary=False)
 
 
 @pytest.mark.parametrize("n", range(4, 41))
@@ -556,10 +559,11 @@ def test_a_transposed_label_map_makes_the_boundary_non_orientable(n, k):
     assert surf.is_orientable is False
     assert surf.genus == -1
     # and some edge class now closes up with its ends swapped, so it has
-    # one boundary vertex, not two; no quotient describes this complex, but
-    # its own class sizes still hold
+    # one boundary vertex, not two; no quotient describes this complex, and
+    # the isomorphism search refuses it
     assert surf.vertex_count < 2 * len(_oracle_edge_classes(dec))
-    assert dec.class_sizes == _oracle_class_sizes(dec)
+    with pytest.raises(SymmetryError, match="rotation r is no automorphism"):
+        automorphism_group(dec)
 
 
 def test_a_link_from_an_axis_slot_to_a_diagonal_slot_is_refused():
@@ -642,7 +646,6 @@ def test_a_reversed_quad_map_makes_the_lifted_boundary_non_orientable(monkeypatc
     assert surf.is_orientable is False
     assert surf.genus == -1
     assert surf.vertex_count < 2 * len(quotient.class_summaries)
-    assert dec.class_sizes == _oracle_class_sizes(dec)
     _assert_the_quotient_matches(dec)
     assert _decompose_exit_code(capsys, n, k) == 1
 
@@ -655,7 +658,6 @@ def test_doubled_voltages_disconnect_the_lifted_boundary_at_even_n(monkeypatch, 
     dec = build_decomposition(n, k)
     surf = boundary_surface(build_quotient(n, k))
     assert surf.is_connected is (n % 2 == 1)
-    assert dec.class_sizes == _oracle_class_sizes(dec)
     _assert_the_quotient_matches(dec)
     if n % 2 == 0:
         assert surf.genus == -1

@@ -295,7 +295,7 @@ def test_verify_isomorphism_missing_generator():
     with pytest.raises(MissingGenerator) as exc:
         verify_isomorphism(coset_enumerate(pres), aut, dec)
     assert str(exc.value) == "mirror u maps step 2 to step 3, not an automorphism"
-    unidentified = AutGroupData(base=(), rotates=False, order=0,
+    unidentified = AutGroupData(base=(), order=0,
                                 generators=dict.fromkeys("rtus"))
     with pytest.raises(MissingGenerator) as exc:
         concrete_generator("r", dec, unidentified)

@@ -17,6 +17,7 @@ from antidual.groups import (
 from antidual.symmetry import (
     ClosureFailure,
     CombIso,
+    SymmetryError,
     automorphism_group,
     classify,
     enumerate_isomorphisms,
@@ -143,18 +144,6 @@ def test_flat_search_matches_the_dict_keyed_oracle(n):
             assert enumerate_isomorphisms(a, b, find_all=False) == oracle[:1], (n, a.k, b.k)
 
 
-def _count_propagations(monkeypatch):
-    propagate = symmetry._propagate
-    calls = []
-
-    def counted(*args):
-        calls.append(args[2:])
-        return propagate(*args)
-
-    monkeypatch.setattr(symmetry, "_propagate", counted)
-    return calls
-
-
 def _log_seeds(monkeypatch):
     """Log the seed (piece, label map) of every lift attempt and every walk.
 
@@ -174,27 +163,22 @@ def _seeds(log):
     return list(dict.fromkeys(log))
 
 
-# full_seeds: the prefiltered seeds over all 2n pieces, which the full search
-# walks.  When the rotation check on the target passes, only the seeds at
-# pieces 0 and 1 are tried, each as a lift and, if refused, by a walk: at
-# most 48 seeds, whatever n is
+# full_seeds: the seeds over all 2n pieces that keep the union-find
+# oracle's wedge counts at piece 0.  r carries those at pieces 0 and 1 onto
+# the rest, and only those are tried, each as a lift and, if refused, by a
+# walk: at most 48 seeds, whatever n is
 @pytest.mark.parametrize("n,k,full_seeds",
                          [(9, 1, 144), (16, 5, 64), (24, 7, 384), (60, 29, 960)])
 def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, full_seeds):
     dec = build_decomposition(n, k)
+    sizes = _oracle_class_sizes(dec)
+    assert full_seeds == sum(pullback(sizes[6 * p:6 * p + 6]) == sizes[:6]
+                             for p in range(dec.num_pieces) for pullback in symmetry._PULLBACK)
     log = _log_seeds(monkeypatch)
     automorphism_group(dec)
     seeds = _seeds(log)
     assert len(seeds) == full_seeds // n <= 2 * 24
     assert {piece for piece, _ in seeds} <= {0, 1}
-    quotiented = enumerate_isomorphisms(dec, dec)
-    # a failed rotation check sends the same target down the full search,
-    # which walks every seed and tries none as a lift
-    monkeypatch.setattr(symmetry, "rotation_iso", lambda dec: None)
-    walks = _count_propagations(monkeypatch)
-    log.clear()
-    assert enumerate_isomorphisms(dec, dec) == quotiented
-    assert len(_seeds(log)) == len(log) == len(walks) == full_seeds
 
 
 class _SwappedQuads(Decomposition):
@@ -218,26 +202,19 @@ class _RelabelledPieces(Decomposition):
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 1), (9, 4)])
 @pytest.mark.parametrize("broken", [_SwappedQuads, _RelabelledPieces])
-def test_search_without_rotation_takes_the_full_path(monkeypatch, n, k, broken):
+def test_search_without_rotation_takes_the_full_path(n, k, broken):
+    # the search serves r-covers only: a complex without r, as source or as
+    # target, is refused where a search over all 2n seed pieces would be
+    # needed, and a different n is still no isomorphism
     x, dec = broken(n, k), build_decomposition(n, k)
     assert symmetry._propagate(x, x, 2, 0) != rotation_iso(x)
-    for i, (a, b) in enumerate([(x, x), (dec, x), (x, dec)]):
-        assert enumerate_isomorphisms(a, b) == _oracle_enumerate(a, b), i
-    # onto x, maps with piece 0 beyond piece 1 are found by seeds there
-    calls = _count_propagations(monkeypatch)
-    assert any(e.pieces[0] > 1 for e in enumerate_isomorphisms(x, x))
-    assert max(piece for piece, _ in calls) > 1
-
-
-@pytest.mark.parametrize("n,k", [(5, 2), (6, 1), (9, 4)])
-@pytest.mark.parametrize("broken", [_SwappedQuads, _RelabelledPieces])
-def test_the_prefilter_sizes_hold_where_no_quotient_applies(n, k, broken):
-    # the search keeps a seed only if it keeps the class sizes the complex
-    # walks on its own slot tables; on these targets the rotation check
-    # fails, so no quotient describes them, and the sizes must still be the
-    # union-find oracle's on every wedge
-    x = broken(n, k)
-    assert x.class_sizes == _oracle_class_sizes(x)
+    for a, b in [(x, x), (dec, x), (x, dec)]:
+        for find_all in (True, False):
+            with pytest.raises(SymmetryError, match="rotation r is no automorphism"):
+                enumerate_isomorphisms(a, b, find_all)
+    with pytest.raises(SymmetryError, match="rotation r is no automorphism"):
+        automorphism_group(x)
+    assert enumerate_isomorphisms(x, build_decomposition(n + 1, k)) == []
 
 
 def _corrupt_lmap(tau):
@@ -269,8 +246,8 @@ def test_search_walk_checks_every_slot(n, k, corrupt):
 @pytest.mark.parametrize("corrupt", [_corrupt_lmap(1), _corrupt_lmap(6), _corrupt_nbr],
                          ids=["lmap-(2 3)", "lmap-(0 1)", "nbr+1"])
 def test_rotation_check_reads_every_slot(n, k, corrupt):
-    # the lift rests on r being an automorphism of both complexes: one wrong
-    # slot, whichever of the 8n it is, must fail the table check
+    # the search serves only complexes of which r is an automorphism: one
+    # wrong slot, whichever of the 8n it is, must fail the table check
     assert symmetry._rotates(build_decomposition(n, k))
     for t in range(8 * n):
         target = build_decomposition(n, k)
@@ -288,7 +265,7 @@ def test_walk_only_search_gives_the_same_groups(monkeypatch):
     lifted = [automorphism_group(dec) for dec in _cells_to_60()]
     monkeypatch.setattr(symmetry, "_lift", lambda a, b, piece, lmap: None)
     walked = [automorphism_group(dec) for dec in _cells_to_60()]
-    assert lifted == walked  # base maps, rotates, order and generators
+    assert lifted == walked  # base maps, order and generators
 
 
 def test_only_the_half_turn_cells_need_the_walk(monkeypatch):
@@ -317,14 +294,22 @@ def test_only_the_half_turn_cells_need_the_walk(monkeypatch):
 def test_search_on_edited_step_rules_matches_the_oracle(monkeypatch, rule, n):
     # the edited rules of test_decomposition.py that build: r still maps each
     # complex to itself, so the search tries lifts; doubled voltages
-    # disconnect it at even n, where no seed reaches every piece
+    # disconnect it at even n, where no seed reaches every piece and the
+    # search refuses the source rather than report no isomorphism
     monkeypatch.setattr(decomposition, "_STEP_RULE", rule)
     decs = [build_decomposition(n, k) for k in range(n)]
+    connected = rule != _DOUBLED or n % 2 == 1
     assert all(symmetry._rotates(dec) for dec in decs)
-    assert all(symmetry._connected(dec) for dec in decs) is (rule != _DOUBLED or n % 2 == 1)
+    assert all(symmetry._connected(dec) for dec in decs) is connected
     for a in decs:
         for b in decs:
             oracle = _oracle_enumerate(a, b)
+            if not connected:
+                assert oracle == []
+                for find_all in (True, False):
+                    with pytest.raises(SymmetryError, match="is not connected"):
+                        enumerate_isomorphisms(a, b, find_all)
+                continue
             assert enumerate_isomorphisms(a, b) == oracle, (a.k, b.k)
             assert enumerate_isomorphisms(a, b, find_all=False) == oracle[:1], (a.k, b.k)
 
@@ -346,7 +331,8 @@ class _HalfTurnSides(Decomposition):
 
 class _Folded(_HalfTurnSides):
     """_HalfTurnSides folded by that swap onto its even pieces, with a copy on
-    the odd ones: r still maps it to itself, but it is disconnected."""
+    the odd ones: r still maps it to itself, but it is disconnected, and r^(n/2)
+    reverses each side gluing (piece 2l onto piece 2(l + n/2), face to face)."""
 
     def _gluings(self):
         h = self.n // 2
@@ -362,7 +348,28 @@ def test_the_lift_refuses_a_fold_onto_the_even_pieces(n):
     a, b = _HalfTurnSides(n, 0), _Folded(n, 0)
     assert symmetry._rotates(a) and symmetry._connected(a) and symmetry._rotates(b)
     assert symmetry._lift(a, b, 0, 0) is None
-    assert enumerate_isomorphisms(a, b) == _oracle_enumerate(a, b) == []
+    assert _oracle_enumerate(a, b) == []
+    # the search itself refuses the target, whose wedge counts it cannot read
+    with pytest.raises(SymmetryError, match="reverses a gluing"):
+        enumerate_isomorphisms(a, b)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_the_prefilter_sizes_match_the_oracle_off_the_step_rule(monkeypatch, n):
+    # complexes glued by hand, not from _STEP_RULE: the wedge counts the
+    # search reads off the 8 slots of _HalfTurnSides are the union-find
+    # oracle's at pieces 0 and 1.  Read the same way off _Folded, whose side
+    # gluings r^(n/2) reverses, the walks would turn back at those slots and
+    # give 10, 6, 2 where the oracle has 6, 4, 2, so it is refused
+    x = _HalfTurnSides(n, 0)
+    assert symmetry._wedge_counts(x) == _oracle_class_sizes(x)[:12]
+    # between x and a step-rule complex, whose counts differ, each side's
+    # own counts reject every seed before it is tried
+    log, dec = _log_seeds(monkeypatch), build_decomposition(n, 1)
+    assert enumerate_isomorphisms(x, dec) == enumerate_isomorphisms(dec, x) == []
+    assert log == []
+    with pytest.raises(SymmetryError, match=r"a power of r reverses a gluing of \(%d, 0\)" % n):
+        symmetry._wedge_counts(_Folded(n, 0))
 
 
 def test_table_composition_matches_the_label_formula():
@@ -434,9 +441,7 @@ def test_closure_check_catches_a_broken_set(monkeypatch, n, k, drop):
     search = symmetry._seed_search
 
     def broken(a, b, find_all=True):
-        rotation, base = search(a, b, find_all)
-        assert rotation is not None
-        return rotation, drop(base)
+        return drop(search(a, b, find_all))
 
     monkeypatch.setattr(symmetry, "_seed_search", broken)
     dec = build_decomposition(n, k)
@@ -463,7 +468,7 @@ def test_seed_encoding_gives_the_full_group(n, k):
     assert aut.elements == full
     assert len(aut.elements) == aut.order
     seeds = {(e.pieces[0], e.lmaps[0]) for e in aut.base}
-    assert aut.rotates and {p for p, _ in seeds} <= {0, 1}
+    assert {p for p, _ in seeds} <= {0, 1}
     seeds = {((p + 2 * j) % dec.num_pieces, v) for p, v in seeds for j in range(n)}
     assert {(e.pieces[0], e.lmaps[0]) for e in aut.elements} == seeds
     assert aut.generators == _full_key_generators(dec, full)
