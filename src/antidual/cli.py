@@ -11,7 +11,7 @@ raises instead (say, a numerically degenerate realization at huge n) exits
 
 ``survey`` and ``verify-presentations`` share one audit loop, ``_audit``, which
 enumerates each distinct presentation once for all the cells that share it.
-The census angle sums come from ``realization.angle_sum_check``.
+A survey reads the census once per n, at k = 0 (notes/decisions.md §3).
 
 A survey row's ``valid`` field and the survey's exit code cover geometry,
 canonicality and the census, not ``isom_verdict``: the printed group table
@@ -289,32 +289,32 @@ def _audit(cells: list[tuple], cfg: RunConfig, report: Callable) -> list[dict]:
     return sorted((row for rows in results for row in rows), key=lambda r: (r["n"], r["k"]))
 
 
-def _survey_geometry(n: int) -> tuple[Realization, bool, float]:
-    """One n's realization, whether it passes `realize` and `tilts`, and its
-    tilt margin: the part of a survey row that does not depend on k."""
+def _survey_geometry(n: int) -> tuple[bool, float, int]:
+    """The part of a survey row that does not depend on k: whether n passes
+    `realize`, `tilts` and the census, its tilt margin and its genus."""
     real = build_realization(solve_parameters(n))
     _, valid = _realize_report(real)
     tilt_payload, canonical = _tilts_report(real)
-    return real, valid and canonical, tilt_payload["margin"]
+    census, census_ok = _decompose_report(build_quotient(n, 0), real, full=False)
+    return valid and canonical and census_ok, tilt_payload["margin"], census["boundary"]["genus"]
 
 
 def _survey_cell(enum: EnumerationResult, n: int, k: int,
-                 geometry: tuple[Realization, bool, float]) -> dict:
-    real, geometry_ok, tilt_margin = geometry
-    dec_payload, dec_ok = _decompose_report(build_quotient(n, k), real, full=False)
+                 geometry: tuple[bool, float, int]) -> dict:
+    valid, tilt_margin, genus = geometry
     dec = build_decomposition(n, k)
     group_payload, _ = _isom_group_report(dec, enum, full=False)
     return {
         "n": n,
         "k": k,
-        "valid": geometry_ok and dec_ok,
+        "valid": valid,
         "tilt_margin": tilt_margin,
         "aut_order": group_payload["aut_order"],
         "presentation_order": group_payload["presentation_order"],
         "isom_verdict": group_payload["certificate"]["verdict"],
         "class_representative": min(k, (n - k - 1) % n),
         "mirror_target_k": reflection_iso(dec).target[1],
-        "genus": dec_payload["boundary"]["genus"],
+        "genus": genus,
     }
 
 

@@ -19,6 +19,11 @@ import numpy as np
 
 ORTHO_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
+# <a,a> carries a rounding error of about eps * |a|^2 (Euclidean), so below
+# SPACELIKE_TOL * |a|^2 it keeps fewer than about five significant digits:
+# too few to normalise by.  The realization's own chart lifts come down to
+# 1.6e-8 * |a|^2 at n = 10^4 and 1.6e-10 * |a|^2 at n = 10^5.
+SPACELIKE_TOL = 1e-11
 
 # the columns of the 3x3 minor left by deleting column i, and the sign that
 # turns its determinant into component i of a Lorentz-orthogonal vector: the
@@ -32,7 +37,7 @@ class MinkowskiError(ValueError):
 
 
 class NonSpacelike(MinkowskiError):
-    """Normalisation requested for a vector with <a,a> <= tolerance."""
+    """Normalisation requested for a vector with <a,a> <= SPACELIKE_TOL * |a|^2."""
 
 
 class DegenerateSpan(MinkowskiError):
@@ -100,8 +105,9 @@ def mink_inner(a: MinkVec, b: MinkVec) -> float:
 def normalize_spacelike(a: MinkVec) -> MinkVec:
     """Scale a spacelike vector onto the unit de Sitter sphere <x,x> = 1."""
     nn = mink_inner(a, a)
-    if nn <= ORTHO_TOL:
-        raise NonSpacelike(f"<a,a> = {nn}, not spacelike")
+    size = a.x0 * a.x0 + a.x1 * a.x1 + a.x2 * a.x2 + a.x3 * a.x3
+    if nn <= SPACELIKE_TOL * size:
+        raise NonSpacelike(f"<a,a> = {nn} against |a|^2 = {size}, not spacelike")
     return a * (1.0 / math.sqrt(nn))
 
 

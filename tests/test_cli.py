@@ -13,7 +13,9 @@ import antidual.groups as groups
 import antidual.tilt as tilt
 from antidual.cli import RunConfig, run_cli
 from antidual.decomposition import Decomposition
-from antidual.realization import ANGLE_SUM_TOL, ValidationReport
+from antidual.minkowski import MinkVec
+from antidual.realization import (
+    ANGLE_SUM_TOL, RESIDUAL_TOL, ValidationReport, validate_realization)
 from antidual.symmetry import ClassificationResult, classify
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -191,6 +193,17 @@ def test_survey_class_representatives_are_the_least_of_their_classes(capsys):
     assert all(r["class_representative"] == least[r["n"], r["k"]] for r in rows)
 
 
+def test_survey_census_matches_every_cell():
+    # a survey reads each n's census at k = 0 only (notes/decisions.md §3);
+    # every k's own decompose report must give that verdict and genus
+    for n in range(4, 61):
+        valid, _, genus = cli._survey_geometry(n)
+        real = cli.build_realization(cli.solve_parameters(n))
+        for k in range(n):
+            payload, ok = cli._decompose_report(cli.build_quotient(n, k), real, full=False)
+            assert (ok, payload["boundary"]["genus"]) == (valid, genus), (n, k)
+
+
 def test_survey_csv(capsys):
     code, out = run_capture(capsys, ["survey", "--n-min", "4", "--n-max", "4",
                                      "--format", "csv"])
@@ -222,9 +235,9 @@ def test_survey_parallel_matches_serial(monkeypatch, capsys):
     # one task per distinct presentation, dispatched largest first; the
     # self-dual presentation of n = 9 and 15 is one task carrying both n
     assert len({pres for pres, _, _, _ in tasks}) == len(tasks) == 20
-    sizes = [sum(real.params.n for _, _, (real, _, _) in cells) for _, _, _, cells in tasks]
+    sizes = [sum(n for n, _, _ in cells) for _, _, _, cells in tasks]
     assert sizes == sorted(sizes, reverse=True)
-    assert [sorted({real.params.n for _, _, (real, _, _) in cells})
+    assert [sorted({n for n, _, _ in cells})
             for pres, _, _, cells in tasks if pres.provenance == "subcase22_selfdual"] == [[9, 15]]
 
 
@@ -388,8 +401,9 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in [(cli, "build_realization"), (cli, "build_decomposition"),
-                         (cli, "coset_enumerate"), (groups, "coset_enumerate")]:
+    for module, name in [(cli, "build_realization"), (cli, "build_quotient"),
+                         (cli, "build_decomposition"), (cli, "coset_enumerate"),
+                         (groups, "coset_enumerate")]:
         count(module, name)
     per_cell, per_group = {}, []
     survey_cell, survey_group = cli._survey_cell, cli._audit_presentation
@@ -410,9 +424,11 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_audit_presentation", counted_group)
     assert run_cli(["survey", "--n-min", "4", "--n-max", "6"]) == 0
     capsys.readouterr()
-    # one realization per n, made outside the tasks, and one task per
-    # distinct presentation, which enumerates it once and realizes nothing
+    # one realization and one census quotient per n, made outside the tasks,
+    # and one task per distinct presentation, which enumerates it once and
+    # realizes nothing
     assert calls.count("antidual.cli.build_realization") == 3
+    assert calls.count("antidual.cli.build_quotient") == 3
     assert calls.count("antidual.cli.coset_enumerate") == len(set(presentations)) == 6
     assert per_group == [["antidual.cli.coset_enumerate"]] * 6
     geometry = cli._survey_geometry(9)
@@ -597,14 +613,17 @@ def _invalid_survey_cells(capsys) -> list[tuple[int, int]]:
 
 
 def test_survey_row_fails_on_a_broken_cell(monkeypatch, capsys):
+    # the survey reads one census per n, so a broken census of n = 5 fails
+    # every row of n = 5; a defect at one k alone is left to
+    # test_survey_census_matches_every_cell
     surface = cli.boundary_surface
 
     def broken(dec):
         s = surface(dec)
-        return dataclasses.replace(s, genus=s.genus + 1) if (dec.n, dec.k) == (5, 2) else s
+        return dataclasses.replace(s, genus=s.genus + 1) if dec.n == 5 else s
 
     monkeypatch.setattr(cli, "boundary_surface", broken)
-    assert _invalid_survey_cells(capsys) == [(5, 2)]
+    assert _invalid_survey_cells(capsys) == [(5, k) for k in range(5)]
 
 
 def test_survey_rows_fail_on_an_invalid_realization(monkeypatch, capsys):
@@ -616,6 +635,55 @@ def test_survey_rows_fail_on_an_invalid_realization(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "validate_realization", forced)
     assert _invalid_survey_cells(capsys) == [(5, k) for k in range(5)]
+
+
+# At n = 100 the normal-agreement tolerance is 1e4 eps h^3 = 1.1e-7, so the
+# near face normal may move by _MOVE and still agree with its closed form;
+# each move below trips one condition of validate_realization and no other.
+_MOVE = 1e-8
+
+
+@pytest.mark.parametrize("move,tripped", [
+    (lambda v: -v, "residual_normal_agreement"),
+    (lambda v: v * (1 + _MOVE), "residual_unit_norm"),
+    (lambda v: v + MinkVec(0.0, _MOVE, 0.0, 0.0), "residual_polar_orthogonality"),
+])
+def test_realize_fails_on_one_broken_condition(monkeypatch, capsys, move, tripped):
+    real = cli.build_realization(cli.solve_parameters(100))
+    base = validate_realization(real)
+    assert base.verdict
+    broken = dataclasses.replace(real, normal_near=move(real.normal_near))
+    report = validate_realization(broken)
+    assert not report.verdict
+    assert getattr(report, tripped) > RESIDUAL_TOL
+    for field in dataclasses.fields(ValidationReport):
+        if field.name not in (tripped, "residual_normal_agreement", "verdict"):
+            assert getattr(report, field.name) == getattr(base, field.name), field.name
+    if tripped != "residual_normal_agreement":
+        assert report.residual_normal_agreement < 2 * _MOVE
+    monkeypatch.setattr(cli, "build_realization", lambda params: broken)
+    code, out = run_capture(capsys, ["realize", "--n", "100"])
+    assert code == 1
+    assert json.loads(out)["valid"] is False
+
+
+def test_realize_fails_on_poles_that_are_not_ultraparallel(monkeypatch, capsys):
+    # the upper face normal is a unit vector orthogonal to mid_upper, so as
+    # mid_lower it makes |<mid_upper, mid_lower>| about 0, not above 1.  Unit
+    # norm and polar orthogonality fix each pole up to sign by its three face
+    # normals, so no move trips this condition alone: this one breaks the
+    # twist, polar and edge-equality checks too
+    real = cli.build_realization(cli.solve_parameters(100))
+    broken = dataclasses.replace(real, mid_lower=real.normal_upper)
+    report = validate_realization(broken)
+    assert (report.ultraparallel, report.verdict) == (False, False)
+    monkeypatch.setattr(cli, "build_realization", lambda params: broken)
+    assert run_cli(["realize", "--n", "100"]) == 1
+    # the report's equator length reads the same pair, so no report prints
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("antidual: error: |<u,w>| = ")
+    assert captured.err.endswith(" <= 1 along equator\n")
 
 
 def test_tilts_fail_on_positive_gram_tilts(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from antidual.minkowski import (
     AmbiguousOrientation,
@@ -149,7 +149,19 @@ def test_plane_normal_ambiguous_orientation():
         plane_normal(real.apex_top, real.mid_upper, real.apex_bottom, on_plane)
 
 
+# a cross product with <w,w> = 2.0e-12 against |w|^2 = 2.0: normalised, it
+# would read <w,w> = 0.99994
+_NEARLY_NULL = (MinkVec(0, 1, 0, 0), MinkVec(1, 0, -1, 1), MinkVec(1e-12, 0, 1, 0),
+                MinkVec(1, 2, 3, 4))
+
+
+def test_plane_normal_rejects_a_nearly_null_normal():
+    with pytest.raises(NonSpacelike):
+        plane_normal(*_NEARLY_NULL)
+
+
 @given(vec, vec, vec, vec)
+@example(*_NEARLY_NULL)
 def test_plane_normal_orthogonality_property(p, q, r, witness):
     try:
         w = plane_normal(p, q, r, witness)
