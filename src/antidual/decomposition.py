@@ -17,12 +17,13 @@ The rotation r (piece p -> p + 2) respects every gluing, so the complex is
 the n-fold cyclic cover of a quotient with 2 pieces and 8 slots.
 ``_STEP_RULE`` states the rule once, as the quotient's four gluings, each
 with a voltage a*k + b in Z_n: how many steps of r it moves.
-``Decomposition`` lifts it to the complex's slot tables, which the
-isomorphism search walks.  ``build_quotient`` states the edge classes, the
-census and the boundary off the quotient instead, by lifting its walks,
-which are made once (notes/decisions.md §3).  The edge-link walk
-``_edge_cycles`` is written once: the search runs it on each complex's own
-8 slots at pieces 0 and 1, which r makes a quotient, for its prefilter.
+``Decomposition`` holds the complex as that quotient at k, one partner,
+label map and voltage per slot, and the isomorphism search indexes the
+lift.  ``build_quotient`` states the edge classes, the census and the
+boundary off the quotient by lifting its walks, which are made once
+(notes/decisions.md §3); the search's prefilter evaluates the same
+edge-link walk at k.  Only the ``--full`` listing and the tests' oracles
+read the complex's 4n gluings, lifted from the rule on request.
 
 Internal edges fall into three families, each closed under the pairings:
 
@@ -72,7 +73,7 @@ class FacePairing:
     ``vertex_map`` sends the three labels of face (piece_a, face_a) to the
     labels of face (piece_b, face_b).  ``Decomposition.pairings`` builds
     these on request from the step rule's gluing list; the complex itself
-    holds only its slot tables.
+    holds only its 8 quotient slots.
     """
 
     piece_a: int
@@ -225,21 +226,28 @@ def _pair_slots(gluings, slot_count: int) -> tuple[list[int], list[int]]:
 
 
 class Decomposition:
-    """The face-paired complex of 2n labelled tetrahedra for given (n, k)."""
+    """The face-paired complex of 2n labelled tetrahedra for given (n, k),
+    held as its quotient by r.
+
+    Its only tables have one entry per quotient slot s < 8: ``slot_nbr[s]``
+    is the partner quotient slot, ``slot_lmap[s]`` the PERMS index of the
+    label map and ``slot_volt[s]`` the voltage a*k + b mod n.  Slot 8l + s
+    of the complex is glued to slot 8((l + slot_volt[s]) mod n) +
+    slot_nbr[s] by that label map.
+    """
 
     def __init__(self, n: int, k: int):
         _check_step(n, k)
         self.n = n
         self.k = k
         self.num_pieces = 2 * n
-        # the complex's only tables: slot_nbr[s] is the slot glued to slot
-        # s = 4*piece + face and slot_lmap[s] the PERMS index of its label map
-        self.slot_nbr, self.slot_lmap = _pair_slots(self._gluings(), 4 * self.num_pieces)
-        # the family-mixing guard lives in the quotient walk of the rule,
-        # which is cached, so a broken rule is refused here as well
-        _walk_rule(_STEP_RULE)
+        # the rule's walk, cached, refuses a broken rule and gives the
+        # search its wedge counts
+        self._walk = _walk_rule(_STEP_RULE)
+        self.slot_nbr, self.slot_lmap = self._walk.nbr, self._walk.lmap
+        self.slot_volt = tuple((a * k + b) % n for a, b in self._walk.volt)
 
-    # -- construction -----------------------------------------------------
+    # -- the lifted gluing list, for export and the tests -----------------
 
     def _gluings(self) -> list[tuple[int, int, int]]:
         """The 4n gluings (slot, partner slot, PERMS index), slot =
@@ -282,11 +290,13 @@ class _QuotientWalk:
     ``families`` holds the cycles of the 12 quotient wedges round their edge
     links, by family; ``boundary`` the fundamental cycles of each component
     of the 8 quotient truncation triangles, each as (a, b, sign): voltage
-    a*k + b and the product of the twists along it.  The slot tables give
-    each of the 8 slots its partner, label map and voltage (a, b).
+    a*k + b and the product of the twists along it.  The slot tables
+    ``nbr``, ``lmap`` and ``volt`` give each of the 8 slots its partner,
+    label map and voltage (a, b).
     """
 
     def __init__(self, nbr, lmap, volt):
+        self.nbr, self.lmap, self.volt = tuple(nbr), tuple(lmap), tuple(volt)
         # the boundary edge gluing is a fixed-point-free involution exactly
         # when each slot is glued to another that is glued back by the
         # inverse map and the opposite voltage

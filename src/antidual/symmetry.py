@@ -1,20 +1,19 @@
 """Combinatorial isomorphisms of the tetrahedral decompositions.
 
 An isomorphism is a bijection of pieces together with a vertex-label
-bijection per piece, commuting with every face pairing.  The search serves
-connected r-covers only: every complex the package builds is the n-fold
-cyclic cover of a 2-piece quotient by the rotation r (piece j -> j + 2,
-identity labels).  For two complexes with the same n it checks, on each
-one's own slot tables, that r is an automorphism of both and that the
-source is connected, and raises ``SymmetryError`` otherwise; r is checked
-on each call, never assumed.  Every isomorphism is then a power of r after
-one seeded at piece 0 or 1 of the target, so 48 seeds replace 48n.  A seed
-is tried only if it carries the wedge counts of the edge classes at piece
-0's six edges onto the same counts, an isomorphism invariant rather than a
-geometric assumption.  The counts are read off each complex's own 8 slots
-by the quotient's edge-link walk (``decomposition._edge_cycles``), which
-needs that no power of r reverses a gluing; a complex with such a gluing
-is refused too.
+bijection per piece, commuting with every face pairing.  Every complex is
+held as its quotient by the rotation r (piece j -> j + 2, identity labels):
+``Decomposition`` keeps the partner, label map and voltage of each of the
+8 quotient slots, and the search finds slot t = 8l + s of the complex at
+quotient slot s = t & 7 and level l = t >> 3.  So r is an automorphism of
+every complex by construction.  The search serves connected covers only:
+for two complexes with the same n it checks that the source is connected
+and raises ``SymmetryError`` otherwise.  Every isomorphism is then a power
+of r after one seeded at piece 0 or 1 of the target, so 48 seeds replace
+48n.  A seed is tried only if it carries the wedge counts of the edge
+classes at piece 0's six edges onto the same counts, an isomorphism
+invariant rather than a geometric assumption.  The counts are the step
+rule's edge-link walk, made once, evaluated at k (notes/decisions.md §3).
 
 Each seed is first tried as a lift: the map that carries r to r or to
 r^-1, which the 8 slots of pieces 0 and 1 fix and check, since r carries
@@ -47,9 +46,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .decomposition import (
-    _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition, _edge_cycles,
-)
+from .decomposition import _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition
 
 _FLIP = PERM_INDEX[(3, 2, 1, 0)]
 _HALF_TURN = PERM_INDEX[(1, 0, 3, 2)]
@@ -99,12 +96,17 @@ def _propagate(a: Decomposition, b: Decomposition,
     Label maps are indices into PERMS.  Across slot s of a, glued by S, whose
     image slot t of b is glued by T, the map V of piece j forces T o V o S^-1
     on the neighbour; S^-1 is the label map across the partner slot of s.
-    Every slot of every reached piece is compared with the map forced across
-    it, and a seed that does not reach all pieces is rejected, so a returned
-    map commutes with every pairing.
+    Piece 2l + q holds the slots 8l + 4q + face, which are quotient slot
+    s = 4q + face at level l, so across s it goes on to piece 2l + step[s]
+    (mod 2n), step[s] = 2*volt[s] + (nbr[s] >> 2).  Every slot of every
+    reached piece is compared with the map forced across it, and a seed
+    that does not reach all pieces is rejected, so a returned map commutes
+    with every pairing.
     """
-    a_nbr, a_lmap, b_nbr, b_lmap = a.slot_nbr, a.slot_lmap, b.slot_nbr, b.slot_lmap
-    m = a.num_pieces
+    a_step = [2 * v + (s2 >> 2) for s2, v in zip(a.slot_nbr, a.slot_volt)]
+    a_back = [a.slot_lmap[s2] for s2 in a.slot_nbr]
+    b_step = [2 * v + (t2 >> 2) for t2, v in zip(b.slot_nbr, b.slot_volt)]
+    b_lmap, m = b.slot_lmap, a.num_pieces
     pieces = [-1] * m
     lmaps = [0] * m
     used = [False] * m
@@ -112,12 +114,12 @@ def _propagate(a: Decomposition, b: Decomposition,
     used[seed_piece] = True
     queue = [0]
     for j in queue:  # appended to while it is walked: breadth first
-        v = lmaps[j]
-        vm, base = PERMS[v], 4 * pieces[j]
+        v, p = lmaps[j], pieces[j]
+        vm, base, b_base = PERMS[v], 4 * (j & 1), 4 * (p & 1)
         for face in range(4):
-            s2, t = a_nbr[4 * j + face], base + vm[face]
-            j2, tp = s2 >> 2, b_nbr[t] >> 2
-            new = PERM_PRODUCT[24 * PERM_PRODUCT[24 * b_lmap[t] + v] + a_lmap[s2]]
+            s, t = base + face, b_base + vm[face]
+            j2, tp = ((j & -2) + a_step[s]) % m, ((p & -2) + b_step[t]) % m
+            new = PERM_PRODUCT[24 * PERM_PRODUCT[24 * b_lmap[t] + v] + a_back[s]]
             if pieces[j2] < 0:
                 if used[tp]:
                     return None
@@ -131,32 +133,22 @@ def _propagate(a: Decomposition, b: Decomposition,
     return CombIso(tuple(pieces), tuple(lmaps), (a.n, a.k), (b.n, b.k))
 
 
-def _rotates(dec: Decomposition) -> bool:
-    """Whether the rotation r is an automorphism of ``dec``, read off its slot
-    tables: for every slot s, slot s + 8 is glued to the slot 8 after the
-    partner of s, by the same label map (slots mod 8n)."""
-    nbr, lmap = dec.slot_nbr, dec.slot_lmap
-    m = len(nbr)
-    return lmap[8:] + lmap[:8] == lmap and nbr[8:] + nbr[:8] == [(s + 8) % m for s in nbr]
-
-
 def _connected(dec: Decomposition) -> bool:
-    """Whether ``dec``, of which r is an automorphism, is connected.
+    """Whether ``dec`` is connected.
 
-    Piece 2l + q is the lift at level l of quotient piece q, and slot s < 8
-    joins level 0 of piece s >> 2 to level nbr[s] >> 3 of piece
-    (nbr[s] >> 2) & 1.  The cover is connected iff some slot of piece 0
-    reaches an odd piece and the voltages of the quotient's closed walks
-    generate Z_n (Gross-Tucker, Topological Graph Theory, ch. 2).
+    Quotient slot s joins level 0 of quotient piece s >> 2 to level volt[s]
+    of piece nbr[s] >> 2.  The cover is connected iff some slot of piece 0
+    reaches piece 1 and the voltages of the quotient's closed walks generate
+    Z_n (Gross-Tucker, Topological Graph Theory, ch. 2).
     """
-    nbr = dec.slot_nbr
+    nbr, volt = dec.slot_nbr, dec.slot_volt
     s0 = next((s for s in range(4) if nbr[s] & 4), None)
     if s0 is None:
         return False
-    level = (0, nbr[s0] >> 3)  # of each quotient piece, along slot s0
+    level = (0, volt[s0])  # of each quotient piece, along slot s0
     g = dec.n
     for s in range(8):
-        g = math.gcd(g, (nbr[s] >> 3) + level[s >> 2] - level[(nbr[s] >> 2) & 1])
+        g = math.gcd(g, volt[s] + level[s >> 2] - level[nbr[s] >> 2])
     return g == 1
 
 
@@ -167,25 +159,26 @@ def _lift(a: Decomposition, b: Decomposition, piece: int, lmap: int) -> CombIso 
 
     Such a map sends piece 2i + q to F(q) + 2ei (mod 2n), e = +-1, by the
     label map L(q) of its parity q.  F(0), L(0) is the seed, and F(1), L(1)
-    is forced across the first slot of piece 0 glued to an odd piece.  Only
-    for r an automorphism of a and of b, and a connected: r then carries the
-    8 checks to every slot, and the map is a bijection iff F(0) and F(1)
-    differ in parity (notes/decisions.md §4).
+    is forced across the first slot of piece 0 glued to an odd piece.  For a
+    connected, r carries the 8 checks to every slot, and the map is a
+    bijection iff F(0) and F(1) differ in parity (notes/decisions.md §4).
     """
-    a_nbr, a_lmap, b_nbr, b_lmap = a.slot_nbr, a.slot_lmap, b.slot_nbr, b.slot_lmap
+    a_nbr, a_lmap, a_volt = a.slot_nbr, a.slot_lmap, a.slot_volt
+    b_nbr, b_lmap, b_volt = b.slot_nbr, b.slot_lmap, b.slot_volt
     m = a.num_pieces
     s0 = next(s for s in range(4) if a_nbr[s] & 4)
-    t = 4 * piece + PERMS[lmap][s0]
-    odd = b_nbr[t] >> 2
-    if (odd - piece) % 2 == 0:
+    t = 4 * piece + PERMS[lmap][s0]  # at level 0, as piece is 0 or 1
+    odd = 2 * b_volt[t] + (b_nbr[t] >> 2)
+    if odd % 2 == piece:
         return None
     labels = (lmap, PERM_PRODUCT[24 * PERM_PRODUCT[24 * b_lmap[t] + lmap] + a_lmap[a_nbr[s0]]])
     for e in (1, -1):
-        image = (piece, (odd - 2 * e * (a_nbr[s0] >> 3)) % m)
+        image = (piece, (odd - 2 * e * a_volt[s0]) % m)
         for s in range(8):  # each slot as _propagate compares it
-            v, s2 = labels[s >> 2], a_nbr[s]
-            t, q = 4 * image[s >> 2] + PERMS[v][s & 3], (s2 >> 2) & 1
-            if (b_nbr[t] >> 2 != (image[q] + 2 * e * (s2 >> 3)) % m
+            v, s2, p = labels[s >> 2], a_nbr[s], image[s >> 2]
+            t, q = 4 * (p & 1) + PERMS[v][s & 3], s2 >> 2
+            if ((2 * ((p >> 1) + b_volt[t]) + (b_nbr[t] >> 2)) % m
+                    != (image[q] + 2 * e * a_volt[s]) % m
                     or PERM_PRODUCT[24 * PERM_PRODUCT[24 * b_lmap[t] + v] + a_lmap[s2]]
                     != labels[q]):
                 break
@@ -196,31 +189,16 @@ def _lift(a: Decomposition, b: Decomposition, piece: int, lmap: int) -> CombIso 
 
 
 def _wedge_counts(dec: Decomposition) -> tuple[int, ...]:
-    """Per wedge x = 6*piece + index of the edge in _EDGES of pieces 0 and 1,
-    the wedge count of its edge class, for ``dec`` of which r is an
-    automorphism.
-
-    Read off the complex's own 8 slots as a quotient: slot s < 8 is glued to
-    quotient slot nbr[s] & 7 by its label map, with voltage the level
-    nbr[s] >> 3.  A link cycle of length L and voltage v lifts to classes of
-    L*n/gcd(n, v) wedges.  That needs every quotient slot glued to another:
-    a slot glued to itself is a gluing some power of r reverses, at which
-    the walk would turn back, so such a complex is refused.
-    """
-    nbr = dec.slot_nbr[:8]
-    if any(s == s2 & 7 for s, s2 in enumerate(nbr)):
-        raise SymmetryError(f"a power of r reverses a gluing of ({dec.n}, {dec.k})")
-    return _lifted_counts(dec.n, tuple(nbr), tuple(dec.slot_lmap[:8]))
-
-
-@functools.lru_cache(maxsize=1024)
-def _lifted_counts(n: int, nbr: tuple[int, ...], lmap: tuple[int, ...]) -> tuple[int, ...]:
-    # keyed by the 8 slots, which fix the counts: classify reads each
-    # complex's counts once per pair
+    """Per quotient wedge x = 6*q + index of the edge in _EDGES, the wedge
+    count of its edge class in ``dec``: the rule's edge-link walk evaluated
+    at k.  A link cycle of length L and voltage v lifts to classes of
+    L*n/gcd(n, v) wedges (notes/decisions.md §3)."""
+    n, k = dec.n, dec.k
     sizes = [0] * 12
-    for cycles in _edge_cycles([s2 & 7 for s2 in nbr], lmap, [(0, s2 >> 3) for s2 in nbr]):
+    for cycles in dec._walk.families:
         for cycle in cycles:
-            size = len(cycle.wedges) * n // math.gcd(n, cycle.voltage[1])
+            a, b = cycle.voltage
+            size = len(cycle.wedges) * n // math.gcd(n, a * k + b)
             for w in cycle.wedges:
                 sizes[w] = size
     return tuple(sizes)
@@ -229,18 +207,14 @@ def _lifted_counts(n: int, nbr: tuple[int, ...], lmap: tuple[int, ...]) -> tuple
 def _seed_search(a: Decomposition, b: Decomposition, find_all: bool = True) -> list[CombIso]:
     """The maps a -> b seeded at pieces 0 and 1 of b; [] for different n.
 
-    Refuses with ``SymmetryError`` unless r is an automorphism of a and of b
-    none of whose powers reverses a gluing, and a is connected.  A seed is
-    tried only if it keeps the wedge counts of the edge classes at piece 0's
+    Refuses with ``SymmetryError`` unless a is connected.  A seed is tried
+    only if it keeps the wedge counts of the edge classes at piece 0's
     edges, which every isomorphism does.  It is tried as a lift, and walked
     if the lift fails.  With ``find_all=False`` the search stops at its
     first map.
     """
     if a.n != b.n:
         return []
-    if not (_rotates(b) and (a is b or _rotates(a))):
-        raise SymmetryError(f"the rotation r is no automorphism of ({a.n}, {a.k}) "
-                            f"or of ({b.n}, {b.k})")
     if not _connected(a):
         raise SymmetryError(f"({a.n}, {a.k}) is not connected")
     out = []

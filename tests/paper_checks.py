@@ -1,10 +1,11 @@
 """Checks the tests run on the package's output, kept out of the package.
 
 The independent isomorphism check reads a slot table built from the gluing
-list (``Decomposition.pairings``) alone, never the slot tables the search
-walks.  The paper's proof device, the eight candidate seeds phi0..phi7 of
-maps fixing or swapping pieces 0 and 1, is extended here over the step-k'
-complexes with the search's own walk; the classical analysis says every
+list (``Decomposition.pairings``) alone, never the 8 quotient slots the
+search indexes; ``lifted_slots`` pairs that list into the complex's 8n-slot
+tables for the oracles that walk them.  The paper's proof device, the eight
+candidate seeds phi0..phi7 of maps fixing or swapping pieces 0 and 1, is
+extended here over the step-k' complexes with the search's own walk; the classical analysis says every
 isometry is one of them composed with the dihedral subgroup, which the
 search finds rather than assumes.  The reference coset enumerator is the
 crudest Todd-Coxeter: it defines cosets along the whole of each relator and
@@ -15,7 +16,8 @@ build the printed classification's words factor by factor, with no parser.
 from collections import Counter
 
 from antidual.decomposition import (
-    _ARC_WEDGES, _EDGES, _ROLES, PERM_INDEX, PERM_PRODUCT, Decomposition, arcs, build_quotient,
+    _ARC_WEDGES, _EDGES, _ROLES, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition, _pair_slots,
+    arcs, build_quotient,
 )
 from antidual.groups import (
     DEFAULT_COSET_CAP, EnumerationResult, GroupError, PresentedGroup, _word_letters,
@@ -32,6 +34,22 @@ def slot_table(dec):
         table[fp.piece_a, fp.face_a] = (fp.piece_b, fp.face_b, fwd)
         table[fp.piece_b, fp.face_b] = (fp.piece_a, fp.face_a, {y: x for x, y in fwd.items()})
     return table
+
+
+def lifted_slots(dec):
+    """The complex's 8n-slot tables from its gluing list alone: the slot
+    glued to slot 4*piece + face and the PERMS index of its label map."""
+    return _pair_slots(dec._gluings(), 4 * dec.num_pieces)
+
+
+def slot_view(nbr, lmap):
+    """8n-slot tables read as (piece, face) -> (partner piece, partner face,
+    label map), the form of ``slot_table``."""
+    view = {}
+    for s, (s2, i) in enumerate(zip(nbr, lmap)):
+        perm = PERMS[i]
+        view[divmod(s, 4)] = (s2 >> 2, s2 & 3, {x: perm[x] for x in range(4) if x != s & 3})
+    return view
 
 
 def is_isomorphism(iso, a, b):

@@ -129,26 +129,6 @@ def test_isom_group_disputed_cell_exits_one(capsys):
     assert "missing_generator" in payload["certificate"]
 
 
-def test_isom_group_refuses_a_complex_without_the_rotation(monkeypatch, capsys):
-    # gluings in which the quads out of pieces 0 and 2 trade targets: r is
-    # no automorphism, so the search refuses the complex and no report is
-    # printed
-    gluings = Decomposition._gluings
-
-    def swapped(self):
-        g = gluings(self)
-        (a0, b0, i0), (a2, b2, i2) = g[2], g[6]
-        g[2], g[6] = (a0, b2, i0), (a2, b0, i2)
-        return g
-
-    monkeypatch.setattr(Decomposition, "_gluings", swapped)
-    code = run_cli(["isom-group", "--n", "9", "--k", "4"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("antidual: error: the rotation r is no automorphism")
-
-
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "antidual.cli", "realize"],
@@ -346,6 +326,7 @@ def test_verify_presentations_clean_range(capsys):
     (["tilts", "--n", "300"], "tilts_300.json"),
     (["classify", "--n", "30"], "classify_30.json"),
     (["isom-group", "--n", "18", "--k", "4", "--full"], "isom_group_18_4_full.json"),
+    (["classify", "--n", "60"], "classify_60.json"),
 ])
 def test_output_matches_golden_bytes(capsys, argv, golden):
     # the golden files were written before survey cells came to share one
@@ -361,7 +342,9 @@ def test_output_matches_golden_bytes(capsys, argv, golden):
     # (300) tilts ones, which pin the geometry's floats, before the normals,
     # twist images and hull solves were stacked (the realize ones rewritten
     # when their residuals gained normal_agreement), and the (18, 4) one, a
-    # cell with the half-turn s, before the search tried seeds as lifts;
+    # cell with the half-turn s, before the search tried seeds as lifts, and
+    # the (60) classify one, which pins every pairwise verdict to n = 60,
+    # before a complex was held as its 8-slot quotient;
     # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies,
     # isom-group (9, 1) on its missing half-turn and (18, 4) on its printed
     # presentation of order 48, and realize (300) on its twist residual above

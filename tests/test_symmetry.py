@@ -38,6 +38,7 @@ from paper_checks import (
     is_isomorphism,
     rotation,
     slot_table,
+    slot_view,
 )
 
 
@@ -181,78 +182,72 @@ def test_wedge_count_prefilter_seed_counts(monkeypatch, n, k, full_seeds):
     assert {piece for piece, _ in seeds} <= {0, 1}
 
 
-class _SwappedQuads(Decomposition):
-    """The quads out of pieces 0 and 2 trade targets."""
-
-    def _gluings(self):
-        g = super()._gluings()
-        (a0, b0, i0), (a2, b2, i2) = g[2], g[6]
-        g[2], g[6] = (a0, b2, i0), (a2, b0, i2)
-        return g
-
-
-class _RelabelledPieces(Decomposition):
-    """The step-rule complex with pieces 1 and 2 trading names."""
-
-    def _gluings(self):
-        def rename(s):
-            return 4 * {1: 2, 2: 1}.get(s >> 2, s >> 2) + (s & 3)
-        return [(rename(sa), rename(sb), i) for sa, sb, i in super()._gluings()]
-
-
-@pytest.mark.parametrize("n,k", [(5, 2), (6, 1), (9, 4)])
-@pytest.mark.parametrize("broken", [_SwappedQuads, _RelabelledPieces])
-def test_search_without_rotation_takes_the_full_path(n, k, broken):
-    # the search serves r-covers only: a complex without r, as source or as
-    # target, is refused where a search over all 2n seed pieces would be
-    # needed, and a different n is still no isomorphism
-    x, dec = broken(n, k), build_decomposition(n, k)
-    assert symmetry._propagate(x, x, 2, 0) != rotation_iso(x)
-    for a, b in [(x, x), (dec, x), (x, dec)]:
-        for find_all in (True, False):
-            with pytest.raises(SymmetryError, match="rotation r is no automorphism"):
-                enumerate_isomorphisms(a, b, find_all)
-    with pytest.raises(SymmetryError, match="rotation r is no automorphism"):
-        automorphism_group(x)
-    assert enumerate_isomorphisms(x, build_decomposition(n + 1, k)) == []
-
-
-def _corrupt_lmap(tau):
-    def corrupt(target, t):
-        target.slot_lmap[t] = PERM_PRODUCT[24 * tau + target.slot_lmap[t]]
+def _corrupt(table, change):
+    """Corrupt entry s of one of the target's 8-slot tables by ``change``."""
+    def corrupt(target, s):
+        entries = list(getattr(target, table))
+        entries[s] = change(entries[s], target.n)
+        setattr(target, table, tuple(entries))
     return corrupt
 
 
-def _corrupt_nbr(target, t):
-    target.slot_nbr[t] = (target.slot_nbr[t] + 4) % len(target.slot_nbr)
+# a label map after (2 3) or (0 1), the partner's face on the other
+# quotient piece, and the partner one level on
+_CORRUPTIONS = {
+    "lmap-(2 3)": _corrupt("slot_lmap", lambda i, n: PERM_PRODUCT[24 * 1 + i]),
+    "lmap-(0 1)": _corrupt("slot_lmap", lambda i, n: PERM_PRODUCT[24 * 6 + i]),
+    "nbr+1": _corrupt("slot_nbr", lambda s2, n: s2 ^ 4),
+    "volt+1": _corrupt("slot_volt", lambda v, n: (v + 1) % n),
+}
+
+
+def _index_lift(dec):
+    """The 8n-slot tables the search's index arithmetic reads: slot 8l + s
+    glued to slot 8((l + volt[s]) mod n) + nbr[s] by label map lmap[s]."""
+    n = dec.n
+    return ([8 * ((t // 8 + dec.slot_volt[t % 8]) % n) + dec.slot_nbr[t % 8]
+             for t in range(8 * n)],
+            [dec.slot_lmap[t % 8] for t in range(8 * n)])
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_the_search_indexes_the_lift_of_the_pairings(n):
+    # r holds by construction: the search finds slot t of a complex at
+    # quotient slot t & 7, level t >> 3, and on every one of the 8n slots
+    # that must give the partner and label map the gluing list gives
+    for k in range(n):
+        dec = build_decomposition(n, k)
+        assert len(dec.slot_nbr) == len(dec.slot_lmap) == len(dec.slot_volt) == 8
+        assert slot_view(*_index_lift(dec)) == slot_table(dec), (n, k)
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (7, 3), (9, 4)])
-@pytest.mark.parametrize("corrupt", [_corrupt_lmap(1), _corrupt_lmap(6), _corrupt_nbr],
-                         ids=["lmap-(2 3)", "lmap-(0 1)", "nbr+1"])
+@pytest.mark.parametrize("corrupt", list(_CORRUPTIONS.values()), ids=list(_CORRUPTIONS))
 def test_search_walk_checks_every_slot(n, k, corrupt):
     # the walk is the search's only check on a map the lift does not accept,
-    # and the only way it rejects a seed: one wrong slot of the target,
-    # whichever of the 8n it is, must reject the rotation seed
+    # and the only way it rejects a seed: one wrong entry of the target's
+    # tables, at whichever of the 8 quotient slots, must reject the rotation
+    # seed
     dec = build_decomposition(n, k)
     assert symmetry._propagate(dec, build_decomposition(n, k), 2, 0) == rotation_iso(dec)
-    for t in range(4 * dec.num_pieces):
+    for s in range(8):
         target = build_decomposition(n, k)
-        corrupt(target, t)
-        assert symmetry._propagate(dec, target, 2, 0) is None, t
+        corrupt(target, s)
+        assert symmetry._propagate(dec, target, 2, 0) is None, s
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (7, 3), (9, 4)])
-@pytest.mark.parametrize("corrupt", [_corrupt_lmap(1), _corrupt_lmap(6), _corrupt_nbr],
-                         ids=["lmap-(2 3)", "lmap-(0 1)", "nbr+1"])
+@pytest.mark.parametrize("corrupt", list(_CORRUPTIONS.values()), ids=list(_CORRUPTIONS))
 def test_rotation_check_reads_every_slot(n, k, corrupt):
-    # the search serves only complexes of which r is an automorphism: one
-    # wrong slot, whichever of the 8n it is, must fail the table check
-    assert symmetry._rotates(build_decomposition(n, k))
-    for t in range(8 * n):
+    # the check that r lifts as the search indexes it (the test above) fails
+    # on one wrong entry, at whichever of the 8 quotient slots: every one of
+    # the n slots that entry stands for leaves the gluing list
+    table = slot_table(build_decomposition(n, k))
+    for s in range(8):
         target = build_decomposition(n, k)
-        corrupt(target, t)
-        assert not symmetry._rotates(target), t
+        corrupt(target, s)
+        view = slot_view(*_index_lift(target))
+        assert all(view[divmod(t, 4)] != table[divmod(t, 4)] for t in range(s, 8 * n, 8)), s
 
 
 @functools.cache
@@ -292,14 +287,13 @@ def test_only_the_half_turn_cells_need_the_walk(monkeypatch):
                          ids=["reversed-quad", "doubled-voltages"])
 @pytest.mark.parametrize("n", [4, 5, 6, 9])
 def test_search_on_edited_step_rules_matches_the_oracle(monkeypatch, rule, n):
-    # the edited rules of test_decomposition.py that build: r still maps each
-    # complex to itself, so the search tries lifts; doubled voltages
-    # disconnect it at even n, where no seed reaches every piece and the
-    # search refuses the source rather than report no isomorphism
+    # the edited rules of test_decomposition.py that build: each complex is
+    # the lift of the edited quotient, so the search tries lifts; doubled
+    # voltages disconnect it at even n, where no seed reaches every piece and
+    # the search refuses the source rather than report no isomorphism
     monkeypatch.setattr(decomposition, "_STEP_RULE", rule)
     decs = [build_decomposition(n, k) for k in range(n)]
     connected = rule != _DOUBLED or n % 2 == 1
-    assert all(symmetry._rotates(dec) for dec in decs)
     assert all(symmetry._connected(dec) for dec in decs) is connected
     for a in decs:
         for b in decs:
@@ -317,59 +311,59 @@ def test_search_on_edited_step_rules_matches_the_oracle(monkeypatch, rule, n):
 _QUAD = decomposition._QUAD
 
 
-class _HalfTurnSides(Decomposition):
-    """Side cuts half-way round (piece 2l onto piece 2(l + n/2) + 1, n even)
-    and both quads one level on: connected, with r, and swapping each even
-    piece with the odd piece cut against it is an automorphism."""
-
-    def _gluings(self):
-        n, h = self.n, self.n // 2
-        return [row for l in range(n) for row in (
-            (8 * l + 1, 8 * ((l + h) % n) + 5, 0), (8 * l + 6, 8 * ((l + h) % n) + 2, 0),
-            (8 * l + 3, 8 * ((l + 1) % n), _QUAD), (8 * l + 7, 8 * ((l + 1) % n) + 4, _QUAD))]
+# side cuts half-way round (piece 2l onto piece 2(l + n/2) + 1) and both quads
+# one level on, as a rule at k = n/2, n even: connected, and swapping each
+# even piece with the odd piece cut against it is an automorphism
+_HALF_TURN_SIDES = ((1, 5, 0, 1, 0), (6, 2, 0, 1, 0), (3, 0, _QUAD, 0, 1), (7, 4, _QUAD, 0, 1))
 
 
-class _Folded(_HalfTurnSides):
-    """_HalfTurnSides folded by that swap onto its even pieces, with a copy on
-    the odd ones: r still maps it to itself, but it is disconnected, and r^(n/2)
-    reverses each side gluing (piece 2l onto piece 2(l + n/2), face to face)."""
+def _half_turn_sides(monkeypatch, n):
+    monkeypatch.setattr(decomposition, "_STEP_RULE", _HALF_TURN_SIDES)
+    return build_decomposition(n, n // 2)
 
-    def _gluings(self):
-        h = self.n // 2
-        sides = [(8 * l + f, 8 * (l + h) + f, 0) for l in range(h) for f in (1, 2, 5, 6)]
-        return sides + [row for row in super()._gluings() if row[0] & 3 == 3]
+
+def _fold(x):
+    """``x`` of _HALF_TURN_SIDES folded by that swap onto its even pieces,
+    with a copy on the odd ones: the complex with its 8-slot tables set by
+    hand, each side slot glued to itself at voltage n/2, and its gluing
+    list."""
+    n, h = x.n, x.n // 2
+    folded = build_decomposition(n, x.k)
+    folded.slot_nbr = (3, 1, 2, 0, 7, 5, 6, 4)
+    folded.slot_volt = tuple(h if s & 3 in (1, 2) else v for s, v in enumerate(x.slot_volt))
+    sides = [(8 * l + f, 8 * (l + h) + f, 0) for l in range(h) for f in (1, 2, 5, 6)]
+    return folded, sides + [row for row in x._gluings() if row[0] & 3 == 3]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_the_lift_refuses_a_fold_onto_the_even_pieces(n):
+def test_the_lift_refuses_a_fold_onto_the_even_pieces(monkeypatch, n):
     # piece j -> 2(j // 2) with identity labels commutes with every pairing
     # but covers the target's even pieces twice: its 8 slots agree, so only
     # the parity of F(0) and F(1) refuses it
-    a, b = _HalfTurnSides(n, 0), _Folded(n, 0)
-    assert symmetry._rotates(a) and symmetry._connected(a) and symmetry._rotates(b)
-    assert symmetry._lift(a, b, 0, 0) is None
-    assert _oracle_enumerate(a, b) == []
-    # the search itself refuses the target, whose wedge counts it cannot read
-    with pytest.raises(SymmetryError, match="reverses a gluing"):
-        enumerate_isomorphisms(a, b)
+    a = _half_turn_sides(monkeypatch, n)
+    folded, gluings = _fold(a)
+    target = slot_view(*decomposition._pair_slots(gluings, 8 * n))
+    assert slot_view(*_index_lift(folded)) == target
+    for (p, f), (p2, f2, fwd) in slot_table(a).items():
+        assert target[2 * (p // 2), f] == (2 * (p2 // 2), f2, fwd)
+    # F(0) = 0, and F(1) = n, forced across slot (0, 1), is even too
+    assert symmetry._connected(a) and folded.slot_nbr[1] == 1 and folded.slot_volt[1] == n // 2
+    assert symmetry._lift(a, folded, 0, 0) is None
+    assert symmetry._propagate(a, folded, 0, 0) is None
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_the_prefilter_sizes_match_the_oracle_off_the_step_rule(monkeypatch, n):
-    # complexes glued by hand, not from _STEP_RULE: the wedge counts the
-    # search reads off the 8 slots of _HalfTurnSides are the union-find
-    # oracle's at pieces 0 and 1.  Read the same way off _Folded, whose side
-    # gluings r^(n/2) reverses, the walks would turn back at those slots and
-    # give 10, 6, 2 where the oracle has 6, 4, 2, so it is refused
-    x = _HalfTurnSides(n, 0)
+    # an edited rule: the wedge counts the search evaluates off the walk of
+    # _HALF_TURN_SIDES are the union-find oracle's at pieces 0 and 1
+    dec = build_decomposition(n, 1)
+    x = _half_turn_sides(monkeypatch, n)
     assert symmetry._wedge_counts(x) == _oracle_class_sizes(x)[:12]
     # between x and a step-rule complex, whose counts differ, each side's
     # own counts reject every seed before it is tried
-    log, dec = _log_seeds(monkeypatch), build_decomposition(n, 1)
+    log = _log_seeds(monkeypatch)
     assert enumerate_isomorphisms(x, dec) == enumerate_isomorphisms(dec, x) == []
     assert log == []
-    with pytest.raises(SymmetryError, match=r"a power of r reverses a gluing of \(%d, 0\)" % n):
-        symmetry._wedge_counts(_Folded(n, 0))
 
 
 def test_table_composition_matches_the_label_formula():
@@ -567,6 +561,9 @@ def test_different_n_never_isomorphic():
     a = build_decomposition(4, 0)
     b = build_decomposition(5, 0)
     assert enumerate_isomorphisms(a, b) == []
+    for n, k in [(5, 2), (6, 1), (9, 4)]:
+        x, y = build_decomposition(n, k), build_decomposition(n + 1, k)
+        assert enumerate_isomorphisms(x, y) == enumerate_isomorphisms(y, x, find_all=False) == []
 
 
 @pytest.mark.parametrize("n,k,k2,expect", [
