@@ -31,11 +31,9 @@ from dataclasses import dataclass, fields
 
 from .decomposition import (
     Decomposition,
-    Quotient,
     arcs,
     boundary_surface,
     build_decomposition,
-    build_quotient,
     decomposition_to_dict,
 )
 from .groups import (
@@ -145,31 +143,31 @@ def _tilts_report(real: Realization) -> tuple[dict, bool]:
 
 def cmd_decompose(n: int, k: int, cfg: RunConfig, full: bool = False) -> tuple[dict, bool]:
     real = build_realization(solve_parameters(n))
-    return _decompose_report(build_quotient(n, k), real, full)
+    return _decompose_report(build_decomposition(n, k), real, full)
 
 
-def _decompose_report(quotient: Quotient, real: Realization, full: bool) -> tuple[dict, bool]:
+def _decompose_report(dec: Decomposition, real: Realization, full: bool) -> tuple[dict, bool]:
     # the census and boundary are lifted from the quotient; only --full
-    # builds the complex, to list its pairings and wedges
-    n, k = quotient.n, quotient.k
-    surf = boundary_surface(quotient)
-    angle_report = angle_sum_check(quotient, real)
+    # lifts the gluing list and the wedge lists, to export them
+    n, k = dec.n, dec.k
+    surf = boundary_surface(dec)
+    angle_report = angle_sum_check(dec, real)
     genus_expected = n - 3 if n % 3 == 0 else n - 1
     payload = {
         "n": n,
         "k": k,
-        "pieces": quotient.num_pieces,
+        "pieces": dec.num_pieces,
         # each piece has 4 glued faces, two to a pairing
-        "pairings": 2 * quotient.num_pieces,
+        "pairings": 2 * dec.num_pieces,
         "edge_classes": [
             {
                 "kind": cls.kind,
                 "wedge_count": cls.wedge_count,
                 "distinct_pieces": cls.distinct_pieces,
             }
-            for cls in quotient.class_summaries
+            for cls in dec.class_summaries
         ],
-        "arcs": arcs(quotient),
+        "arcs": arcs(dec),
         "boundary": {
             "vertices": surf.vertex_count,
             "edges": surf.edge_count,
@@ -187,7 +185,7 @@ def _decompose_report(quotient: Quotient, real: Realization, full: bool) -> tupl
         },
     }
     if full:
-        payload["complex"] = decomposition_to_dict(build_decomposition(n, k))
+        payload["complex"] = decomposition_to_dict(dec)
     ok = (
         surf.is_orientable
         and surf.is_connected
@@ -295,7 +293,7 @@ def _survey_geometry(n: int) -> tuple[bool, float, int]:
     real = build_realization(solve_parameters(n))
     _, valid = _realize_report(real)
     tilt_payload, canonical = _tilts_report(real)
-    census, census_ok = _decompose_report(build_quotient(n, 0), real, full=False)
+    census, census_ok = _decompose_report(build_decomposition(n, 0), real, full=False)
     return valid and canonical and census_ok, tilt_payload["margin"], census["boundary"]["genus"]
 
 

@@ -19,11 +19,12 @@ the n-fold cyclic cover of a quotient with 2 pieces and 8 slots.
 with a voltage a*k + b in Z_n: how many steps of r it moves.
 ``Decomposition`` holds the complex as that quotient at k, one partner,
 label map and voltage per slot, and the isomorphism search indexes the
-lift.  ``build_quotient`` states the edge classes, the census and the
-boundary off the quotient by lifting its walks, which are made once
-(notes/decisions.md §3); the search's prefilter evaluates the same
-edge-link walk at k.  Only the ``--full`` listing and the tests' oracles
-read the complex's 4n gluings, lifted from the rule on request.
+lift.  It reads the edge classes, the census and the boundary off the
+quotient by lifting its walks, which are made once per rule
+(notes/decisions.md §3), at k on first read; the search's prefilter reads
+only the class sizes of that lift.  Only the ``--full`` listing and the
+tests' oracles read the complex's 4n gluings, lifted from the rule on
+request.
 
 Internal edges fall into three families, each closed under the pairings:
 
@@ -190,13 +191,6 @@ _STEP_RULE = (
 )
 
 
-def _check_step(n: int, k: int) -> None:
-    if n < 4:
-        raise InvalidStep(f"n must be >= 4, got {n}")
-    if not 0 <= k <= n - 1:
-        raise InvalidStep(f"k must lie in 0..{n - 1}, got {k}")
-
-
 def _pair_slots(gluings, slot_count: int) -> tuple[list[int], list[int]]:
     """The slot tables of the gluings (slot, partner slot, PERMS index):
     the slot each slot is glued to and the PERMS index of its label map, each
@@ -234,18 +228,115 @@ class Decomposition:
     label map and ``slot_volt[s]`` the voltage a*k + b mod n.  Slot 8l + s
     of the complex is glued to slot 8((l + slot_volt[s]) mod n) +
     slot_nbr[s] by that label map.
+
+    The edge classes are the lift of the rule's walk at k, made on first
+    read without lifting the gluings.  A walk cycle of length L and voltage
+    v lifts to g = gcd(n, v) classes of L*n/g wedges (Gross-Tucker,
+    Topological Graph Theory, ch. 2), each closing with its ends swapped
+    when the cycle's parity is odd and n/g is.  The search reads only
+    ``wedge_counts``; the census also places the classes (``_stretches``),
+    in (family, first wedge) order, each wedge being 6*piece + index of its
+    edge in _EDGES.  ``boundary_vertex_count`` counts the classes' ends: two
+    per class, one where it closes with its ends swapped.
     """
 
     def __init__(self, n: int, k: int):
-        _check_step(n, k)
+        if n < 4:
+            raise InvalidStep(f"n must be >= 4, got {n}")
+        if not 0 <= k <= n - 1:
+            raise InvalidStep(f"k must lie in 0..{n - 1}, got {k}")
         self.n = n
         self.k = k
         self.num_pieces = 2 * n
-        # the rule's walk, cached, refuses a broken rule and gives the
-        # search its wedge counts
+        # the rule's walk, cached, refuses a broken rule
         self._walk = _walk_rule(_STEP_RULE)
         self.slot_nbr, self.slot_lmap = self._walk.nbr, self._walk.lmap
         self.slot_volt = tuple((a * k + b) % n for a, b in self._walk.volt)
+
+    # -- the lift of the walk at k ---------------------------------------
+
+    @cached_property
+    def _lifts(self) -> list[tuple[int, int]]:
+        """Per walk cycle, in ``_QuotientWalk.cycles`` order, the number g
+        of classes it lifts to and the rounds n/g each makes of it."""
+        n, k = self.n, self.k
+        out = []
+        for cycle in self._walk.cycles:
+            a, b = cycle.voltage
+            g = math.gcd(n, a * k + b)
+            out.append((g, n // g))
+        return out
+
+    @cached_property
+    def wedge_counts(self) -> tuple[int, ...]:
+        """Per quotient wedge 6*q + index of its edge in _EDGES, the wedge
+        count of its edge class."""
+        sizes = [len(cycle.wedges) * rounds
+                 for cycle, (_, rounds) in zip(self._walk.cycles, self._lifts)]
+        return tuple([sizes[c] for c in self._walk.cycle_of])
+
+    @cached_property
+    def _census(self) -> tuple[list, list, tuple[ClassSummary, ...], int]:
+        """Per cycle its g, levels mod g and stretches; per family the index
+        of its first class and the stretches of all its cycles; the
+        summaries; the boundary vertex count."""
+        k = self.k
+        placed, by_family, summaries, vertices = [], [], [], 0
+        for cycles in self._walk.families:
+            runs = []
+            for cycle in cycles:
+                g, rounds = self._lifts[len(placed)]
+                vertices += g * (2 - (rounds * cycle.parity & 1))
+                d = [(x * k + y) % g for x, y in cycle.levels]
+                stretches = _stretches(cycle, d, g, rounds)
+                placed.append((g, d, stretches))
+                runs += stretches
+            by_family.append((len(summaries), runs))
+            # the family's classes in the order of their first wedges, which
+            # are distinct, so the sort never compares two summaries
+            summaries += [summary for _, summary in sorted(itertools.chain.from_iterable(
+                zip(range(12 * lo + m, 12 * hi + m, 12), itertools.repeat(summary))
+                for lo, hi, m, summary in runs))]
+        return placed, by_family, tuple(summaries), vertices
+
+    @property
+    def class_summaries(self) -> tuple[ClassSummary, ...]:
+        return self._census[2]
+
+    @property
+    def boundary_vertex_count(self) -> int:
+        return self._census[3]
+
+    def class_of(self, piece: int, edge: tuple[int, int]) -> int:
+        """Index of the edge class containing the given wedge slot."""
+        if not 0 <= piece < self.num_pieces:
+            raise KeyError((piece, edge))
+        level, q = divmod(piece, 2)
+        family, c, i = self._walk.place[6 * q + _EDGE_INDEX[tuple(sorted(edge))]]
+        placed, by_family, _, _ = self._census
+        g, d, stretches = placed[c]
+        r = (level - d[i]) % g
+        for _, hi, m, _ in stretches:
+            if r < hi:
+                break
+        first = 12 * r + m
+        # count the family's classes whose first wedges come before this one's
+        index, runs = by_family[family]
+        for lo, hi, m, _ in runs:
+            if 12 * lo + m < first:
+                index += min(hi - lo, (first - 12 * lo - m + 11) // 12)
+        return index
+
+    @cached_property
+    def edge_classes(self) -> tuple[EdgeClass, ...]:
+        """The classes with their wedge lists, in ``class_summaries`` order;
+        built on first read from ``class_of`` on every wedge."""
+        members = [[] for _ in self.class_summaries]
+        for piece in range(self.num_pieces):
+            for edge in _EDGES:
+                members[self.class_of(piece, edge)].append((piece, edge))
+        return tuple(EdgeClass(wedges=tuple(w), kind=s.kind)
+                     for w, s in zip(members, self.class_summaries))
 
     # -- the lifted gluing list, for export and the tests -----------------
 
@@ -305,11 +396,13 @@ class _QuotientWalk:
                     or volt[s2] != (-volt[s][0], -volt[s][1])):
                 raise NonManifold(f"boundary edges on slot {divmod(s, 4)} glued inconsistently")
         self.families = _edge_cycles(nbr, lmap, volt)
-        # each wedge's family, cycle (counted over all families) and place in
-        # its cycle
+        # the cycles of all families in turn, and each wedge's family, cycle
+        # (an index into them) and place in its cycle
         cycles = [(f, cycle) for f, family in enumerate(self.families) for cycle in family]
+        self.cycles = tuple(cycle for _, cycle in cycles)
         self.place = {w: (f, c, i) for c, (f, cycle) in enumerate(cycles)
                       for i, w in enumerate(cycle.wedges)}
+        self.cycle_of = tuple(self.place[w][1] for w in range(12))
         self.boundary = _boundary_cycles(nbr, lmap, volt)
 
 
@@ -429,107 +522,26 @@ def _stretches(cycle: _EdgeCycle, d: list[int], g: int, rounds: int):
             wrapped += 1
 
 
-class Quotient:
-    """The (n, k) complex read off its quotient by r, without building it.
-
-    A quotient cycle of length L and voltage v lifts to g = gcd(n, v)
-    classes of L*n/g wedges (Gross-Tucker, Topological Graph Theory, ch. 2),
-    and a class closes with its ends swapped when the cycle's parity is odd
-    and n/g is.  The classes come in (family, first wedge) order, each wedge
-    being 6*piece + index of its edge in _EDGES; ``boundary_vertex_count``
-    counts their ends: two per class, one where it closes with its ends
-    swapped.
-    """
-
-    def __init__(self, n: int, k: int, walk: _QuotientWalk):
-        self.n = n
-        self.k = k
-        self.num_pieces = 2 * n
-        self._walk = walk
-        # per cycle its lift (g, d, stretches), and per family the index of
-        # its first class and the stretches of all its cycles
-        self._lifts = []
-        self._by_family = []
-        summaries: list[ClassSummary] = []
-        vertices = 0
-        for cycles in walk.families:
-            runs = []
-            for cycle in cycles:
-                a, b = cycle.voltage
-                g = math.gcd(n, a * k + b)
-                rounds = n // g
-                vertices += g * (2 - (rounds * cycle.parity & 1))
-                d = [(x * k + y) % g for x, y in cycle.levels]
-                stretches = _stretches(cycle, d, g, rounds)
-                self._lifts.append((g, d, stretches))
-                runs += stretches
-            self._by_family.append((len(summaries), runs))
-            # the family's classes in the order of their first wedges, which
-            # are distinct, so the sort never compares two summaries
-            summaries += [summary for _, summary in sorted(itertools.chain.from_iterable(
-                zip(range(12 * lo + m, 12 * hi + m, 12), itertools.repeat(summary))
-                for lo, hi, m, summary in runs))]
-        self.class_summaries = tuple(summaries)
-        self.boundary_vertex_count = vertices
-
-    def class_of(self, piece: int, edge: tuple[int, int]) -> int:
-        """Index of the edge class containing the given wedge slot."""
-        if not 0 <= piece < self.num_pieces:
-            raise KeyError((piece, edge))
-        level, q = divmod(piece, 2)
-        family, c, i = self._walk.place[6 * q + _EDGE_INDEX[tuple(sorted(edge))]]
-        g, d, stretches = self._lifts[c]
-        r = (level - d[i]) % g
-        for _, hi, m, _ in stretches:
-            if r < hi:
-                break
-        first = 12 * r + m
-        # count the family's classes whose first wedges come before this one's
-        index, runs = self._by_family[family]
-        for lo, hi, m, _ in runs:
-            if 12 * lo + m < first:
-                index += min(hi - lo, (first - 12 * lo - m + 11) // 12)
-        return index
-
-    @cached_property
-    def edge_classes(self) -> tuple[EdgeClass, ...]:
-        """The classes with their wedge lists, in ``class_summaries`` order;
-        built on first read from ``class_of`` on every wedge."""
-        members = [[] for _ in self.class_summaries]
-        for piece in range(self.num_pieces):
-            for edge in _EDGES:
-                members[self.class_of(piece, edge)].append((piece, edge))
-        return tuple(EdgeClass(wedges=tuple(w), kind=s.kind)
-                     for w, s in zip(members, self.class_summaries))
-
-
-def build_quotient(n: int, k: int) -> Quotient:
-    """The (n, k) complex as the lift of ``_STEP_RULE``, whose quotient is
-    walked once per table."""
-    _check_step(n, k)
-    return Quotient(n, k, _walk_rule(_STEP_RULE))
-
-
 # a (piece, edge) wedge of each arc e0..e3: the axis edge of piece 0, then
 # the slant edges of pieces 0, 2, 4
 _ARC_WEDGES = ((0, (0, 3)), (0, (0, 1)), (2, (0, 1)), (4, (0, 1)))
 
 
-def arcs(quotient: Quotient) -> dict[str, int]:
+def arcs(dec: Decomposition) -> dict[str, int]:
     """Arc labels to edge-class indices.
 
     For n divisible by 3 the polyhedron edges split into the three arcs
     e1, e2, e3 containing the slant edges of pieces 0, 2, 4; otherwise they
     merge into a single arc.  e0 is always the axis arc.
     """
-    labels = ("e0", "e1", "e2", "e3") if quotient.n % 3 == 0 else ("e0", "single")
-    return {label: quotient.class_of(*wedge) for label, wedge in zip(labels, _ARC_WEDGES)}
+    labels = ("e0", "e1", "e2", "e3") if dec.n % 3 == 0 else ("e0", "single")
+    return {label: dec.class_of(*wedge) for label, wedge in zip(labels, _ARC_WEDGES)}
 
 
 # -- boundary surface -------------------------------------------------------
 
 
-def boundary_surface(quotient: Quotient) -> BoundarySurface:
+def boundary_surface(dec: Decomposition) -> BoundarySurface:
     """Euler characteristic, genus, orientability of the boundary surface.
 
     The boundary is assembled from the 8n truncation triangles; each
@@ -541,12 +553,12 @@ def boundary_surface(quotient: Quotient) -> BoundarySurface:
     cycles' twist signs are a character of the subgroup the v_j generate:
     all +1, or (-1)^(v_j/g) when n/g is even.
     """
-    n, k = quotient.n, quotient.k
-    tris = 4 * quotient.num_pieces
+    n, k = dec.n, dec.k
+    tris = 4 * dec.num_pieces
     edge_count = 3 * tris // 2
-    euler = quotient.boundary_vertex_count - edge_count + tris
+    euler = dec.boundary_vertex_count - edge_count + tris
     components, is_orientable = 0, True
-    for cycles in quotient._walk.boundary:
+    for cycles in dec._walk.boundary:
         voltages = [(a * k + b) % n for a, b, _ in cycles]
         g = math.gcd(n, *voltages)
         components += g
@@ -557,7 +569,7 @@ def boundary_surface(quotient: Quotient) -> BoundarySurface:
     is_connected = components == 1
     genus = (2 - euler) // 2 if is_orientable and is_connected else -1
     return BoundarySurface(
-        vertex_count=quotient.boundary_vertex_count,
+        vertex_count=dec.boundary_vertex_count,
         edge_count=edge_count,
         face_count=tris,
         euler_characteristic=euler,
@@ -571,9 +583,8 @@ def boundary_surface(quotient: Quotient) -> BoundarySurface:
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:
-    """Documented JSON form: pieces, pairings with vertex maps, edge classes;
-    the classes and arcs are read off the quotient of the same (n, k)."""
-    quotient = build_quotient(dec.n, dec.k)
+    """Documented JSON form: pieces, pairings with vertex maps, edge classes
+    and arcs."""
     return {
         "n": dec.n,
         "k": dec.k,
@@ -593,7 +604,7 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
                 "distinct_pieces": cls.distinct_piece_count,
                 "wedges": [[p, list(e)] for p, e in cls.wedges],
             }
-            for cls in quotient.edge_classes
+            for cls in dec.edge_classes
         ],
-        "arcs": arcs(quotient),
+        "arcs": arcs(dec),
     }

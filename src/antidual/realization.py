@@ -34,7 +34,7 @@ from .minkowski import (
 )
 
 if TYPE_CHECKING:
-    from .decomposition import Quotient
+    from .decomposition import Decomposition
 
 RESIDUAL_TOL = 1e-10
 ANGLE_SUM_TOL = 1e-9
@@ -372,7 +372,7 @@ class AngleSumReport:
     all_within: bool
 
 
-def angle_sum_check(quotient: Quotient, real: Realization) -> AngleSumReport:
+def angle_sum_check(dec: Decomposition, real: Realization) -> AngleSumReport:
     """Verify that the wedge angles around every edge class sum to 2*pi.
 
     Axis wedges contribute pi/n, slant and equator wedges the dihedral
@@ -383,7 +383,7 @@ def angle_sum_check(quotient: Quotient, real: Realization) -> AngleSumReport:
     """
     angles = dihedral_angles(real)
     role_angle = {
-        "axis": math.pi / quotient.n,
+        "axis": math.pi / dec.n,
         "slant_upper": angles.slant,
         "slant_lower": angles.slant,
         "equator": angles.equator,
@@ -392,7 +392,7 @@ def angle_sum_check(quotient: Quotient, real: Realization) -> AngleSumReport:
     }
     residuals = tuple(
         sum(role_angle[role] * count for role, count in cls.roles) - 2 * math.pi
-        for cls in quotient.class_summaries
+        for cls in dec.class_summaries
     )
     max_res = max(abs(x) for x in residuals)
     return AngleSumReport(

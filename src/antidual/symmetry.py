@@ -12,8 +12,9 @@ and raises ``SymmetryError`` otherwise.  Every isomorphism is then a power
 of r after one seeded at piece 0 or 1 of the target, so 48 seeds replace
 48n.  A seed is tried only if it carries the wedge counts of the edge
 classes at piece 0's six edges onto the same counts, an isomorphism
-invariant rather than a geometric assumption.  The counts are the step
-rule's edge-link walk, made once, evaluated at k (notes/decisions.md §3).
+invariant rather than a geometric assumption.  The counts are the
+complex's class sizes, the step rule's edge-link walk lifted at k
+(notes/decisions.md §3).
 
 Each seed is first tried as a lift: the map that carries r to r or to
 r^-1, which the 8 slots of pieces 0 and 1 fix and check, since r carries
@@ -188,22 +189,6 @@ def _lift(a: Decomposition, b: Decomposition, piece: int, lmap: int) -> CombIso 
     return None
 
 
-def _wedge_counts(dec: Decomposition) -> tuple[int, ...]:
-    """Per quotient wedge x = 6*q + index of the edge in _EDGES, the wedge
-    count of its edge class in ``dec``: the rule's edge-link walk evaluated
-    at k.  A link cycle of length L and voltage v lifts to classes of
-    L*n/gcd(n, v) wedges (notes/decisions.md §3)."""
-    n, k = dec.n, dec.k
-    sizes = [0] * 12
-    for cycles in dec._walk.families:
-        for cycle in cycles:
-            a, b = cycle.voltage
-            size = len(cycle.wedges) * n // math.gcd(n, a * k + b)
-            for w in cycle.wedges:
-                sizes[w] = size
-    return tuple(sizes)
-
-
 def _seed_search(a: Decomposition, b: Decomposition, find_all: bool = True) -> list[CombIso]:
     """The maps a -> b seeded at pieces 0 and 1 of b; [] for different n.
 
@@ -218,7 +203,7 @@ def _seed_search(a: Decomposition, b: Decomposition, find_all: bool = True) -> l
     if not _connected(a):
         raise SymmetryError(f"({a.n}, {a.k}) is not connected")
     out = []
-    have, want = _wedge_counts(b), _wedge_counts(a)[:6]
+    have, want = b.wedge_counts, a.wedge_counts[:6]
     for seed_piece in (0, 1):
         counts = have[6 * seed_piece:6 * seed_piece + 6]
         for v, pullback in enumerate(_PULLBACK):
@@ -247,11 +232,12 @@ def enumerate_isomorphisms(
     """All combinatorial isomorphisms a -> b, by image of piece 0, then label map.
 
     Different n never admit isomorphisms (the piece counts differ), so the
-    search is skipped.  Otherwise r must be an automorphism of a and of b and
-    a connected, or ``SymmetryError`` is raised; the seeds at pieces 0 and 1
-    are tried and the powers of r after the maps found give the rest.  With
-    ``find_all=False`` the list holds at most one element (useful when only
-    existence matters), and no power of r is formed.
+    search is skipped.  Otherwise a must be connected, or ``SymmetryError``
+    is raised (r is an automorphism of every complex by construction); the
+    seeds at pieces 0 and 1 are tried and the powers of r after the maps
+    found give the rest.  With ``find_all=False`` the list holds at most one
+    element (useful when only existence matters), and no power of r is
+    formed.
     """
     out = _seed_search(a, b, find_all)
     return _after_rotations(out) if find_all else out
@@ -351,8 +337,12 @@ def automorphism_group(dec: Decomposition) -> AutGroupData:
 
     Identifies the distinguished generators by seed when present: ``r`` (the
     rotation), ``t`` (the top-bottom flip), ``u`` (the mirror through a
-    cutting plane, present iff k = n-k-1), ``s`` (the half-turn fixing
-    piece 0 with labels (0 1)(2 3)).  ``s`` is present iff 3 | n and
+    cutting plane), ``s`` (the half-turn fixing piece 0 with labels
+    (0 1)(2 3)).  The side cuts join all pieces and do not depend on k, so
+    they fix each seed's map: the one seeded at piece 0 with labels
+    (0 3)(1 2) is the flip, an automorphism of every complex, and the one
+    seeded at piece 1 with identity labels is the mirror, an automorphism
+    iff 2k + 1 = 0 mod n.  ``s`` is present iff 3 | n and
     n | 2(2k+1), which forces k % 3 == 1; this was observed on every cell
     with n <= 30, and it rules ``s`` out on most k % 3 == 1 cells, such as
     (9,1), (12,1) and (15,1).
@@ -364,12 +354,7 @@ def automorphism_group(dec: Decomposition) -> AutGroupData:
     _, reached = generated_subgroup([r, *base])
     if reached != seeds:
         raise ClosureFailure(f"{len(reached)} generated, {len(seeds)} enumerated")
-
-    def found(c: CombIso) -> CombIso | None:
-        e = by_seed.get((c.pieces[0], c.lmaps[0]))
-        return e if e is not None and (e.pieces, e.lmaps) == (c.pieces, c.lmaps) else None
-
-    gens = {"r": r, "t": found(flip_iso(dec)), "u": found(reflection_iso(dec)),
+    gens = {"r": r, "t": by_seed.get((0, _FLIP)), "u": by_seed.get((1, 0)),
             "s": by_seed.get((0, _HALF_TURN))}
     return AutGroupData(base=tuple(base), order=len(seeds), generators=gens)
 

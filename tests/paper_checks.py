@@ -17,7 +17,7 @@ from collections import Counter
 
 from antidual.decomposition import (
     _ARC_WEDGES, _EDGES, _ROLES, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition, _pair_slots,
-    arcs, build_quotient,
+    arcs,
 )
 from antidual.groups import (
     DEFAULT_COSET_CAP, EnumerationResult, GroupError, PresentedGroup, _word_letters,
@@ -94,11 +94,9 @@ def image_wedge(iso, piece, edge):
 
 def arc_permutation(aut, dec):
     """Position i holds j where the automorphism carries arc e_i onto e_j;
-    n divisible by 3.  The classes are read off the quotient of the same
-    (n, k)."""
-    quotient = build_quotient(dec.n, dec.k)
-    arc_of = {c: i for i, c in enumerate(arcs(quotient).values())}
-    return tuple(arc_of[quotient.class_of(*image_wedge(aut, *w))] for w in _ARC_WEDGES)
+    n divisible by 3."""
+    arc_of = {c: i for i, c in enumerate(arcs(dec).values())}
+    return tuple(arc_of[dec.class_of(*image_wedge(aut, *w))] for w in _ARC_WEDGES)
 
 
 def of_kind(dec, kind):

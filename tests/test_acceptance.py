@@ -14,7 +14,7 @@ every cell with n = 4..30, the range ``_corrected_order`` claims.
 
 import math
 
-from antidual.decomposition import boundary_surface, build_decomposition, build_quotient
+from antidual.decomposition import boundary_surface, build_decomposition
 from antidual.groups import (
     MissingGenerator,
     coset_enumerate,
@@ -94,7 +94,7 @@ def test_criterion_4_census():
     failures = []
     for n in range(4, 31):
         for k in range(n):
-            dec = build_quotient(n, k)
+            dec = build_decomposition(n, k)
             ax = dec.edge_classes[0]
             polys = of_kind(dec, "poly")
             ok = ax.wedge_count == 2 * n and ax.distinct_piece_count == 2 * n
@@ -121,7 +121,7 @@ def test_criterion_5_boundary_genus():
     failures = []
     for n in range(4, 31):
         for k in range(n):
-            surf = boundary_surface(build_quotient(n, k))
+            surf = boundary_surface(build_decomposition(n, k))
             expected = n - 3 if n % 3 == 0 else n - 1
             if not (surf.is_orientable and surf.is_connected
                     and surf.genus == expected):

@@ -90,14 +90,26 @@ def test_decompose_reports_over_the_census_are_pinned():
 
 
 def test_decompose_builds_the_complex_only_for_full(monkeypatch, capsys):
-    def refuse(self, n, k):
-        raise AssertionError("a Decomposition was built")
+    # each report builds one Decomposition, with or without --full; only
+    # --full lifts its gluing list to the complex's 4n gluings
+    built = []
+    init = Decomposition.__init__
 
-    monkeypatch.setattr(Decomposition, "__init__", refuse)
+    def counted(self, n, k):
+        built.append((n, k))
+        init(self, n, k)
+
+    def refuse(self):
+        raise AssertionError("the complex's gluings were lifted")
+
+    monkeypatch.setattr(Decomposition, "__init__", counted)
+    monkeypatch.setattr(Decomposition, "_gluings", refuse)
     code, out = run_capture(capsys, ["decompose", "--n", "12", "--k", "5"])
     assert code == 0 and json.loads(out)["boundary"]["genus"] == 9
-    with pytest.raises(AssertionError, match="a Decomposition was built"):
+    assert built == [(12, 5)]
+    with pytest.raises(AssertionError, match="the complex's gluings were lifted"):
         run_cli(["decompose", "--n", "12", "--k", "5", "--full"])
+    assert built == [(12, 5)] * 2
 
 
 def test_classify_output(capsys):
@@ -180,7 +192,7 @@ def test_survey_census_matches_every_cell():
         valid, _, genus = cli._survey_geometry(n)
         real = cli.build_realization(cli.solve_parameters(n))
         for k in range(n):
-            payload, ok = cli._decompose_report(cli.build_quotient(n, k), real, full=False)
+            payload, ok = cli._decompose_report(cli.build_decomposition(n, k), real, full=False)
             assert (ok, payload["boundary"]["genus"]) == (valid, genus), (n, k)
 
 
@@ -384,7 +396,7 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in [(cli, "build_realization"), (cli, "build_quotient"),
+    for module, name in [(cli, "build_realization"),
                          (cli, "build_decomposition"), (cli, "coset_enumerate"),
                          (groups, "coset_enumerate")]:
         count(module, name)
@@ -407,11 +419,12 @@ def test_survey_cell_builds_and_enumerates_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_audit_presentation", counted_group)
     assert run_cli(["survey", "--n-min", "4", "--n-max", "6"]) == 0
     capsys.readouterr()
-    # one realization and one census quotient per n, made outside the tasks,
-    # and one task per distinct presentation, which enumerates it once and
-    # realizes nothing
+    # one realization and one census complex per n, made outside the tasks,
+    # one complex per cell, and one task per distinct presentation, which
+    # enumerates it once and realizes nothing
     assert calls.count("antidual.cli.build_realization") == 3
-    assert calls.count("antidual.cli.build_quotient") == 3
+    assert len(per_cell) == 4 + 5 + 6
+    assert calls.count("antidual.cli.build_decomposition") == 3 + len(per_cell)
     assert calls.count("antidual.cli.coset_enumerate") == len(set(presentations)) == 6
     assert per_group == [["antidual.cli.coset_enumerate"]] * 6
     geometry = cli._survey_geometry(9)

@@ -20,12 +20,10 @@ from antidual.decomposition import (
     arcs,
     boundary_surface,
     build_decomposition,
-    build_quotient,
     decomposition_to_dict,
 )
 import antidual.cli as cli
 import antidual.decomposition as decomposition
-import antidual.symmetry as symmetry
 from antidual.minkowski import MinkVec, mink_inner
 from antidual.realization import angle_sum_check, dihedral_angles, realize
 from antidual.symmetry import automorphism_group
@@ -73,15 +71,15 @@ def test_every_internal_slot_paired_once():
 
 def test_class_of_refuses_a_wedge_outside_the_complex():
     # piece -1 must not wrap round to the last piece
-    quotient = build_quotient(7, 3)
-    for piece, edge in [(-1, (0, 1)), (quotient.num_pieces, (0, 1)), (0, (1, 1)), (0, (0, 4))]:
+    dec = build_decomposition(7, 3)
+    for piece, edge in [(-1, (0, 1)), (dec.num_pieces, (0, 1)), (0, (1, 1)), (0, (0, 4))]:
         with pytest.raises(KeyError):
-            quotient.class_of(piece, edge)
+            dec.class_of(piece, edge)
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 0), (8, 3), (10, 7)])
 def test_not_div3_census(n, k):
-    dec = build_quotient(n, k)
+    dec = build_decomposition(n, k)
     axis = dec.edge_classes[0]
     assert axis.wedge_count == 2 * n
     assert axis.distinct_piece_count == 2 * n
@@ -97,7 +95,7 @@ def test_not_div3_census(n, k):
     (12, 5, False),
 ])
 def test_div3_census(n, k, subcase22):
-    dec = build_quotient(n, k)
+    dec = build_decomposition(n, k)
     polys = of_kind(dec, "poly")
     assert len(polys) == 3
     for cls in polys:
@@ -113,29 +111,29 @@ def test_div3_census(n, k, subcase22):
 
 def test_wedge_slots_conserved():
     for (n, k) in [(4, 1), (6, 3), (9, 4)]:
-        dec = build_quotient(n, k)
+        dec = build_decomposition(n, k)
         total = sum(c.wedge_count for c in dec.edge_classes)
         assert total == 12 * n  # 6 edges per piece, no loss or double count
 
 
 def test_arcs_labels():
-    labels = arcs(build_quotient(6, 1))
+    labels = arcs(build_decomposition(6, 1))
     assert set(labels) == {"e0", "e1", "e2", "e3"}
     assert len(set(labels.values())) == 4
-    labels = arcs(build_quotient(5, 2))
+    labels = arcs(build_decomposition(5, 2))
     assert set(labels) == {"e0", "single"}
 
 
 def test_arc_classes_contain_slant_edges_of_pieces_0_2_4():
-    quotient = build_quotient(9, 4)
-    labels = arcs(quotient)
+    dec = build_decomposition(9, 4)
+    labels = arcs(dec)
     for i, name in enumerate(("e1", "e2", "e3")):
-        assert quotient.class_of(2 * i, (0, 1)) == labels[name]
+        assert dec.class_of(2 * i, (0, 1)) == labels[name]
 
 
 @pytest.mark.parametrize("n", range(4, 31))
 def test_boundary_genus_formula(n):
-    surf = boundary_surface(build_quotient(n, min(1, n - 1)))
+    surf = boundary_surface(build_decomposition(n, min(1, n - 1)))
     assert surf.is_orientable
     assert surf.is_connected
     assert surf.face_count == 8 * n
@@ -147,7 +145,7 @@ def test_boundary_genus_formula(n):
 
 def test_boundary_vertices_count_twice_the_edge_classes():
     for (n, k) in [(5, 1), (6, 2), (9, 4)]:
-        surf = boundary_surface(build_quotient(n, k))
+        surf = boundary_surface(build_decomposition(n, k))
         assert surf.vertex_count == 2 * len(_oracle_edge_classes(build_decomposition(n, k)))
 
 
@@ -155,7 +153,7 @@ def test_boundary_vertices_count_twice_the_edge_classes():
 @given(st.integers(min_value=4, max_value=16), st.data())
 def test_census_properties_random_cells(n, data):
     k = data.draw(st.integers(min_value=0, max_value=n - 1))
-    dec = build_quotient(n, k)
+    dec = build_decomposition(n, k)
     polys = of_kind(dec, "poly")
     if n % 3 == 0:
         assert sorted(c.wedge_count for c in polys) == [2 * n] * 3
@@ -168,7 +166,7 @@ def test_census_properties_random_cells(n, data):
 
 @pytest.mark.parametrize("n,k", [(5, 0), (6, 1), (9, 2), (12, 7)])
 def test_angle_sums_all_classes(n, k):
-    dec = build_quotient(n, k)
+    dec = build_decomposition(n, k)
     real = realize(n)
     report = angle_sum_check(dec, real)
     assert report.classes_checked == len(dec.edge_classes)
@@ -193,7 +191,7 @@ def test_angle_sum_residuals_are_bit_identical_to_the_role_count_sums():
             "diag_lower": math.acos(-mink_inner(real.normal_lower, real.normal_near)),
         }
         for k in range(n):
-            dec = build_quotient(n, k)
+            dec = build_decomposition(n, k)
             expected = tuple(
                 sum(role_angle[r] * c for r, c in role_counts(cls).items()) - 2 * math.pi
                 for cls in dec.edge_classes)
@@ -206,7 +204,7 @@ def test_angle_sum_residuals_are_bit_identical_to_the_role_count_sums():
 
 def test_axis_class_sums_exactly():
     for n in (4, 9, 17):
-        total = build_quotient(n, 1).edge_classes[0].wedge_count * (math.pi / n)
+        total = build_decomposition(n, 1).edge_classes[0].wedge_count * (math.pi / n)
         assert abs(total - 2 * math.pi) < 1e-12
 
 
@@ -229,9 +227,9 @@ def test_quad_rule_descends_to_diagonals():
 
 def test_diagonal_classes_meet_four_pieces_along_the_step():
     n, k = 7, 2
-    quotient = build_quotient(n, k)
+    dec = build_decomposition(n, k)
     for i in range(n):
-        cls = quotient.edge_classes[quotient.class_of(2 * i, (0, 2))]
+        cls = dec.edge_classes[dec.class_of(2 * i, (0, 2))]
         assert cls.wedge_count == 4
         pieces = {p for p, _ in cls.wedges}
         expected = {2 * i, 2 * i + 1,
@@ -363,18 +361,18 @@ def _oracle_class_sizes(dec, classes=None):
 
 
 def _assert_the_quotient_matches(dec, classes=True, boundary=True):
-    """The quotient route on a complex that lifts the same table: its class
-    sizes at pieces 0 and 1 against those the isomorphism search evaluates
-    off the rule's walk, with ``classes`` both against the union-find
-    oracle's and its classes too, and with ``boundary`` its boundary against
-    the oracle's 2-colouring."""
-    quotient = build_quotient(dec.n, dec.k)
-    assert (quotient.n, quotient.k, quotient.num_pieces) == (dec.n, dec.k, dec.num_pieces)
-    sizes = symmetry._wedge_counts(dec)
-    assert sizes == tuple(quotient.class_summaries[quotient.class_of(p, e)].wedge_count
+    """The classes lifted off the quotient against the complex's gluing
+    list: the class sizes at pieces 0 and 1 that the isomorphism search
+    reads against the placed classes, with ``classes`` both against the
+    union-find oracle's and its classes too, and with ``boundary`` its
+    boundary against the oracle's 2-colouring."""
+    # the report's pairing count is the length of the gluing list
+    assert len(dec._gluings()) == 2 * dec.num_pieces
+    sizes = dec.wedge_counts
+    assert sizes == tuple(dec.class_summaries[dec.class_of(p, e)].wedge_count
                           for p in (0, 1) for e in decomposition._EDGES)
     if boundary:
-        assert boundary_surface(quotient) == _oracle_boundary_surface(dec)
+        assert boundary_surface(dec) == _oracle_boundary_surface(dec)
     if not classes:
         return
     oracle = _oracle_edge_classes(dec)
@@ -384,15 +382,15 @@ def _assert_the_quotient_matches(dec, classes=True, boundary=True):
     assert sizes == oracle_sizes[:12]
     # the summaries the reports read, role counts in the oracle's order
     assert [(s.kind, s.wedge_count, s.distinct_pieces, list(s.roles))
-            for s in quotient.class_summaries] == [
+            for s in dec.class_summaries] == [
         (c.kind, c.wedge_count, c.distinct_piece_count, list(role_counts(c).items()))
         for c in oracle]
     class_of = {w: i for i, c in enumerate(oracle) for w in c.wedges}
     labels = ("e0", "e1", "e2", "e3") if dec.n % 3 == 0 else ("e0", "single")
-    assert arcs(quotient) == {label: class_of[w]
-                              for label, w in zip(labels, decomposition._ARC_WEDGES)}
-    assert quotient.edge_classes == oracle
-    assert all(quotient.class_of(p, e[::-1]) == i for (p, e), i in class_of.items())
+    assert arcs(dec) == {label: class_of[w]
+                         for label, w in zip(labels, decomposition._ARC_WEDGES)}
+    assert dec.edge_classes == oracle
+    assert all(dec.class_of(p, e[::-1]) == i for (p, e), i in class_of.items())
 
 
 @pytest.mark.parametrize("n", range(4, 21))
@@ -423,11 +421,11 @@ def test_the_quotient_matches_the_walk_past_the_census(n):
 @pytest.mark.parametrize("n,k", [(999, 1), (1000, 0), (1000, 333), (2999, 7), (3000, 0),
                                  (3000, 1499)])
 def test_the_quotient_matches_the_walk_at_large_n(n, k):
-    on = (n, k) == (999, 1)
-    _assert_the_quotient_matches(build_decomposition(n, k), classes=on, boundary=on)
+    on, dec = (n, k) == (999, 1), build_decomposition(n, k)
+    _assert_the_quotient_matches(dec, classes=on, boundary=on)
     # the lemma of notes/decisions.md section 3
     g = math.gcd(n, 3)
-    surf = boundary_surface(build_quotient(n, k))
+    surf = boundary_surface(dec)
     assert (surf.vertex_count, surf.genus) == (2 * (n + 1 + g), n - g)
     assert surf.is_orientable and surf.is_connected
 
@@ -444,7 +442,7 @@ def test_the_quotient_walk_is_made_once_per_table(monkeypatch):
     monkeypatch.setattr(decomposition, "_QuotientWalk", counted)
     for n in range(4, 13):
         for k in range(n):
-            build_quotient(n, k)
+            build_decomposition(n, k)
     assert len(made) == 1
     # its three cycles, the same for every (n, k): lengths 2, 6 and 4,
     # voltages 1, -3 and 0 (as a*k + b), all closing with even parity
@@ -580,9 +578,9 @@ def test_a_gluing_that_misses_its_partner_face_is_refused():
 
 # -- negative controls on the quotient route ---------------------------------
 #
-# Each feeds a broken table through _STEP_RULE, which build_quotient and
-# Decomposition._gluings both read, so the quotient route is checked against
-# the walk and the oracle on the complex that lifts the same table.
+# Each feeds a broken table through _STEP_RULE, which the walk of
+# Decomposition and its _gluings both read, so the quotient route is checked
+# against the oracle on the complex that lifts the same table.
 
 _RULE = decomposition._STEP_RULE
 
@@ -616,7 +614,7 @@ def _decompose_exit_code(capsys, n, k):
 def test_a_broken_table_is_refused_on_both_routes(monkeypatch, capsys, rule, error, match):
     monkeypatch.setattr(decomposition, "_STEP_RULE", rule)
     with pytest.raises(error, match=match):
-        build_quotient(5, 1)
+        decomposition._walk_rule(rule)
     with pytest.raises(error, match=match):
         build_decomposition(5, 1)
     assert _decompose_exit_code(capsys, 5, 1) == 1
@@ -628,11 +626,11 @@ def test_a_reversed_quad_map_makes_the_lifted_boundary_non_orientable(monkeypatc
     # the quad map (3, 2, 1, 0) of test_a_transposed_label_map_... on every
     # upper quad of the even pieces, not on one
     monkeypatch.setattr(decomposition, "_STEP_RULE", _reglued(2, (3, 2, 1, 0)))
-    dec, quotient = build_decomposition(n, k), build_quotient(n, k)
-    surf = boundary_surface(quotient)
+    dec = build_decomposition(n, k)
+    surf = boundary_surface(dec)
     assert surf.is_orientable is False
     assert surf.genus == -1
-    assert surf.vertex_count < 2 * len(quotient.class_summaries)
+    assert surf.vertex_count < 2 * len(dec.class_summaries)
     _assert_the_quotient_matches(dec)
     assert _decompose_exit_code(capsys, n, k) == 1
 
@@ -643,7 +641,7 @@ def test_doubled_voltages_disconnect_the_lifted_boundary_at_even_n(monkeypatch, 
     # every voltage even: at even n the levels split by parity
     monkeypatch.setattr(decomposition, "_STEP_RULE", _DOUBLED)
     dec = build_decomposition(n, k)
-    surf = boundary_surface(build_quotient(n, k))
+    surf = boundary_surface(dec)
     assert surf.is_connected is (n % 2 == 1)
     _assert_the_quotient_matches(dec)
     if n % 2 == 0:
@@ -658,29 +656,29 @@ def test_building_and_reporting_a_complex_makes_no_face_pairing(monkeypatch):
         raise AssertionError("a FacePairing view was built")
 
     monkeypatch.setattr("antidual.decomposition.FacePairing", refuse)
-    dec, quotient = Decomposition(12, 5), build_quotient(12, 5)
+    dec = Decomposition(12, 5)
     real = realize(12)
-    assert boundary_surface(quotient).genus == 9
-    assert angle_sum_check(quotient, real).all_within
+    assert boundary_surface(dec).genus == 9
+    assert angle_sum_check(dec, real).all_within
     assert automorphism_group(dec).order > 0
-    payload, ok = cli._decompose_report(quotient, real, full=False)
+    payload, ok = cli._decompose_report(dec, real, full=False)
     assert ok and payload["pairings"] == 48
 
 
 def test_building_and_reporting_a_complex_makes_no_edge_class(monkeypatch):
-    # EdgeClass wedge lists are built on first read of Quotient.edge_classes,
+    # EdgeClass wedge lists are built on first read of Decomposition.edge_classes,
     # for export and the tests; the kernels and the decompose report read
     # the class summaries, the search the complex's class sizes
     def refuse(*args, **kwargs):
         raise AssertionError("an EdgeClass was built")
 
     monkeypatch.setattr("antidual.decomposition.EdgeClass", refuse)
-    dec, quotient = Decomposition(12, 5), build_quotient(12, 5)
+    dec = Decomposition(12, 5)
     real = realize(12)
-    assert boundary_surface(quotient).genus == 9
-    assert angle_sum_check(quotient, real).all_within
+    assert boundary_surface(dec).genus == 9
+    assert angle_sum_check(dec, real).all_within
     assert automorphism_group(dec).order > 0
-    payload, ok = cli._decompose_report(quotient, real, full=False)
+    payload, ok = cli._decompose_report(dec, real, full=False)
     assert ok and len(payload["edge_classes"]) == 16
     with pytest.raises(AssertionError, match="an EdgeClass was built"):
         decomposition_to_dict(dec)
@@ -690,7 +688,7 @@ def test_nonmanifold_guard_is_not_triggered_on_valid_input():
     # the guard exists for corrupted pairing tables; valid decompositions
     # must never trip it
     for (n, k) in [(4, 3), (6, 5)]:
-        boundary_surface(build_quotient(n, k))
+        boundary_surface(build_decomposition(n, k))
 
 
 # -- the quad gluing, derived from the geometry -----------------------------

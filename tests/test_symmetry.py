@@ -6,13 +6,15 @@ from collections import deque
 
 import pytest
 
+import antidual.cli as cli
 import antidual.decomposition as decomposition
 import antidual.symmetry as symmetry
 from antidual.decomposition import (
-    PERM_INDEX, PERM_PRODUCT, Decomposition, build_decomposition, build_quotient,
+    PERM_INDEX, PERM_PRODUCT, Decomposition, build_decomposition,
 )
 from antidual.groups import (
-    MissingGenerator, _evaluate_word, concrete_generator, isometry_presentation,
+    MissingGenerator, _evaluate_word, concrete_generator, coset_enumerate,
+    isometry_presentation,
 )
 from antidual.symmetry import (
     ClosureFailure,
@@ -358,7 +360,7 @@ def test_the_prefilter_sizes_match_the_oracle_off_the_step_rule(monkeypatch, n):
     # _HALF_TURN_SIDES are the union-find oracle's at pieces 0 and 1
     dec = build_decomposition(n, 1)
     x = _half_turn_sides(monkeypatch, n)
-    assert symmetry._wedge_counts(x) == _oracle_class_sizes(x)[:12]
+    assert x.wedge_counts == _oracle_class_sizes(x)[:12]
     # between x and a step-rule complex, whose counts differ, each side's
     # own counts reject every seed before it is tried
     log = _log_seeds(monkeypatch)
@@ -453,8 +455,10 @@ def _full_key_generators(dec, elements):
     return gens
 
 
+# the cells with n <= 12 include (9, 4), which has u and s; (27, 13) has both
+# too, and (31, 15) has u
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 13) for k in range(n)]
-                         + [(24, 7), (60, 29)])
+                         + [(24, 7), (27, 13), (31, 15), (60, 29)])
 def test_seed_encoding_gives_the_full_group(n, k):
     dec = build_decomposition(n, k)
     aut = automorphism_group(dec)
@@ -466,6 +470,27 @@ def test_seed_encoding_gives_the_full_group(n, k):
     seeds = {((p + 2 * j) % dec.num_pieces, v) for p, v in seeds for j in range(n)}
     assert {(e.pieces[0], e.lmaps[0]) for e in aut.elements} == seeds
     assert aut.generators == _full_key_generators(dec, full)
+
+
+def test_the_search_never_places_the_classes(monkeypatch):
+    # the search, classify and a survey cell read the class sizes of the
+    # lift (wedge_counts), never the census that _stretches places
+    def refuse(*args):
+        raise AssertionError("the census was built")
+
+    cells = [(6, 1), (9, 4), (12, 5), (18, 4)]
+    orders = [automorphism_group(build_decomposition(n, k)).order for n, k in cells]
+    enum, geometry = coset_enumerate(isometry_presentation(9, 4)), cli._survey_geometry(9)
+    row = cli._survey_cell(enum, 9, 4, geometry)
+    monkeypatch.setattr(decomposition, "_stretches", refuse)
+    with pytest.raises(AssertionError, match="the census was built"):
+        build_decomposition(9, 4).class_summaries
+    for (n, k), order in zip(cells, orders):
+        dec = build_decomposition(n, k)
+        assert dec.wedge_counts == _oracle_class_sizes(dec)[:12]
+        assert automorphism_group(dec).order == order
+    assert classify(12).classes == ((0, 11), (1, 10), (2, 9), (3, 8), (4, 7), (5, 6))
+    assert cli._survey_cell(enum, 9, 4, geometry) == row
 
 
 @pytest.mark.parametrize("n,k,order", [(6, 1, 48), (9, 4, 144), (16, 5, 32),
@@ -692,15 +717,15 @@ def test_every_automorphism_has_candidate_seed_shape():
 def test_enumerated_isomorphisms_preserve_class_invariants():
     # necessary condition used as a soundness check on the search
     for (n, k) in [(5, 2), (6, 1), (9, 4)]:
-        aut = automorphism_group(build_decomposition(n, k))
-        quotient = build_quotient(n, k)
+        dec = build_decomposition(n, k)
+        aut = automorphism_group(dec)
         profile = {}
-        for idx, cls in enumerate(quotient.edge_classes):
+        for idx, cls in enumerate(dec.edge_classes):
             profile[idx] = (cls.wedge_count, cls.distinct_piece_count)
         for e in aut.elements:
-            for idx, cls in enumerate(quotient.edge_classes):
+            for idx, cls in enumerate(dec.edge_classes):
                 piece, edge = cls.wedges[0]
-                target = quotient.class_of(*image_wedge(e, piece, edge))
+                target = dec.class_of(*image_wedge(e, piece, edge))
                 assert profile[target] == profile[idx]
 
 
