@@ -197,14 +197,7 @@ def _decompose_report(dec: Decomposition, real: Realization, full: bool) -> tupl
 
 def cmd_classify(n: int, cfg: RunConfig) -> tuple[dict, bool]:
     result = classify(n)
-    expected = []
-    seen = set()
-    for k in range(n):
-        if k in seen:
-            continue
-        pair = sorted({k, (n - k - 1) % n})
-        seen.update(pair)
-        expected.append(tuple(pair))
+    expected = [sorted({k, n - k - 1}) for k in range((n + 1) // 2)]
     matches = sorted(result.classes) == sorted(tuple(c) for c in expected)
     payload = {
         "n": n,

@@ -29,20 +29,24 @@ seeds) come out of the search rather than going in, and
 ``tests/paper_checks.py`` checks its output against them and against an
 independent isomorphism check.
 
-Isometry classification reduces to this search: two quotients with the same
-n are isometric iff their decompositions are isomorphic, and the isometry
-group is the automorphism group of the decomposition.  Piece 0 with its
-labels is a base of length 1 for that group (Seress, *Permutation Group
-Algorithms*, ch. 4): an automorphism is fixed by its seed.  So the group is
-kept as the maps found at pieces 0 and 1, each element being some power of
-r after one of them; its closure check, its generators and the relator
-words of ``groups`` read seeds alone, and the full list of elements is
-built only when read.
+Two quotients with the same n are isometric iff their decompositions are
+isomorphic, and the isometry group is the automorphism group of the
+decomposition.  Piece 0 with its labels is a base of length 1 for that
+group (Seress, *Permutation Group Algorithms*, ch. 4): an automorphism is
+fixed by its seed.  So the group is kept as the maps found at pieces 0 and
+1, each element being some power of r after one of them; its closure
+check, its generators and the relator words of ``groups`` read seeds
+alone, and the full list of elements is built only when read.
+``classify`` runs no search: it keys each complex by the least normalised
+relabelling of its 8 slots, which sees only the maps that carry r to
+r^+-1; the pairwise search stays in the tests as its oracle
+(notes/decisions.md §5).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -189,14 +193,13 @@ def _lift(a: Decomposition, b: Decomposition, piece: int, lmap: int) -> CombIso 
     return None
 
 
-def _seed_search(a: Decomposition, b: Decomposition, find_all: bool = True) -> list[CombIso]:
+def _seed_search(a: Decomposition, b: Decomposition) -> list[CombIso]:
     """The maps a -> b seeded at pieces 0 and 1 of b; [] for different n.
 
     Refuses with ``SymmetryError`` unless a is connected.  A seed is tried
     only if it keeps the wedge counts of the edge classes at piece 0's
     edges, which every isomorphism does.  It is tried as a lift, and walked
-    if the lift fails.  With ``find_all=False`` the search stops at its
-    first map.
+    if the lift fails.
     """
     if a.n != b.n:
         return []
@@ -214,8 +217,6 @@ def _seed_search(a: Decomposition, b: Decomposition, find_all: bool = True) -> l
                 iso = _propagate(a, b, seed_piece, v)
             if iso is not None:
                 out.append(iso)
-                if not find_all:
-                    return out
     return out
 
 
@@ -236,11 +237,10 @@ def enumerate_isomorphisms(
     is raised (r is an automorphism of every complex by construction); the
     seeds at pieces 0 and 1 are tried and the powers of r after the maps
     found give the rest.  With ``find_all=False`` the list holds at most one
-    element (useful when only existence matters), and no power of r is
-    formed.
+    element, the first map in seed order, and no power of r is formed.
     """
-    out = _seed_search(a, b, find_all)
-    return _after_rotations(out) if find_all else out
+    out = _seed_search(a, b)
+    return _after_rotations(out) if find_all else out[:1]
 
 
 # -- distinguished elements ---------------------------------------------------
@@ -368,26 +368,38 @@ class ClassificationResult:
     classes: tuple[tuple[int, ...], ...]
 
 
+def _canonical_table(dec: Decomposition) -> tuple[tuple[int, int, int], ...]:
+    """The least of the 96 normalised relabellings of the 8-slot table:
+    quotient piece q0 becomes piece 0 with label map L0, level l goes to
+    e*l (e = +-1), and the other piece's label map and level glue the first
+    slot of the new piece 0 glued to piece 1 by the identity at voltage 0.
+    Slots read (partner, label map, voltage mod n) (notes/decisions.md §5)."""
+    n, nbr, lmap, volt = dec.n, dec.slot_nbr, dec.slot_lmap, dec.slot_volt
+    tables = []
+    for q0, l0, e in itertools.product((0, 1), range(24), (1, -1)):
+        s0 = next(s for s in (4 * q0 + f for f in PERMS[_INVERSE[l0]]) if (nbr[s] ^ s) & 4)
+        # the new label map and level of each quotient piece
+        labels = (l0, PERM_PRODUCT[24 * l0 + _INVERSE[lmap[s0]]])[::1 - 2 * q0]
+        level = (0, -e * volt[s0])[::1 - 2 * q0]
+        table = [None] * 8
+        for s, s2 in enumerate(nbr):
+            q, q2 = s >> 2, s2 >> 2
+            table[4 * (q ^ q0) + PERMS[labels[q]][s & 3]] = (
+                4 * (q2 ^ q0) + PERMS[labels[q2]][s2 & 3],
+                PERM_PRODUCT[24 * PERM_PRODUCT[24 * labels[q2] + lmap[s]] + _INVERSE[labels[q]]],
+                (e * volt[s] + level[q2] - level[q]) % n)
+        tables.append(table)
+    return tuple(min(tables))
+
+
 def classify(n: int) -> ClassificationResult:
-    """Partition of the steps 0..n-1 into isometry classes by pairwise
-    searches, each quotiented by the rotation."""
-    decs = {k: Decomposition(n, k) for k in range(n)}
-    assigned: dict[int, int] = {}
-    classes: list[list[int]] = []
+    """Partition of the steps 0..n-1 into isometry classes by canonical
+    table, in order of least member.  It sees only the isomorphisms that
+    carry r to r^+-1 (notes/decisions.md §5)."""
+    classes: dict[tuple, list[int]] = {}
     for k in range(n):
-        if k in assigned:
-            continue
-        cls = [k]
-        assigned[k] = len(classes)
-        for k2 in range(k + 1, n):
-            if k2 in assigned:
-                continue
-            if enumerate_isomorphisms(decs[k], decs[k2], find_all=False):
-                cls.append(k2)
-                assigned[k2] = len(classes)
-        classes.append(cls)
-    return ClassificationResult(
-        n=n, classes=tuple(tuple(c) for c in classes))
+        classes.setdefault(_canonical_table(Decomposition(n, k)), []).append(k)
+    return ClassificationResult(n=n, classes=tuple(tuple(c) for c in classes.values()))
 
 
 def group_to_dict(aut: AutGroupData) -> dict:

@@ -1,7 +1,10 @@
 """Checks the tests run on the package's output, kept out of the package.
 
-The independent isomorphism check reads a slot table built from the gluing
-list (``Decomposition.pairings``) alone, never the 8 quotient slots the
+``pairwise_classes`` classifies the steps by pairwise isomorphism search,
+the oracle of ``classify``'s canonical tables: it sees every isomorphism
+the search finds, not only those that carry r to r^+-1.  The independent
+isomorphism check reads a slot table built from the gluing list
+(``Decomposition.pairings``) alone, never the 8 quotient slots the
 search indexes; ``lifted_slots`` pairs that list into the complex's 8n-slot
 tables for the oracles that walk them.  The paper's proof device, the eight
 candidate seeds phi0..phi7 of maps fixing or swapping pieces 0 and 1, is
@@ -22,7 +25,23 @@ from antidual.decomposition import (
 from antidual.groups import (
     DEFAULT_COSET_CAP, EnumerationResult, GroupError, PresentedGroup, _word_letters,
 )
-from antidual.symmetry import CombIso, _propagate
+from antidual.symmetry import CombIso, _propagate, enumerate_isomorphisms
+
+
+def pairwise_classes(n):
+    """The isometry classes of the steps 0..n-1 by pairwise search, the
+    oracle of ``classify``: each step not yet placed opens a class and takes
+    every later unplaced step whose complex it maps onto."""
+    decs = [Decomposition(n, k) for k in range(n)]
+    placed, classes = set(), []
+    for k in range(n):
+        if k in placed:
+            continue
+        cls = [k] + [k2 for k2 in range(k + 1, n) if k2 not in placed
+                     and enumerate_isomorphisms(decs[k], decs[k2], find_all=False)]
+        placed.update(cls)
+        classes.append(tuple(cls))
+    return tuple(classes)
 
 
 def slot_table(dec):

@@ -144,7 +144,7 @@ def test_criterion_6_classification():
             if mirror.target != (n, (n - k - 1) % n):
                 failures.append((n, k, "mirror"))
     report("6 (classification = {k, n-k-1})", not failures,
-           f"full pairwise search n=4..30; failed: {failures}")
+           f"canonical 8-slot tables, n=4..30; failed: {failures}")
     assert not failures
 
 

@@ -356,7 +356,8 @@ def test_output_matches_golden_bytes(capsys, argv, golden):
     # when their residuals gained normal_agreement), and the (18, 4) one, a
     # cell with the half-turn s, before the search tried seeds as lifts, and
     # the (60) classify one, which pins every pairwise verdict to n = 60,
-    # before a complex was held as its 8-slot quotient;
+    # before a complex was held as its 8-slot quotient, and so checks the
+    # canonical tables against the pairwise search;
     # verify-presentations exits 1 on its (9, k = 1 mod 3) discrepancies,
     # isom-group (9, 1) on its missing half-turn and (18, 4) on its printed
     # presentation of order 48, and realize (300) on its twist residual above

@@ -1,8 +1,11 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 from collections import deque
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -10,7 +13,7 @@ import antidual.cli as cli
 import antidual.decomposition as decomposition
 import antidual.symmetry as symmetry
 from antidual.decomposition import (
-    PERM_INDEX, PERM_PRODUCT, Decomposition, build_decomposition,
+    PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition, build_decomposition,
 )
 from antidual.groups import (
     MissingGenerator, _evaluate_word, concrete_generator, coset_enumerate,
@@ -38,6 +41,7 @@ from paper_checks import (
     image_wedge,
     is_identity,
     is_isomorphism,
+    pairwise_classes,
     rotation,
     slot_table,
     slot_view,
@@ -436,8 +440,8 @@ def test_closure_check_catches_a_broken_set(monkeypatch, n, k, drop):
     # rest give is then not the group they generate
     search = symmetry._seed_search
 
-    def broken(a, b, find_all=True):
-        return drop(search(a, b, find_all))
+    def broken(a, b):
+        return drop(search(a, b))
 
     monkeypatch.setattr(symmetry, "_seed_search", broken)
     dec = build_decomposition(n, k)
@@ -606,10 +610,8 @@ def test_isomorphism_existence(monkeypatch, n, k, k2, expect):
     log.clear()
     first = enumerate_isomorphisms(a, b)[:1]
     assert found == first
-    # the seeds the full search tries up to its first hit
-    full = _seeds(log)
-    stop = full.index((first[0].pieces[0], first[0].lmaps[0])) + 1 if first else len(full)
-    assert tried == full[:stop]
+    # the existence query runs the full seed search and keeps its first map
+    assert tried == _seeds(log)
     if found:
         assert is_isomorphism(found[0], a, b)
 
@@ -648,6 +650,84 @@ def test_classification_pairs_k_with_complement(n):
     as_sets = {frozenset(c) for c in result.classes}
     expected = {frozenset({k, (n - k - 1) % n}) for k in range(n)}
     assert as_sets == expected
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_classify_equals_the_pairwise_search(n):
+    # the canonical tables see only the maps that carry r to r^+-1; the
+    # pairwise search sees every map it finds
+    assert classify(n).classes == pairwise_classes(n)
+
+
+def test_classify_runs_no_isomorphism_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify searched")
+
+    monkeypatch.setattr(symmetry, "_seed_search", refuse)
+    monkeypatch.setattr(symmetry, "_propagate", refuse)
+    golden = json.loads((Path(__file__).parent / "golden" / "classify_30.json").read_text())
+    assert [list(c) for c in classify(30).classes] == golden["classes"]
+
+
+class _SlotTable(NamedTuple):
+    """What ``_canonical_table`` reads of a complex."""
+
+    n: int
+    slot_nbr: tuple[int, ...]
+    slot_lmap: tuple[int, ...]
+    slot_volt: tuple[int, ...]
+
+
+def _relabelled(dec, q0, l0, l1, e, shift):
+    """The 8 quotient slots of ``dec`` relabelled through its lifted gluing
+    list: piece 2i + q goes to piece 2((e*i + c) mod n) + (q xor q0) by the
+    label map PERMS[l], with l = l0 and c = 0 for q = q0, l = l1 and
+    c = shift for the other piece."""
+    n = dec.n
+    label = {q0: PERMS[l0], 1 - q0: PERMS[l1]}
+    level = {q0: 0, 1 - q0: shift}
+
+    def image(slot):
+        (i, q), face = divmod(slot >> 2, 2), slot & 3
+        return 8 * ((e * i + level[q]) % n) + 4 * (q ^ q0) + label[q][face], label[q]
+
+    nbr, lmap = {}, {}
+    for sa, sb, glue in dec._gluings():
+        (ta, la), (tb, lb) = image(sa), image(sb)
+        forward = tuple(lb[PERMS[glue][la.index(x)]] for x in range(4))
+        nbr[ta], lmap[ta] = tb, PERM_INDEX[forward]
+        nbr[tb], lmap[tb] = ta, PERM_INDEX[tuple(forward.index(x) for x in range(4))]
+    return _SlotTable(n, tuple(nbr[t] & 7 for t in range(8)),
+                      tuple(lmap[t] for t in range(8)), tuple(nbr[t] >> 3 for t in range(8)))
+
+
+# the step rule with each upper quad glued across to the other quotient
+# piece: at these cells no map carries r to r^-1, where the flip t does on
+# every step-rule complex, so only they need the key's e = -1 relabellings
+_CROSSED_QUADS = ((1, 5, 0, 0, 0), (6, 2, 0, 0, 1), (3, 4, _QUAD, 1, 1), (7, 0, _QUAD, 1, 0))
+
+
+@pytest.mark.parametrize("rule,n,k", [
+    *[("step", n, k) for n in (4, 5, 6, 9, 10) for k in range(n)], ("step", 18, 4),
+    ("crossed", 7, 2), ("crossed", 10, 3), ("crossed", 11, 3)])
+def test_canonical_table_is_a_class_invariant_that_voltages_move(monkeypatch, rule, n, k):
+    # the step rule's classes {k, n-k-1} come from the mirror alone, so the
+    # classes do not see a key that misses a relabelling: relabel the lifted
+    # gluing list in each of the 96 ways, the other piece by some label map
+    # and a nonzero level shift, and read its quotient slots back
+    if rule == "crossed":
+        monkeypatch.setattr(decomposition, "_STEP_RULE", _CROSSED_QUADS)
+    dec = build_decomposition(n, k)
+    key = symmetry._canonical_table(dec)
+    for q0, l0, e in itertools.product((0, 1), range(24), (1, -1)):
+        table = _relabelled(dec, q0, l0, (7 * l0 + 5) % 24, e, 1 + l0 % (n - 1))
+        assert symmetry._canonical_table(table) == key, (q0, l0, e)
+    # one gluing moved by one level, at either end, is another table
+    for s in range(8):
+        s2, volt = dec.slot_nbr[s], list(dec.slot_volt)
+        volt[s], volt[s2] = (volt[s] + 1) % n, (volt[s2] - 1) % n
+        moved = _SlotTable(n, dec.slot_nbr, dec.slot_lmap, tuple(volt))
+        assert symmetry._canonical_table(moved) != key, s
 
 
 def test_classification_examples():
