@@ -314,11 +314,9 @@ def cmd_survey(n_min: int, n_max: int, cfg: RunConfig) -> tuple[dict, bool]:
     geometry = {n: _survey_geometry(n) for n in range(n_min, n_max + 1)}
     rows = _audit([(n, k, geometry[n]) for n in geometry for k in range(n)],
                   cfg, _survey_cell)
-    # cannot fail: both fields are min(k, (n - k - 1) mod n) by construction
-    consistent = all(
-        row["class_representative"] == min(row["k"], row["mirror_target_k"])
-        for row in rows
-    )
+    # each row's representative must be the least member of k's isometry class
+    least = {(n, k): min(c) for n in geometry for c in classify(n).classes for k in c}
+    consistent = all(row["class_representative"] == least[row["n"], row["k"]] for row in rows)
     payload = {
         "n_min": n_min,
         "n_max": n_max,

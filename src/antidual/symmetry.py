@@ -1,46 +1,37 @@
 """Combinatorial isomorphisms of the tetrahedral decompositions.
 
 An isomorphism is a bijection of pieces together with a vertex-label
-bijection per piece, commuting with every face pairing.  Every complex is
-held as its quotient by the rotation r (piece j -> j + 2, identity labels):
-``Decomposition`` keeps the partner, label map and voltage of each of the
-8 quotient slots, and the search finds slot t = 8l + s of the complex at
-quotient slot s = t & 7 and level l = t >> 3.  So r is an automorphism of
-every complex by construction.  The search serves connected covers only:
-for two complexes with the same n it checks that the source is connected
-and raises ``SymmetryError`` otherwise.  Every isomorphism is then a power
-of r after one seeded at piece 0 or 1 of the target, so 48 seeds replace
-48n.  A seed is tried only if it carries the wedge counts of the edge
-classes at piece 0's six edges onto the same counts, an isomorphism
-invariant rather than a geometric assumption.  The counts are the
-complex's class sizes, the step rule's edge-link walk lifted at k
-(notes/decisions.md §3).
+bijection per piece, commuting with every face pairing; label maps are
+indices into ``PERMS`` throughout.  ``Decomposition`` holds each complex as
+its quotient by the rotation r (piece j -> j + 2, identity labels): the
+partner, label map and voltage of each of 8 quotient slots, slot t = 8l + s
+of the complex being quotient slot s = t & 7 at level l = t >> 3.  So r is
+an automorphism of every complex.  The search serves connected sources
+only (``SymmetryError`` otherwise), where every isomorphism is a power of r
+after one seeded at piece 0 or 1 of the target: 48 seeds, not 48n.  A seed
+is tried only if it keeps the wedge counts of the edge classes at piece
+0's six edges, an isomorphism invariant (notes/decisions.md §3).
 
-Each seed is first tried as a lift: the map that carries r to r or to
-r^-1, which the 8 slots of pieces 0 and 1 fix and check, since r carries
-those checks to every slot (notes/decisions.md §4).  A seed it does not
-accept is propagated breadth-first: the walk compares the forced piece and
-label map across every slot of every piece it reaches, and keeps a seed
-only if it reaches all pieces.  So only the walk rejects a seed, and it
-alone finds the maps that carry r to neither r nor r^-1.  Label maps are
-indices into ``PERMS`` throughout.  No other restriction prunes the seed
-space: the classical ones (axis preservation, the paper's eight candidate
-seeds) come out of the search rather than going in, and
-``tests/paper_checks.py`` checks its output against them and against an
-independent isomorphism check.
+A map that carries r to r or to r^-1 is a relabelling of the 8-slot table.
+``_relabellings`` makes the normalised ones once per rule; the lift, the
+connectivity check and the key of ``classify`` read them
+(notes/decisions.md §4-§5).  A seed the lift does not accept is walked
+breadth-first (``_propagate``), which alone rejects seeds and alone finds
+the maps that carry r to neither r nor r^-1.  No other restriction prunes
+the seeds: the classical ones (axis preservation, the paper's eight
+candidate seeds) come out of the search, and ``tests/paper_checks.py``
+checks its output against them and against an independent isomorphism
+check.
 
 Two quotients with the same n are isometric iff their decompositions are
-isomorphic, and the isometry group is the automorphism group of the
-decomposition.  Piece 0 with its labels is a base of length 1 for that
-group (Seress, *Permutation Group Algorithms*, ch. 4): an automorphism is
-fixed by its seed.  So the group is kept as the maps found at pieces 0 and
-1, each element being some power of r after one of them; its closure
-check, its generators and the relator words of ``groups`` read seeds
-alone, and the full list of elements is built only when read.
-``classify`` runs no search: it keys each complex by the least normalised
-relabelling of its 8 slots, which sees only the maps that carry r to
-r^+-1; the pairwise search stays in the tests as its oracle
-(notes/decisions.md §5).
+isomorphic, and the isometry group is the automorphism group.  Piece 0
+with its labels is a base of length 1 for it (Seress, *Permutation Group
+Algorithms*, ch. 4), so the group is kept as the maps found at pieces 0 and
+1; its closure check, its generators and the relator words of ``groups``
+read seeds alone, and the elements are built only when read.  ``classify``
+runs no search: its key, the least normalised relabelling, sees only the
+maps that carry r to r^+-1, so the pairwise search stays in the tests as
+its oracle.
 """
 
 from __future__ import annotations
@@ -50,6 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .decomposition import _INVERSE, EDGE_IMAGE, PERM_INDEX, PERM_PRODUCT, PERMS, Decomposition
 
@@ -138,59 +130,77 @@ def _propagate(a: Decomposition, b: Decomposition,
     return CombIso(tuple(pieces), tuple(lmaps), (a.n, a.k), (b.n, b.k))
 
 
-def _connected(dec: Decomposition) -> bool:
-    """Whether ``dec`` is connected.
+class _Relabelling(NamedTuple):
+    """Per new slot its (partner, label map) and its (old slot, d); s0; the
+    new label map of each old quotient piece."""
 
-    Quotient slot s joins level 0 of quotient piece s >> 2 to level volt[s]
-    of piece nbr[s] >> 2.  The cover is connected iff some slot of piece 0
-    reaches piece 1 and the voltages of the quotient's closed walks generate
-    Z_n (Gross-Tucker, Topological Graph Theory, ch. 2).
-    """
-    nbr, volt = dec.slot_nbr, dec.slot_volt
-    s0 = next((s for s in range(4) if nbr[s] & 4), None)
-    if s0 is None:
-        return False
-    level = (0, volt[s0])  # of each quotient piece, along slot s0
-    g = dec.n
-    for s in range(8):
-        g = math.gcd(g, volt[s] + level[s >> 2] - level[nbr[s] >> 2])
-    return g == 1
+    pairs: tuple[tuple[int, int], ...]
+    sources: tuple[tuple[int, int], ...]
+    s0: int
+    labels: tuple[int, int]
+
+    def voltages(self, volt: tuple[int, ...], n: int, e: int = 1) -> tuple[int, ...]:
+        v0 = volt[self.s0]
+        return tuple([e * (volt[s] - d * v0) % n for s, d in self.sources])
+
+
+@functools.cache
+def _relabellings(nbr: tuple[int, ...], lmap: tuple[int, ...]) -> tuple[_Relabelling | None, ...]:
+    """The normalised relabellings of the rule (nbr, lmap) at 24*q0 + L0:
+    piece q0 becomes piece 0 by L0, and the other piece's label map and
+    level glue the first slot s0 of piece q0 glued to it by the identity at
+    voltage 0 (None if there is none).  New slot t takes the voltage
+    e*(volt[s] - d*volt[s0]) of old slot s (notes/decisions.md §4-§5)."""
+    out = []
+    for q0, l0 in itertools.product((0, 1), range(24)):
+        s0 = next((s for s in (4 * q0 + f for f in PERMS[_INVERSE[l0]]) if (nbr[s] ^ s) & 4),
+                  None)
+        if s0 is None:
+            out.append(None)
+            continue
+        labels = (l0, PERM_PRODUCT[24 * l0 + _INVERSE[lmap[s0]]])[::1 - 2 * q0]
+        pairs, sources = [None] * 8, [None] * 8
+        for s, s2 in enumerate(nbr):
+            q, q2 = s >> 2, s2 >> 2
+            t = 4 * (q ^ q0) + PERMS[labels[q]][s & 3]
+            pairs[t] = (4 * (q2 ^ q0) + PERMS[labels[q2]][s2 & 3],
+                        PERM_PRODUCT[24 * PERM_PRODUCT[24 * labels[q2] + lmap[s]]
+                                     + _INVERSE[labels[q]]])
+            sources[t] = (s, (q2 ^ q0) - (q ^ q0))
+        out.append(_Relabelling(tuple(pairs), tuple(sources), s0, labels))
+    return tuple(out)
+
+
+def _connected(dec: Decomposition) -> bool:
+    """Whether some slot of piece 0 reaches piece 1 and the voltages of the
+    quotient's closed walks, relabelled at q0 = 0 and L0 = id, generate Z_n
+    (Gross-Tucker, Topological Graph Theory, ch. 2)."""
+    entry = _relabellings(dec.slot_nbr, dec.slot_lmap)[0]
+    return entry is not None and math.gcd(dec.n, *entry.voltages(dec.slot_volt, dec.n)) == 1
 
 
 def _lift(a: Decomposition, b: Decomposition, piece: int, lmap: int) -> CombIso | None:
-    """The map a -> b seeded at (piece, lmap) that carries r to r or to
-    r^-1, if it commutes with the pairings at the 8 slots of pieces 0 and 1;
-    else None.
+    """The map a -> b seeded at (piece, lmap) that carries r to r^e, e = +-1;
+    None if there is none.
 
-    Such a map sends piece 2i + q to F(q) + 2ei (mod 2n), e = +-1, by the
-    label map L(q) of its parity q.  F(0), L(0) is the seed, and F(1), L(1)
-    is forced across the first slot of piece 0 glued to an odd piece.  For a
-    connected, r carries the 8 checks to every slot, and the map is a
-    bijection iff F(0) and F(1) differ in parity (notes/decisions.md §4).
+    It sends piece 2i + q to F(q) + 2ei (mod 2n) by the label map L(q) of
+    its parity q.  Its inverse relabels b's table into a's, so it exists iff
+    b's relabelling at (piece, lmap^-1) has the pairs of a's at (0, id) and
+    its voltages times e (notes/decisions.md §4).
     """
-    a_nbr, a_lmap, a_volt = a.slot_nbr, a.slot_lmap, a.slot_volt
-    b_nbr, b_lmap, b_volt = b.slot_nbr, b.slot_lmap, b.slot_volt
-    m = a.num_pieces
-    s0 = next(s for s in range(4) if a_nbr[s] & 4)
-    t = 4 * piece + PERMS[lmap][s0]  # at level 0, as piece is 0 or 1
-    odd = 2 * b_volt[t] + (b_nbr[t] >> 2)
-    if odd % 2 == piece:
+    mine = _relabellings(a.slot_nbr, a.slot_lmap)[0]
+    yours = _relabellings(b.slot_nbr, b.slot_lmap)[24 * piece + _INVERSE[lmap]]
+    if yours is None or yours.pairs != mine.pairs:
         return None
-    labels = (lmap, PERM_PRODUCT[24 * PERM_PRODUCT[24 * b_lmap[t] + lmap] + a_lmap[a_nbr[s0]]])
-    for e in (1, -1):
-        image = (piece, (odd - 2 * e * a_volt[s0]) % m)
-        for s in range(8):  # each slot as _propagate compares it
-            v, s2, p = labels[s >> 2], a_nbr[s], image[s >> 2]
-            t, q = 4 * (p & 1) + PERMS[v][s & 3], s2 >> 2
-            if ((2 * ((p >> 1) + b_volt[t]) + (b_nbr[t] >> 2)) % m
-                    != (image[q] + 2 * e * a_volt[s]) % m
-                    or PERM_PRODUCT[24 * PERM_PRODUCT[24 * b_lmap[t] + v] + a_lmap[s2]]
-                    != labels[q]):
-                break
-        else:
-            pieces = tuple([(image[j & 1] + e * (j & -2)) % m for j in range(m)])
-            return CombIso(pieces, labels * (m // 2), (a.n, a.k), (b.n, b.k))
-    return None
+    n, m = a.n, a.num_pieces
+    want = mine.voltages(a.slot_volt, n)
+    e = next((e for e in (1, -1) if yours.voltages(b.slot_volt, n, e) == want), None)
+    if e is None:
+        return None
+    image = (piece, (2 * (b.slot_volt[yours.s0] - e * a.slot_volt[mine.s0]) + 1 - piece) % m)
+    labels = (lmap, PERM_PRODUCT[24 * _INVERSE[yours.labels[1 - piece]] + mine.labels[1]])
+    pieces = tuple([(image[j & 1] + e * (j & -2)) % m for j in range(m)])
+    return CombIso(pieces, labels * (m // 2), (a.n, a.k), (b.n, b.k))
 
 
 def _seed_search(a: Decomposition, b: Decomposition) -> list[CombIso]:
@@ -368,28 +378,19 @@ class ClassificationResult:
     classes: tuple[tuple[int, ...], ...]
 
 
-def _canonical_table(dec: Decomposition) -> tuple[tuple[int, int, int], ...]:
-    """The least of the 96 normalised relabellings of the 8-slot table:
-    quotient piece q0 becomes piece 0 with label map L0, level l goes to
-    e*l (e = +-1), and the other piece's label map and level glue the first
-    slot of the new piece 0 glued to piece 1 by the identity at voltage 0.
-    Slots read (partner, label map, voltage mod n) (notes/decisions.md §5)."""
-    n, nbr, lmap, volt = dec.n, dec.slot_nbr, dec.slot_lmap, dec.slot_volt
-    tables = []
-    for q0, l0, e in itertools.product((0, 1), range(24), (1, -1)):
-        s0 = next(s for s in (4 * q0 + f for f in PERMS[_INVERSE[l0]]) if (nbr[s] ^ s) & 4)
-        # the new label map and level of each quotient piece
-        labels = (l0, PERM_PRODUCT[24 * l0 + _INVERSE[lmap[s0]]])[::1 - 2 * q0]
-        level = (0, -e * volt[s0])[::1 - 2 * q0]
-        table = [None] * 8
-        for s, s2 in enumerate(nbr):
-            q, q2 = s >> 2, s2 >> 2
-            table[4 * (q ^ q0) + PERMS[labels[q]][s & 3]] = (
-                4 * (q2 ^ q0) + PERMS[labels[q2]][s2 & 3],
-                PERM_PRODUCT[24 * PERM_PRODUCT[24 * labels[q2] + lmap[s]] + _INVERSE[labels[q]]],
-                (e * volt[s] + level[q2] - level[q]) % n)
-        tables.append(table)
-    return tuple(min(tables))
+@functools.cache
+def _least_relabellings(nbr: tuple[int, ...], lmap: tuple[int, ...]) -> tuple:
+    """The rule's least pairs and the relabellings that reach them."""
+    entries = [x for x in _relabellings(nbr, lmap) if x is not None]
+    least = min(x.pairs for x in entries)
+    return least, tuple(x for x in entries if x.pairs == least)
+
+
+def _canonical_table(dec: Decomposition) -> tuple:
+    """The least (pairs, voltages) of the 96 normalised relabellings of the
+    8-slot table, at (q0, L0) and e = +-1 (notes/decisions.md §5)."""
+    least, entries = _least_relabellings(dec.slot_nbr, dec.slot_lmap)
+    return least, min(x.voltages(dec.slot_volt, dec.n, e) for x in entries for e in (1, -1))
 
 
 def classify(n: int) -> ClassificationResult:

@@ -173,9 +173,8 @@ def test_survey_small_grid(capsys):
 
 
 def test_survey_class_representatives_are_the_least_of_their_classes(capsys):
-    # internally_consistent compares two fields that are equal by
-    # construction; here each row's representative is checked against the
-    # isometry classes the search finds
+    # each row's representative against the classes of classify, read
+    # here apart from the survey's own internally_consistent check
     code, out = run_capture(capsys, ["survey", "--n-min", "4", "--n-max", "16"])
     assert code == 0
     least = {(n, k): min(cls) for n in range(4, 17) for cls in classify(n).classes
@@ -183,6 +182,20 @@ def test_survey_class_representatives_are_the_least_of_their_classes(capsys):
     rows = json.loads(out)["rows"]
     assert [(r["n"], r["k"]) for r in rows] == sorted(least)
     assert all(r["class_representative"] == least[r["n"], r["k"]] for r in rows)
+
+
+def test_survey_consistency_fails_on_a_split_class(capsys, monkeypatch):
+    # negative control: with each class of classify split into singletons,
+    # k = n - 1 is the least of its class but its row's representative is 0
+    real = cli.classify
+
+    def split(n):
+        return ClassificationResult(n, tuple((k,) for c in real(n).classes for k in c))
+
+    monkeypatch.setattr(cli, "classify", split)
+    code, out = run_capture(capsys, ["survey", "--n-min", "4", "--n-max", "5"])
+    assert code == 1
+    assert json.loads(out)["internally_consistent"] is False
 
 
 def test_survey_census_matches_every_cell():

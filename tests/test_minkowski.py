@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -160,8 +161,24 @@ def test_plane_normal_rejects_a_nearly_null_normal():
         plane_normal(*_NEARLY_NULL)
 
 
+# Normalising a by 1/sqrt(<a,a>) and reading <w,w> back in floats errs by at
+# most about 2*gamma_4*|w|^2 + eps*|w|^2 + 2*eps, |w|^2 Euclidean and
+# gamma_4 = 4u/(1 - 4u) ~ 2*eps (Higham, Accuracy and Stability of Numerical
+# Algorithms, 3.1): gamma_4 once for <a,a> and once for <w,w>, eps for
+# rounding each component of w, 2*eps for the root and the reciprocal.  As
+# |w|^2 >= <w,w> ~ 1, that is at most 7*eps*|w|^2; 8 covers the second-order
+# terms.  Below |w|^2 ~ 5.6e5 the bound stays 1e-9.
+_UNIT_NORM_EPS = 8 * sys.float_info.epsilon
+
+
 @given(vec, vec, vec, vec)
 @example(*_NEARLY_NULL)
+# nearly null normals that SPACELIKE_TOL admits, where <w,w> - 1 reads
+# 7.6e-6, -1.9e-6 and 5.0e-9, 0.21-0.34 of eps*|w|^2
+@example(MinkVec(0, 1, 0, 0), MinkVec(1, 0, -1, 1), MinkVec(1e-11, 0, 1, 0), MinkVec(1, 2, 3, 4))
+@example(MinkVec(0, 1, 0, 0), MinkVec(1, 0, -1, 1), MinkVec(3e-11, 0, 1, 0), MinkVec(1, 2, 3, 4))
+@example(MinkVec(0, 1, 0, 2), MinkVec(6.1e-5, 0, 0, 1), MinkVec(6.1e-5, 0, 6.1e-5, 0),
+         MinkVec(0, 0, 0, 1))
 def test_plane_normal_orthogonality_property(p, q, r, witness):
     try:
         w = plane_normal(p, q, r, witness)
@@ -171,7 +188,8 @@ def test_plane_normal_orthogonality_property(p, q, r, witness):
     scale = max(max(map(abs, v)) for v in (p, q, r))
     for v in (p, q, r):
         assert abs(mink_inner(w, v)) < 1e-8 * max(scale, 1.0)
-    assert mink_inner(w, w) == pytest.approx(1.0, abs=1e-9)
+    unit_tol = max(1e-9, _UNIT_NORM_EPS * sum(x * x for x in w))
+    assert mink_inner(w, w) == pytest.approx(1.0, abs=unit_tol)
     assert mink_inner(w, witness) < 0
 
 

@@ -314,6 +314,48 @@ def test_search_on_edited_step_rules_matches_the_oracle(monkeypatch, rule, n):
             assert enumerate_isomorphisms(a, b, find_all=False) == oracle[:1], (a.k, b.k)
 
 
+def _carries_r_to_r_pm1(iso):
+    """Whether iso o r = r^e o iso for e = 1 or e = -1."""
+    m = len(iso.pieces)
+    return any(all(iso.pieces[(j + 2) % m] == (iso.pieces[j] + 2 * e) % m
+                   and iso.lmaps[(j + 2) % m] == iso.lmaps[j] for j in range(m))
+               for e in (1, -1))
+
+
+@pytest.mark.parametrize("rule", ["step", "reversed-quad", "crossed-quads"])
+@pytest.mark.parametrize("n", range(4, 11))
+def test_the_lift_is_the_walk_on_the_maps_that_carry_r_to_r_pm1(monkeypatch, rule, n):
+    # every seed at pieces 0 and 1, the prefilter's rejects too: the lift
+    # never returns a map the walk does not, and it returns each map the
+    # walk finds that carries r to r or to r^-1
+    edited = {"reversed-quad": _reglued(2, (3, 2, 1, 0)), "crossed-quads": _CROSSED_QUADS}
+    if rule in edited:
+        monkeypatch.setattr(decomposition, "_STEP_RULE", edited[rule])
+    decs = [build_decomposition(n, k) for k in range(n)]
+    lifted = 0
+    for a, b in itertools.product(decs, decs):
+        for piece, lmap in itertools.product((0, 1), range(24)):
+            walked = symmetry._propagate(a, b, piece, lmap)
+            lift = symmetry._lift(a, b, piece, lmap)
+            assert lift is None or lift == walked, (a.k, b.k, piece, lmap)
+            if walked is not None and _carries_r_to_r_pm1(walked):
+                assert lift == walked, (a.k, b.k, piece, lmap)
+                lifted += 1
+    assert lifted > 0
+
+
+def test_the_step_rule_keeps_its_pairs_at_four_relabellings():
+    # (q0, L0) = (0 or 1, the identity or the flip (0 3)(1 2)) relabel the
+    # step rule's partners and label maps onto themselves, and no other does;
+    # the least pairs are reached at four relabellings too
+    dec = build_decomposition(7, 2)
+    entries = symmetry._relabellings(dec.slot_nbr, dec.slot_lmap)
+    own = tuple(zip(dec.slot_nbr, dec.slot_lmap))
+    assert {divmod(i, 24) for i, x in enumerate(entries) if x.pairs == own} == {
+        (0, 0), (0, symmetry._FLIP), (1, 0), (1, symmetry._FLIP)}
+    assert len(symmetry._least_relabellings(dec.slot_nbr, dec.slot_lmap)[1]) == 4
+
+
 _QUAD = decomposition._QUAD
 
 
@@ -344,16 +386,18 @@ def _fold(x):
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_the_lift_refuses_a_fold_onto_the_even_pieces(monkeypatch, n):
     # piece j -> 2(j // 2) with identity labels commutes with every pairing
-    # but covers the target's even pieces twice: its 8 slots agree, so only
-    # the parity of F(0) and F(1) refuses it
+    # but covers the target's even pieces twice; no slot of the fold's
+    # piece 0 or 1 is glued to the other, so the fold has no normalised
+    # relabelling, and that alone refuses it
     a = _half_turn_sides(monkeypatch, n)
     folded, gluings = _fold(a)
     target = slot_view(*decomposition._pair_slots(gluings, 8 * n))
     assert slot_view(*_index_lift(folded)) == target
     for (p, f), (p2, f2, fwd) in slot_table(a).items():
         assert target[2 * (p // 2), f] == (2 * (p2 // 2), f2, fwd)
-    # F(0) = 0, and F(1) = n, forced across slot (0, 1), is even too
+    # the folded side slot (0, 1) is glued to itself, half-way round
     assert symmetry._connected(a) and folded.slot_nbr[1] == 1 and folded.slot_volt[1] == n // 2
+    assert set(symmetry._relabellings(folded.slot_nbr, folded.slot_lmap)) == {None}
     assert symmetry._lift(a, folded, 0, 0) is None
     assert symmetry._propagate(a, folded, 0, 0) is None
 
