@@ -12,6 +12,9 @@ raises instead (say, a numerically degenerate realization at huge n) exits
 ``survey`` and ``verify-presentations`` share one audit loop, ``_audit``, which
 enumerates each distinct presentation once for all the cells that share it.
 A survey reads the census once per n, at k = 0 (notes/decisions.md §3).
+``survey --jobs N`` runs in at most N processes, this one included: the
+presentations are dealt into fixed shares, this process audits the first and
+one helper process each other share, sending its rows back once.
 
 A survey row's ``valid`` field and the survey's exit code cover geometry,
 canonicality and the census, not ``isom_verdict``: the printed group table
@@ -26,8 +29,9 @@ import io
 import json
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import Connection
 
 from .decomposition import (
     Decomposition,
@@ -261,23 +265,63 @@ def _audit_presentation(task: tuple[PresentedGroup, int, Callable, list[tuple]])
     return [report(enum, *cell) for cell in cells]
 
 
+def _audit_share(conn: Connection, share: list[tuple]) -> None:
+    """A helper process: audit its share and send the rows back once, or
+    the exception that stopped it."""
+    try:
+        result = [row for task in share for row in _audit_presentation(task)]
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+
+
 def _audit(cells: list[tuple], cfg: RunConfig, report: Callable) -> list[dict]:
     """``report(enumeration, *cell)`` for each cell, a tuple that starts with
     (n, k), sorted by (n, k).  One task per distinct presentation enumerates
-    it once; tasks go largest first (by the sum of n over their cells) to no
-    more workers than there are tasks."""
+    it once.  The tasks are dealt largest first (by the sum of n over their
+    cells) to the least loaded of min(jobs, tasks) workers: this process,
+    which runs its own share, and one helper process per other share, which
+    gets its tasks when it starts and sends its rows back once.  An exception
+    in a helper is raised here; no helper outlives the call."""
     groups: dict[PresentedGroup, list] = {}
     for cell in cells:
         groups.setdefault(isometry_presentation(*cell[:2]), []).append(cell)
-    tasks = sorted(((pres, cfg.coset_cap, report, group) for pres, group in groups.items()),
-                   key=lambda task: -sum(cell[0] for cell in task[3]))
-    workers = min(cfg.jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_audit_presentation, tasks))
-    else:
-        results = map(_audit_presentation, tasks)
-    return sorted((row for rows in results for row in rows), key=lambda r: (r["n"], r["k"]))
+    sizes = {pres: sum(cell[0] for cell in group) for pres, group in groups.items()}
+    shares: list[list[tuple]] = [[] for _ in range(min(cfg.jobs, len(groups)))]
+    loads = [0] * len(shares)
+    for pres in sorted(groups, key=lambda pres: -sizes[pres]):
+        w = loads.index(min(loads))
+        shares[w].append((pres, cfg.coset_cap, report, groups[pres]))
+        loads[w] += sizes[pres]
+    helpers: list[tuple[Process, Connection]] = []
+    read = 0
+    try:
+        for share in shares[1:]:
+            receiver, sender = Pipe(duplex=False)
+            proc = Process(target=_audit_share, args=(sender, share))
+            proc.start()
+            sender.close()
+            helpers.append((proc, receiver))
+        rows = [row for task in shares[0] for row in _audit_presentation(task)]
+        for proc, receiver in helpers:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"survey helper {proc.pid} exited with code "
+                                   f"{proc.exitcode} before sending its rows") from None
+            if isinstance(result, Exception):
+                raise result
+            rows += result
+            read += 1
+    finally:
+        for proc, _ in helpers[read:]:
+            # its rows were not read, so it may be blocked sending them
+            proc.terminate()
+        for proc, receiver in helpers:
+            proc.join()
+            receiver.close()
+    return sorted(rows, key=lambda r: (r["n"], r["k"]))
 
 
 def _survey_geometry(n: int) -> tuple[bool, float, int]:
@@ -413,6 +457,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand takes only the tuning options it reads; an option left
     # out of the command line takes its default from RunConfig
+    option_help = {"--jobs": "worker processes, this one included"}
 
     def common(p, *options, with_k=False, with_range=False):
         if with_range:
@@ -425,7 +470,8 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                        default="json")
         for option in options:
-            p.add_argument(option, type=int, default=argparse.SUPPRESS)
+            p.add_argument(option, type=int, default=argparse.SUPPRESS,
+                           help=option_help.get(option))
         p.add_argument("--out", type=str, default=None)
 
     common(sub.add_parser("realize", help="solve and validate the wedge geometry"))

@@ -142,9 +142,17 @@ def plane_normals(
     # so the cofactors are bit-identical to those.
     rows = np.array(spans).reshape(len(spans), 3, 4)
     minors = rows[:, :, _MINOR_COLS].transpose(0, 2, 1, 3)
-    crosses = (_NORMAL_SIGN * np.linalg.det(minors)).tolist()
+    # det sums the logs of the LU pivots, so a zero pivot (a singular or
+    # subnormal minor) warns of a division by zero; its determinant reads 0,
+    # which the degeneracy test below sees.  An overflowing minor is raised
+    # below as a degenerate span rather than warned of.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dets = np.linalg.det(minors)
+    crosses = (_NORMAL_SIGN * dets).tolist()
     normals = []
     for (*_, interior), span, w in zip(planes, spans, crosses):
+        if not all(map(math.isfinite, w)):
+            raise DegenerateSpan("the cofactors of the spanning vectors overflow")
         scale = max(map(abs, span)) ** 3
         if max(map(abs, w)) <= DEGENERACY_TOL * max(scale, 1.0):
             raise DegenerateSpan("spanning vectors are numerically dependent")

@@ -1,9 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import antidual.groups as groups
 import antidual.tilt as tilt
 from antidual.cli import RunConfig, run_cli
 from antidual.decomposition import Decomposition
-from antidual.minkowski import MinkVec
+from antidual.minkowski import DegenerateSpan, MinkVec
 from antidual.realization import (
     ANGLE_SUM_TOL, RESIDUAL_TOL, ValidationReport, validate_realization)
 from antidual.symmetry import ClassificationResult, classify
@@ -223,21 +224,42 @@ def test_survey_csv(capsys):
     assert lines[1:] == [",".join(str(v) for v in row.values()) for row in rows]
 
 
+FORK = multiprocessing.get_context("fork")
+
+
+def _deal(sizes: list[int], workers: int) -> list[list[int]]:
+    # the positions of sizes, sorted largest first, dealt each to the
+    # least loaded worker
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for i, size in enumerate(sizes):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += size
+    return shares
+
+
 def test_survey_parallel_matches_serial(monkeypatch, capsys):
-    tasks = []
+    # the presentations each process audits: the caller's recorded here,
+    # each helper's as the share it was started with
+    audited, started = [], []
+    audit = cli._audit_presentation
 
-    class RecordingPool(ProcessPoolExecutor):
-        def map(self, fn, iterable):
-            tasks.extend(iterable)
-            return super().map(fn, tasks)
+    def recorded(task):
+        audited.append(task)
+        return audit(task)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    class RecordingProcess(FORK.Process):
+        def __init__(self, target, args):
+            started.append(args[1])
+            super().__init__(target=target, args=args)
+
+    monkeypatch.setattr(cli, "_audit_presentation", recorded)
+    monkeypatch.setattr(cli, "Process", RecordingProcess)
+    monkeypatch.setattr(cli, "Pipe", FORK.Pipe)
     _, serial = run_capture(capsys, ["survey", "--n-min", "9", "--n-max", "15"])
-    assert tasks == []
-    _, parallel = run_capture(capsys, ["survey", "--n-min", "9", "--n-max", "15",
-                                       "--jobs", "2"])
-    assert serial == parallel
-    # one task per distinct presentation, dispatched largest first; the
+    assert started == []
+    tasks = audited[:]
+    # one task per distinct presentation, dealt largest first; the
     # self-dual presentation of n = 9 and 15 is one task carrying both n
     assert len({pres for pres, _, _, _ in tasks}) == len(tasks) == 20
     sizes = [sum(n for n, _, _ in cells) for _, _, _, cells in tasks]
@@ -245,32 +267,86 @@ def test_survey_parallel_matches_serial(monkeypatch, capsys):
     assert [sorted({n for n, _, _ in cells})
             for pres, _, _, cells in tasks if pres.provenance == "subcase22_selfdual"] == [[9, 15]]
 
+    audited.clear()
+    _, parallel = run_capture(capsys, ["survey", "--n-min", "9", "--n-max", "15",
+                                       "--jobs", "2"])
+    assert serial == parallel
+    # the caller runs the first share and one helper the second
+    assert [[tasks[i][0] for i in share] for share in _deal(sizes, 2)] == [
+        [pres for pres, _, _, _ in share] for share in [audited, *started]]
+    assert multiprocessing.active_children() == []
+
 
 def test_survey_forks_no_more_workers_than_tasks(monkeypatch, capsys):
-    pools = []
+    helpers = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    class FakeProcess:
+        # runs its share in this process when started
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+            helpers.append(self)
 
-        def __enter__(self):
-            return self
+        def start(self):
+            self.target(*self.args)
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "Process", FakeProcess)
     # n = 4, 5, 6 have 1 + 2 + 3 distinct presentations; n = 4 alone has one,
-    # so that survey is one task and runs in-process
-    for n_max, jobs, expected in [(6, 64, [6]), (6, 2, [2]), (4, 64, [])]:
-        pools.clear()
+    # so that survey is one task and runs in the calling process alone
+    for n_max, jobs, expected in [(6, 64, 5), (6, 2, 1), (4, 64, 0)]:
+        helpers.clear()
         assert run_cli(["survey", "--n-min", "4", "--n-max", str(n_max),
                         "--jobs", str(jobs)]) == 0
         capsys.readouterr()
-        assert pools == expected, (n_max, jobs)
+        assert len(helpers) == expected, (n_max, jobs)
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_survey_worker_failure_is_a_failed_computation(monkeypatch, capsys, failing):
+    # a share that raises stops the survey as a failed computation (exit 1,
+    # no report, no traceback), and no helper outlives it
+    caller = os.getpid()
+    audit = cli._audit_presentation
+
+    def failing_audit(task):
+        if (os.getpid() == caller) == (failing == "caller"):
+            raise DegenerateSpan(f"{failing} share failed")
+        # more than a pipe holds: a helper whose rows are never read blocks
+        # sending them until it is stopped
+        return audit(task) + [{"n": 0, "k": 0, "pad": "x" * 2**20}]
+
+    monkeypatch.setattr(cli, "Process", FORK.Process)
+    monkeypatch.setattr(cli, "Pipe", FORK.Pipe)
+    argv = ["survey", "--n-min", "4", "--n-max", "12", "--jobs", "3"]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(cli, "_audit_presentation", failing_audit)
+    assert run_cli(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"antidual: error: {failing} share failed\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_survey_helper_that_dies_is_reported(monkeypatch):
+    caller = os.getpid()
+    audit = cli._audit_presentation
+
+    def dying_audit(task):
+        if os.getpid() != caller:
+            os._exit(3)
+        return audit(task)
+
+    monkeypatch.setattr(cli, "_audit_presentation", dying_audit)
+    monkeypatch.setattr(cli, "Process", FORK.Process)
+    monkeypatch.setattr(cli, "Pipe", FORK.Pipe)
+    with pytest.raises(RuntimeError, match="exited with code 3 before sending its rows"):
+        run_cli(["survey", "--n-min", "4", "--n-max", "6", "--jobs", "2"])
+    assert multiprocessing.active_children() == []
 
 
 def test_csv_rejected_outside_survey():

@@ -143,6 +143,14 @@ def test_plane_normal_degenerate_span():
         plane_normal(a, a * 2.0, a * -1.0, MinkVec(1, 0, 0, 0))
 
 
+def test_plane_normal_overflowing_cofactors_are_a_degenerate_span():
+    # each cofactor is a sum of products of three components: 1e200^3
+    # overflows, and the span is reported instead of a non-finite normal
+    p, q, r = MinkVec(1e200, 0, 0, 0), MinkVec(0, 1e200, 0, 0), MinkVec(0, 0, 1e200, 0)
+    with pytest.raises(DegenerateSpan, match="overflow"):
+        plane_normal(p, q, r, MinkVec(0, 0, 0, 1))
+
+
 def test_plane_normal_ambiguous_orientation():
     real = build_realization(solve_parameters(4))
     on_plane = MinkVec(1.0, 0.5, 0.0, 0.0)  # x2 = 0 lies on the near plane
@@ -171,8 +179,12 @@ def test_plane_normal_rejects_a_nearly_null_normal():
 _UNIT_NORM_EPS = 8 * sys.float_info.epsilon
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(vec, vec, vec, vec)
 @example(*_NEARLY_NULL)
+# a subnormal component: its minors' zero pivots must not warn
+@example(MinkVec(0, 0, 0, 1), MinkVec(0, 1, 0, 0), MinkVec(0, 0, 1.1125369292536007e-308, 0),
+         MinkVec(0, 0, 0, 0))
 # nearly null normals that SPACELIKE_TOL admits, where <w,w> - 1 reads
 # 7.6e-6, -1.9e-6 and 5.0e-9, 0.21-0.34 of eps*|w|^2
 @example(MinkVec(0, 1, 0, 0), MinkVec(1, 0, -1, 1), MinkVec(1e-11, 0, 1, 0), MinkVec(1, 2, 3, 4))

@@ -203,7 +203,7 @@ def test_spec_level_approximations():
 
 @pytest.mark.parametrize("n", [4, 9, 100])
 def test_realization_pickles_with_equal_vectors(n):
-    # survey pool tasks carry each n's realization to the workers
+    # a realization crosses a process boundary by pickle
     real = realize(n)
     back = pickle.loads(pickle.dumps(real))
     assert back == real and hash(back) == hash(real)
