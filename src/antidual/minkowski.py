@@ -12,10 +12,9 @@ Matrices act on row vectors throughout: ``v @ M``.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
-
-import numpy as np
 
 ORTHO_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -24,12 +23,6 @@ DEGENERACY_TOL = 1e-10
 # too few to normalise by.  The realization's own chart lifts come down to
 # 1.6e-8 * |a|^2 at n = 10^4 and 1.6e-10 * |a|^2 at n = 10^5.
 SPACELIKE_TOL = 1e-11
-
-# the columns of the 3x3 minor left by deleting column i, and the sign that
-# turns its determinant into component i of a Lorentz-orthogonal vector: the
-# cofactor sign times the metric's
-_MINOR_COLS = np.array([[j for j in range(4) if j != i] for i in range(4)])
-_NORMAL_SIGN = np.array([-1.0, -1.0, 1.0, -1.0])
 
 
 class MinkowskiError(ValueError):
@@ -41,7 +34,7 @@ class NonSpacelike(MinkowskiError):
 
 
 class DegenerateSpan(MinkowskiError):
-    """Plane normal requested for (numerically) dependent spanning vectors."""
+    """Plane normal or dual basis requested for (numerically) dependent vectors."""
 
 
 class AmbiguousOrientation(MinkowskiError):
@@ -78,23 +71,21 @@ class MinkVec(namedtuple("MinkVec", "x0 x1 x2 x3")):
         return MinkVec(-self.x0, -self.x1, -self.x2, -self.x3)
 
 
-def twist_matrix(n: int) -> np.ndarray:
+Matrix = tuple[tuple[float, float, float, float], ...]
+
+
+def twist_matrix(n: int) -> Matrix:
     """Rotation by pi/n about the x3 axis composed with the flip x3 -> -x3.
 
     This is the generator of the rotatory-reflection symmetry carrying each
     wedge of the polyhedron to the next one; its 2n-th power is the identity
-    and its determinant is -1.
+    and its determinant is -1.  The matrix is a tuple of its four rows.
     """
     if n < 3:
         raise MinkowskiError(f"twist order must be >= 3, got {n}")
     c = math.cos(math.pi / n)
     s = math.sin(math.pi / n)
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, c, s, 0.0],
-        [0.0, -s, c, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-    ])
+    return ((1.0, 0.0, 0.0, 0.0), (0.0, c, s, 0.0), (0.0, -s, c, 0.0), (0.0, 0.0, 0.0, -1.0))
 
 
 def mink_inner(a: MinkVec, b: MinkVec) -> float:
@@ -111,16 +102,57 @@ def normalize_spacelike(a: MinkVec) -> MinkVec:
     return a * (1.0 / math.sqrt(nn))
 
 
-def apply_twist(a: MinkVec, twist: np.ndarray) -> MinkVec:
+def apply_twist(a: MinkVec, twist: Matrix) -> MinkVec:
     """Image of a row vector under the twist: a @ N."""
-    return MinkVec(*(np.array(a) @ twist).tolist())
+    return MinkVec(*(sum(x * m for x, m in zip(a, col)) for col in zip(*twist)))
 
 
-def twist_images(vectors: Sequence[MinkVec], twist: np.ndarray) -> list[MinkVec]:
-    """Images of several row vectors under the twist from one matmul; each
-    row is bit-identical to apply_twist on that vector."""
-    rows = np.array(vectors) @ twist
-    return [MinkVec(*row) for row in rows.tolist()]
+def twist_images(vectors: Sequence[MinkVec], twist: Matrix) -> list[MinkVec]:
+    """Images of several row vectors under the twist."""
+    return [apply_twist(v, twist) for v in vectors]
+
+
+def lorentz_cross(p: MinkVec, q: MinkVec, r: MinkVec) -> tuple[float, ...]:
+    """The w with <x, w> = det(x; p; q; r) for every x, so <w, p> = <w, q> =
+    <w, r> = 0: the cofactors of the first row, the x0 one negated to turn
+    Euclidean orthogonality into Lorentzian.  They may overflow to inf."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    r0, r1, r2, r3 = r
+    # the 2x2 minors of q and r, by their two columns
+    m01 = q0 * r1 - q1 * r0
+    m02 = q0 * r2 - q2 * r0
+    m03 = q0 * r3 - q3 * r0
+    m12 = q1 * r2 - q2 * r1
+    m13 = q1 * r3 - q3 * r1
+    m23 = q2 * r3 - q3 * r2
+    return (
+        -(p1 * m23 - p2 * m13 + p3 * m12),
+        -(p0 * m23 - p2 * m03 + p3 * m02),
+        p0 * m13 - p1 * m03 + p3 * m01,
+        -(p0 * m12 - p1 * m02 + p2 * m01),
+    )
+
+
+def dual_frame(frame: Sequence[MinkVec]) -> list[MinkVec]:
+    """The basis d_0..d_3 with <d_i, f_j> = 1 if i == j else 0.
+
+    The coordinates of x in the basis ``frame`` are the <x, d_i>.  Raises
+    DegenerateSpan when det(frame) has no significant digit.
+    """
+    # each of det's 24 products of four components is rounded at most 9
+    # times, so det errs by at most gamma_9 * perm|frame| (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 3.1), and perm|frame| is at most
+    # the product of the rows' 1-norms, each at most twice the row's length
+    bound = 9 * 16 * sys.float_info.epsilon * math.prod(math.hypot(*f) for f in frame)
+    dual = []
+    for i, f in enumerate(frame):
+        w = MinkVec(*lorentz_cross(*frame[:i], *frame[i + 1:]))
+        det = mink_inner(f, w)  # det(frame), negated for odd i
+        if not abs(det) > bound:
+            raise DegenerateSpan("frame vectors are numerically dependent")
+        dual.append(w * (1.0 / det))
+    return dual
 
 
 def plane_normals(
@@ -131,30 +163,18 @@ def plane_normals(
     Each plane is given as (p, q, r, interior); its normal w satisfies
     <w,p> = <w,q> = <w,r> = 0 and <w, interior> < 0, so the interior witness
     lies inside the half-space the normal bounds.  The planes are checked in
-    order, and each one for degeneracy, then spacelikeness, then orientation.
+    order, and each one for overflow, degeneracy, then spacelikeness, then
+    orientation.
     """
-    # the 12 components of each plane's spanning vectors, p then q then r
-    spans = [(*p, *q, *r) for p, q, r, _ in planes]
-    # Cofactor expansion of det(x; p; q; r) gives the Euclidean-orthogonal
-    # vector; flipping the sign of the x0 component turns Euclidean
-    # orthogonality into Lorentzian orthogonality.  The stacked det runs the
-    # same LU factorisation on each 3x3 minor as one call per minor would,
-    # so the cofactors are bit-identical to those.
-    rows = np.array(spans).reshape(len(spans), 3, 4)
-    minors = rows[:, :, _MINOR_COLS].transpose(0, 2, 1, 3)
-    # det sums the logs of the LU pivots, so a zero pivot (a singular or
-    # subnormal minor) warns of a division by zero; its determinant reads 0,
-    # which the degeneracy test below sees.  An overflowing minor is raised
-    # below as a degenerate span rather than warned of.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dets = np.linalg.det(minors)
-    crosses = (_NORMAL_SIGN * dets).tolist()
     normals = []
-    for (*_, interior), span, w in zip(planes, spans, crosses):
+    for p, q, r, interior in planes:
+        w = lorentz_cross(p, q, r)
         if not all(map(math.isfinite, w)):
             raise DegenerateSpan("the cofactors of the spanning vectors overflow")
-        scale = max(map(abs, span)) ** 3
-        if max(map(abs, w)) <= DEGENERACY_TOL * max(scale, 1.0):
+        # a product, not a power: past about 5.6e102 the cube is infinite,
+        # and every finite cofactor falls below it
+        scale = max(max(map(abs, (*p, *q, *r))), 1.0)
+        if max(map(abs, w)) <= DEGENERACY_TOL * (scale * scale * scale):
             raise DegenerateSpan("spanning vectors are numerically dependent")
         wv = normalize_spacelike(MinkVec(*w))
         side = mink_inner(wv, interior)

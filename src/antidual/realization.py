@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .minkowski import (
+    Matrix,
     MinkVec,
     apply_twist,
     mink_inner,
@@ -105,8 +104,7 @@ class Realization:
     * ``normal_far``    -- cutting plane at azimuth pi/n (contains the axis
       and mid_lower).
 
-    ``twist`` is the 4x4 twist matrix of order n; it is left out of ``==``
-    and the hash, which the vectors and parameters already determine.
+    ``twist`` is the 4x4 twist matrix of order n, a tuple of its rows.
     """
 
     params: RealizationParams
@@ -119,7 +117,7 @@ class Realization:
     normal_lower: MinkVec
     normal_near: MinkVec
     normal_far: MinkVec
-    twist: np.ndarray = field(compare=False)
+    twist: Matrix
 
     def vertex_poles(self) -> tuple[MinkVec, MinkVec, MinkVec, MinkVec]:
         return (self.apex_top, self.apex_bottom, self.mid_upper, self.mid_lower)
@@ -229,7 +227,7 @@ def closed_form_lower_normal(params: RealizationParams) -> MinkVec:
 
 
 def algebraic_normals(
-    params: RealizationParams, twist: np.ndarray,
+    params: RealizationParams, twist: Matrix,
 ) -> tuple[MinkVec, MinkVec, MinkVec, MinkVec]:
     """All four outward normals from their algebraic expressions.
 

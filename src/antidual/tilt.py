@@ -26,9 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .minkowski import MinkVec, mink_inner
+from .minkowski import Matrix, MinkVec, apply_twist, dual_frame, mink_inner
 from .realization import NumericalDegeneracy, Realization, UnsupportedN
 
 SINGULAR_TOL = 1e-12
@@ -81,15 +79,11 @@ def _face_pole_pairs(real: Realization) -> tuple[tuple[MinkVec, MinkVec], ...]:
     )
 
 
-def gram_matrix(real: Realization) -> np.ndarray:
+def gram_matrix(real: Realization) -> Matrix:
     """Pairwise inner products of the face normals (order: upper, lower,
-    near, far), with unit diagonal."""
+    near, far), with unit diagonal; a tuple of its rows."""
     normals = real.face_normals()
-    g = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            g[i, j] = mink_inner(normals[i], normals[j])
-    return g
+    return tuple(tuple(mink_inner(a, b) for b in normals) for a in normals)
 
 
 def tilts_from_gram(real: Realization) -> TiltVector:
@@ -98,14 +92,14 @@ def tilts_from_gram(real: Realization) -> TiltVector:
     t = G . (-1 / <face_i, pole_i>) where pole_i is the truncation pole the
     face looks at.
     """
-    g = gram_matrix(real)
-    rhs = np.empty(4)
+    rhs = []
     for i, (face, pole) in enumerate(_face_pole_pairs(real)):
         inner = mink_inner(face, pole)
         if abs(inner) < SINGULAR_TOL:
             raise SingularPairing(f"face/pole pairing {i} is orthogonal")
-        rhs[i] = -1.0 / inner
-    return TiltVector(*(g @ rhs).tolist())
+        rhs.append(-1.0 / inner)
+    return TiltVector(*(sum(g * x for g, x in zip(row, rhs))
+                        for row in gram_matrix(real)))
 
 
 def _closed_form_factors(n: int, h: float) -> tuple[float, float, float]:
@@ -187,40 +181,24 @@ def support_hull_margins(real: Realization) -> dict[str, float]:
     strictly positive means the hull is locally convex at every face, i.e.
     the decomposition is canonical.
     """
-    tw = real.twist
     ups, tau = real.apex_bottom, real.apex_top
     alp, dlt = real.mid_upper, real.mid_lower
     bet, gam = real.normal_upper, real.normal_lower
+    # the sum of the pole frame's dual basis has <q, pole> = 1 for each pole
+    q = MinkVec(*map(sum, zip(*dual_frame((tau, ups, alp, dlt)))))
 
-    # the pole frame, then the (source, target) frames of the two
-    # developments: across the upper face the congruence takes
-    # (mid_upper, mid_lower, apex_bottom, lower normal) to
-    # (apex_top, mid_upper, mid_lower, -upper normal), and across the lower
-    # face (mid_lower, mid_upper, apex_top, upper normal) to
-    # (apex_bottom, mid_lower, mid_upper, -lower normal)
-    frames = np.array([
-        (tau, ups, alp, dlt),
-        (alp, dlt, ups, gam), (dlt, alp, tau, bet),
-        (tau, alp, dlt, -bet), (ups, dlt, alp, -gam),
-    ])
-    metric = np.array([-1.0, 1.0, 1.0, 1.0])
-    q = np.linalg.solve(frames[0] * metric, np.ones(4))
+    def developed(x: MinkVec, source: tuple, target: tuple) -> float:
+        # <w, q> - 1 for the image w of x under the map taking each source
+        # vector to its target: w = sum of <x, d_i> target_i over the dual d
+        return sum(mink_inner(x, d) * mink_inner(t, q)
+                   for d, t in zip(dual_frame(source), target)) - 1.0
 
-    def margin(w: np.ndarray) -> float:
-        return float((w * metric) @ q - 1.0)
-
-    tau_a, ups_a, alp_a, dlt_a = frames[0]
-    w_near = alp_a @ tw.T
-    w_far = dlt_a @ tw
-    # one stacked solve runs the same LU factorisation on each system as
-    # one call per system would
-    up, dn = np.linalg.solve(frames[1:3], frames[3:5])
-    w_up = tau_a @ up
-    w_dn = ups_a @ dn
-
+    # the orthogonal twist's transpose inverts it; across the upper face the
+    # congruence takes (alp, dlt, ups, gam) to (tau, alp, dlt, -bet), across
+    # the lower face (dlt, alp, tau, bet) to (ups, dlt, alp, -gam)
     return {
-        "near_side": margin(w_near),
-        "far_side": margin(w_far),
-        "upper": margin(w_up),
-        "lower": margin(w_dn),
+        "near_side": mink_inner(apply_twist(alp, tuple(zip(*real.twist))), q) - 1.0,
+        "far_side": mink_inner(apply_twist(dlt, real.twist), q) - 1.0,
+        "upper": developed(tau, (alp, dlt, ups, gam), (tau, alp, dlt, -bet)),
+        "lower": developed(ups, (dlt, alp, tau, bet), (ups, dlt, alp, -gam)),
     }

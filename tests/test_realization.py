@@ -2,7 +2,6 @@ import dataclasses
 import math
 import pickle
 
-import numpy as np
 import pytest
 
 from antidual.minkowski import MinkVec, NonSpacelike, mink_inner
@@ -211,4 +210,4 @@ def test_realization_pickles_with_equal_vectors(n):
                  "normal_upper", "normal_lower", "normal_near", "normal_far"):
         assert type(getattr(back, name)) is MinkVec
         assert getattr(back, name) == getattr(real, name), name
-    assert np.array_equal(back.twist, real.twist)
+    assert back.twist == real.twist

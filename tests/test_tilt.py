@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from antidual.minkowski import DegenerateSpan
 from antidual.realization import build_realization, realize, solve_parameters
 from antidual.tilt import (
     SingularPairing,
@@ -38,17 +40,21 @@ HULL_MARGINS_4 = dict(near_side=0.828427124746190098, far_side=0.828427124746190
 def test_gram_matrix_structure():
     real = realize(5)
     g = gram_matrix(real)
-    assert np.allclose(np.diag(g), 1.0, atol=1e-12)
-    assert np.allclose(g, g.T, atol=1e-15)
+    assert type(g) is tuple and all(type(row) is tuple and len(row) == 4 for row in g)
+    assert len(g) == 4
+    for i in range(4):
+        assert g[i][i] == pytest.approx(1.0, abs=1e-12)
+        for j in range(4):
+            assert g[i][j] == pytest.approx(g[j][i], abs=1e-15)
     from antidual.realization import dihedral_angles
 
     ang = dihedral_angles(real)
-    assert g[0, 1] == pytest.approx(-math.cos(ang.equator), abs=1e-12)
-    assert g[0, 2] == pytest.approx(-math.cos(ang.slant), abs=1e-12)
-    assert g[2, 3] == pytest.approx(-math.cos(math.pi / 5), abs=1e-10)
+    assert g[0][1] == pytest.approx(-math.cos(ang.equator), abs=1e-12)
+    assert g[0][2] == pytest.approx(-math.cos(ang.slant), abs=1e-12)
+    assert g[2][3] == pytest.approx(-math.cos(math.pi / 5), abs=1e-10)
     # the quad diagonals of the cut meet the quad planes at right angles
-    assert g[0, 3] == pytest.approx(0.0, abs=1e-12)
-    assert g[1, 2] == pytest.approx(0.0, abs=1e-12)
+    assert g[0][3] == pytest.approx(0.0, abs=1e-12)
+    assert g[1][2] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", sorted(GRAM_TILTS))
@@ -133,49 +139,98 @@ def test_hull_margins_match_oracle_n4():
         assert margins[key] == pytest.approx(expected, abs=1e-10)
 
 
-def _oracle_support_hull_margins(real):
-    # one vstack per frame and one solve per system, as the certificate once did
-    tw = real.twist
+_METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
+
+
+def _hull_systems(real):
+    """The pole system and, per development, the vertex it moves and its
+    (source, target) frames."""
     ups, tau = real.apex_bottom, real.apex_top
     alp, dlt = real.mid_upper, real.mid_lower
     bet, gam = real.normal_upper, real.normal_lower
-    poles = np.array([tau, ups, alp, dlt])
-    metric = np.array([-1.0, 1.0, 1.0, 1.0])
-    q = np.linalg.solve(poles * metric, np.ones(4))
+    poles = np.array([tau, ups, alp, dlt]) * _METRIC
+    developments = {
+        "upper": (tau, np.array([alp, dlt, ups, gam]), np.array([tau, alp, dlt, -bet])),
+        "lower": (ups, np.array([dlt, alp, tau, bet]), np.array([ups, dlt, alp, -gam])),
+    }
+    return poles, developments
+
+
+def _oracle_support_hull_margins(real):
+    # one solve per system, as the certificate once computed them
+    tw = np.array(real.twist)
+    poles, developments = _hull_systems(real)
+    q = np.linalg.solve(poles, np.ones(4))
 
     def margin(w):
-        return float((w * metric) @ q - 1.0)
+        return float((w * _METRIC) @ q - 1.0)
 
-    w_near = np.array(alp) @ tw.T
-    w_far = np.array(dlt) @ tw
-    src = np.array([alp, dlt, ups, gam])
-    dst = np.array([tau, alp, dlt, -bet])
-    w_up = np.array(tau) @ np.linalg.solve(src, dst)
-    src2 = np.array([dlt, alp, tau, bet])
-    dst2 = np.array([ups, dlt, alp, -gam])
-    w_dn = np.array(ups) @ np.linalg.solve(src2, dst2)
-    return {"near_side": margin(w_near), "far_side": margin(w_far),
-            "upper": margin(w_up), "lower": margin(w_dn)}
+    margins = {"near_side": margin(np.array(real.mid_upper) @ tw.T),
+               "far_side": margin(np.array(real.mid_lower) @ tw)}
+    for name, (x, src, dst) in developments.items():
+        margins[name] = margin(np.array(x) @ np.linalg.solve(src, dst))
+    return margins
 
 
-def test_hull_margins_are_bit_identical_to_the_three_solve_route(monkeypatch):
-    solves = []
+def _hull_margin_error(real):
+    """Per margin, a bound on how far the two routes may differ.
 
-    def counted_solve(a, b):
-        solves.append(a.shape)
-        return solve(a, b)
+    Both routes solve the pole system P q = 1 and, per development, y S = x
+    (the coordinates of x in the source frame S), then form <y D, q> - 1.
+    A solve with a componentwise backward error of k eps |A| errs by at
+    most k eps |A^-1| |A| |x| (Skeel; Higham, Accuracy and Stability of
+    Numerical Algorithms, 7.2).  LU with partial pivoting on a 4x4 system
+    has k = gamma_3n / eps ~ 12 times the growth of |L||U| over |A|, at most
+    2^3 = 8 (9.3, 9.4).  The cofactor route (Cramer's rule, which has no
+    such general guarantee) is held to the same bound, so the two routes
+    may differ by at most twice it.  The twists, the product with D and the
+    inner products add gamma_4 each, 4 eps times the sizes they multiply.
+    """
+    eps = sys.float_info.epsilon
+    k = 2 * 12 * 8 * eps
+    tw = np.abs(np.array(real.twist))
+    poles, developments = _hull_systems(real)
+    q = np.linalg.solve(poles, np.ones(4))
+    dq = k * np.abs(np.linalg.inv(poles)) @ np.abs(poles) @ np.abs(q)
 
-    solve = np.linalg.solve
+    def spread(w, dw):
+        # |<w + dw, q + dq> - <w, q>| to first order, with the product's rounding
+        return float(np.abs(w) @ dq + dw @ np.abs(q) + 4 * eps * np.abs(w) @ np.abs(q))
+
+    errors = {}
+    for name, v, twist in (("near_side", real.mid_upper, tw.T), ("far_side", real.mid_lower, tw)):
+        w = np.abs(v) @ twist
+        errors[name] = spread(w, 2 * 4 * eps * w)
+    for name, (x, src, dst) in developments.items():
+        y = np.linalg.solve(src.T, np.array(x))
+        dy = k * np.abs(y) @ np.abs(src) @ np.abs(np.linalg.inv(src))
+        w = np.abs(y) @ np.abs(dst)
+        errors[name] = spread(w, dy @ np.abs(dst) + 2 * 4 * eps * w)
+    return errors
+
+
+def test_hull_margins_match_the_three_solve_route():
     for n in range(4, 401):
         real = realize(n)
+        margins = support_hull_margins(real)
         expected = _oracle_support_hull_margins(real)
-        solves.clear()
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "solve", counted_solve)
-            margins = support_hull_margins(real)
-        # the pole system, then both developments in one stacked solve
-        assert solves == [(4, 4), (2, 4, 4)]
-        assert margins == expected, n
+        errors = _hull_margin_error(real)
+        assert margins.keys() == expected.keys()
+        for name in margins:
+            assert abs(margins[name] - expected[name]) <= errors[name], (n, name)
+
+
+@pytest.mark.parametrize("first,second", [
+    ("apex_top", "apex_bottom"), ("mid_upper", "mid_lower"), ("apex_top", "mid_lower"),
+])
+def test_hull_margins_of_a_singular_frame_are_a_value_error(first, second):
+    # two equal poles: the pole frame is singular, and the cofactor route
+    # must report it as a package error, not divide by a noise determinant
+    real = realize(7)
+    broken = dataclasses.replace(real, **{second: getattr(real, first)})
+    with pytest.raises(DegenerateSpan, match="numerically dependent"):
+        support_hull_margins(broken)
+    assert issubclass(DegenerateSpan, ValueError)
 
 
 def test_perturbed_h_keeps_tilts_finite():
