@@ -15,6 +15,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
+from math import isfinite
 
 ORTHO_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -50,7 +51,7 @@ class MinkVec(namedtuple("MinkVec", "x0 x1 x2 x3")):
 
     def __new__(cls, x0: float, x1: float, x2: float, x3: float) -> "MinkVec":
         self = tuple.__new__(cls, (x0, x1, x2, x3))
-        if not all(map(math.isfinite, self)):
+        if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
             raise MinkowskiError(f"non-finite component in {self!r}")
         return self
 
@@ -104,7 +105,16 @@ def normalize_spacelike(a: MinkVec) -> MinkVec:
 
 def apply_twist(a: MinkVec, twist: Matrix) -> MinkVec:
     """Image of a row vector under the twist: a @ N."""
-    return MinkVec(*(sum(x * m for x, m in zip(a, col)) for col in zip(*twist)))
+    # explicit sums, not sum(): since Python 3.12 sum() of floats is
+    # compensated, so its last bits would depend on the Python version.
+    # Starting from 0.0 gives what sum() did before, signed zeros included.
+    a0, a1, a2, a3 = a
+    ((m00, m01, m02, m03), (m10, m11, m12, m13),
+     (m20, m21, m22, m23), (m30, m31, m32, m33)) = twist
+    return MinkVec(0.0 + a0 * m00 + a1 * m10 + a2 * m20 + a3 * m30,
+                   0.0 + a0 * m01 + a1 * m11 + a2 * m21 + a3 * m31,
+                   0.0 + a0 * m02 + a1 * m12 + a2 * m22 + a3 * m32,
+                   0.0 + a0 * m03 + a1 * m13 + a2 * m23 + a3 * m33)
 
 
 def twist_images(vectors: Sequence[MinkVec], twist: Matrix) -> list[MinkVec]:
@@ -168,15 +178,15 @@ def plane_normals(
     """
     normals = []
     for p, q, r, interior in planes:
-        w = lorentz_cross(p, q, r)
-        if not all(map(math.isfinite, w)):
+        w0, w1, w2, w3 = lorentz_cross(p, q, r)
+        if not (isfinite(w0) and isfinite(w1) and isfinite(w2) and isfinite(w3)):
             raise DegenerateSpan("the cofactors of the spanning vectors overflow")
         # a product, not a power: past about 5.6e102 the cube is infinite,
         # and every finite cofactor falls below it
         scale = max(max(map(abs, (*p, *q, *r))), 1.0)
-        if max(map(abs, w)) <= DEGENERACY_TOL * (scale * scale * scale):
+        if max(abs(w0), abs(w1), abs(w2), abs(w3)) <= DEGENERACY_TOL * (scale * scale * scale):
             raise DegenerateSpan("spanning vectors are numerically dependent")
-        wv = normalize_spacelike(MinkVec(*w))
+        wv = normalize_spacelike(MinkVec(w0, w1, w2, w3))
         side = mink_inner(wv, interior)
         if abs(side) <= ORTHO_TOL:
             raise AmbiguousOrientation("interior witness lies on the plane")

@@ -269,12 +269,11 @@ def build_realization(params: RealizationParams) -> Realization:
     mid_upper_next = apply_twist(mid_lower, twist)
 
     # interior witness: chart centroid of the four wedge vertices
-    pts = (top_raw, bot_raw, mid_raw, mid_low_raw)
     centroid = MinkVec(
         1.0,
-        sum(p.x1 for p in pts) / 4.0,
-        sum(p.x2 for p in pts) / 4.0,
-        sum(p.x3 for p in pts) / 4.0,
+        (0.0 + top_raw.x1 + bot_raw.x1 + mid_raw.x1 + mid_low_raw.x1) / 4.0,
+        (0.0 + top_raw.x2 + bot_raw.x2 + mid_raw.x2 + mid_low_raw.x2) / 4.0,
+        (0.0 + top_raw.x3 + bot_raw.x3 + mid_raw.x3 + mid_low_raw.x3) / 4.0,
     )
 
     normal_upper, normal_lower, normal_near, normal_far = plane_normals((
@@ -388,10 +387,15 @@ def angle_sum_check(dec: Decomposition, real: Realization) -> AngleSumReport:
         "diag_upper": math.acos(-mink_inner(real.normal_far, real.normal_upper)),
         "diag_lower": math.acos(-mink_inner(real.normal_lower, real.normal_near)),
     }
-    residuals = tuple(
-        sum(role_angle[role] * count for role, count in cls.roles) - 2 * math.pi
-        for cls in dec.class_summaries
-    )
+    # one residual per distinct roles (the n diagonal classes share one),
+    # each sum run left to right from 0.0
+    by_roles = dict.fromkeys(cls.roles for cls in dec.class_summaries)
+    for roles in by_roles:
+        total = 0.0
+        for role, count in roles:
+            total += role_angle[role] * count
+        by_roles[roles] = total - 2 * math.pi
+    residuals = tuple(by_roles[cls.roles] for cls in dec.class_summaries)
     max_res = max(abs(x) for x in residuals)
     return AngleSumReport(
         residuals=residuals,

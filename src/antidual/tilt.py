@@ -98,8 +98,9 @@ def tilts_from_gram(real: Realization) -> TiltVector:
         if abs(inner) < SINGULAR_TOL:
             raise SingularPairing(f"face/pole pairing {i} is orthogonal")
         rhs.append(-1.0 / inner)
-    return TiltVector(*(sum(g * x for g, x in zip(row, rhs))
-                        for row in gram_matrix(real)))
+    x0, x1, x2, x3 = rhs
+    return TiltVector(*(0.0 + g0 * x0 + g1 * x1 + g2 * x2 + g3 * x3
+                        for g0, g1, g2, g3 in gram_matrix(real)))
 
 
 def _closed_form_factors(n: int, h: float) -> tuple[float, float, float]:
@@ -185,13 +186,19 @@ def support_hull_margins(real: Realization) -> dict[str, float]:
     alp, dlt = real.mid_upper, real.mid_lower
     bet, gam = real.normal_upper, real.normal_lower
     # the sum of the pole frame's dual basis has <q, pole> = 1 for each pole
-    q = MinkVec(*map(sum, zip(*dual_frame((tau, ups, alp, dlt)))))
+    d0, d1, d2, d3 = dual_frame((tau, ups, alp, dlt))
+    q = MinkVec(0.0 + d0.x0 + d1.x0 + d2.x0 + d3.x0,
+                0.0 + d0.x1 + d1.x1 + d2.x1 + d3.x1,
+                0.0 + d0.x2 + d1.x2 + d2.x2 + d3.x2,
+                0.0 + d0.x3 + d1.x3 + d2.x3 + d3.x3)
 
     def developed(x: MinkVec, source: tuple, target: tuple) -> float:
         # <w, q> - 1 for the image w of x under the map taking each source
         # vector to its target: w = sum of <x, d_i> target_i over the dual d
-        return sum(mink_inner(x, d) * mink_inner(t, q)
-                   for d, t in zip(dual_frame(source), target)) - 1.0
+        total = 0.0
+        for d, t in zip(dual_frame(source), target):
+            total += mink_inner(x, d) * mink_inner(t, q)
+        return total - 1.0
 
     # the orthogonal twist's transpose inverts it; across the upper face the
     # congruence takes (alp, dlt, ups, gam) to (tau, alp, dlt, -bet), across

@@ -1,6 +1,8 @@
 import ast
 import json
 import math
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -177,8 +179,11 @@ def test_angle_sums_all_classes(n, k):
 def test_angle_sum_residuals_are_bit_identical_to_the_role_count_sums():
     # float addition is not associative, so the residuals must add the
     # roles in the order of their first wedges, which for many polyhedron
-    # classes is not edge order
+    # classes is not edge order, left to right from 0.0 on every Python
+    # (sum() of floats is compensated since 3.12); the correctly rounded
+    # sum differs on some classes, so the data can tell the orders apart
     out_of_edge_order = 0
+    rounded_differently = 0
     for n in range(4, 41):
         real = realize(n)
         angles = dihedral_angles(real)
@@ -192,14 +197,17 @@ def test_angle_sum_residuals_are_bit_identical_to_the_role_count_sums():
         }
         for k in range(n):
             dec = build_decomposition(n, k)
-            expected = tuple(
-                sum(role_angle[r] * c for r, c in role_counts(cls).items()) - 2 * math.pi
-                for cls in dec.edge_classes)
+            terms = [[role_angle[r] * c for r, c in role_counts(cls).items()]
+                     for cls in dec.edge_classes]
+            expected = tuple(reduce(add, t, 0.0) - 2 * math.pi for t in terms)
             assert angle_sum_check(dec, real).residuals == expected, (n, k)
             out_of_edge_order += sum(
                 list(role_counts(cls)) != sorted(role_counts(cls), key=_ROLE_EDGE_ORDER.index)
                 for cls in of_kind(dec, "poly"))
+            rounded_differently += sum(
+                math.fsum(t) - 2 * math.pi != e for t, e in zip(terms, expected))
     assert out_of_edge_order > 0
+    assert rounded_differently > 0
 
 
 def test_axis_class_sums_exactly():

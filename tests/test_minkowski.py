@@ -3,6 +3,8 @@ import math
 import random
 import struct
 import sys
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -117,6 +119,25 @@ def test_twist_preserves_inner_product(a, b, n):
     assert after == pytest.approx(before, rel=1e-10, abs=1e-10)
 
 
+def test_apply_twist_sums_left_to_right():
+    # the first column of m is all ones, so x0 adds 1 + 1e16 + 1 - 1e16:
+    # left to right each 1 is lost against 1e16 and x0 is 0.0, while sum(),
+    # compensated since Python 3.12, reads 2.0
+    m = ((1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1.0))
+    assert apply_twist(MinkVec(1.0, 1e16, 1.0, -1e16), m).x0 == 0.0
+    # the sums start from 0.0, so -0.0 times the identity is +0.0
+    identity = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+                (0.0, 0.0, 0.0, 1.0))
+    image = apply_twist(MinkVec(-0.0, -0.0, -0.0, -0.0), identity)
+    assert [math.copysign(1.0, x) for x in image] == [1.0, 1.0, 1.0, 1.0]
+
+
+@given(vec, st.tuples(vec, vec, vec, vec))
+def test_apply_twist_is_bit_identical_to_left_to_right_sums(a, m):
+    expected = [reduce(add, (a[i] * m[i][j] for i in range(4)), 0.0) for j in range(4)]
+    assert struct.pack("4d", *apply_twist(a, m)) == struct.pack("4d", *expected)
+
+
 def test_plane_normal_near_side_is_unit_x2():
     real = build_realization(solve_parameters(4))
     assert real.normal_near == pytest.approx((0, 0, -1, 0), abs=1e-12)
@@ -198,6 +219,33 @@ def test_plane_normal_rejects_a_nearly_null_normal():
 # terms.  Below |w|^2 ~ 5.6e5 the bound stays 1e-9.
 _UNIT_NORM_EPS = 8 * sys.float_info.epsilon
 
+# Each of the six products p_a*q_b*r_c in a cofactor of lorentz_cross is
+# rounded at most 5 times: q_b*r_c, the minor's subtraction, the product
+# with p_a and two additions, so cofactor i errs by at most gamma_5 * P_i,
+# P_i the permanent of the absolute minor (Higham, Accuracy and Stability of
+# Numerical Algorithms, 3.1).  The exact cofactors W have <W, v> = 0 for v
+# in {p, q, r}, so the computed ones have |<W, v>| <= gamma_5 * sum_i |v_i|
+# P_i = gamma_5 * perm|(v; p; q; r)|.  Normalising scales that by
+# s = |w| / |W| and rounds each w_i (u = eps/2), and reading <w, v> back
+# adds gamma_4 * sum_i |w_i v_i|: in all s * gamma_5 * perm + (u + gamma_4)
+# * sum_i |w_i v_i|, gamma_k ~ k*u, about 2.5 * eps for both terms; 4 * eps
+# covers the second-order terms and the rounding of s itself.
+_CROSS_EPS = 4 * sys.float_info.epsilon
+
+
+def _orthogonality_bound(w, v, p, q, r):
+    """Bound on the computed |<w, v>| for the unit normal w of (p, q, r)."""
+    s = math.hypot(*w) / math.hypot(*lorentz_cross(p, q, r))
+    perm = math.fsum(math.prod(abs(row[c]) for row, c in zip((v, p, q, r), cols))
+                     for cols in itertools.permutations(range(4)))
+    rounding = _CROSS_EPS * (s * perm + math.fsum(abs(a * b) for a, b in zip(w, v)))
+    # a product that underflows errs by up to ulp(0) absolutely (Higham,
+    # 2.2) instead: the six minor products, each then scaled by some p_a,
+    # and the three products with p_a per cofactor, one per w_i in the
+    # normalisation and four in <w, v>
+    v1, p1 = math.fsum(map(abs, v)), math.fsum(map(abs, p))
+    return rounding + math.ulp(0.0) * (s * v1 * (2 * p1 + 3) + v1 + 4)
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(vec, vec, vec, vec)
@@ -211,15 +259,21 @@ _UNIT_NORM_EPS = 8 * sys.float_info.epsilon
 @example(MinkVec(0, 1, 0, 0), MinkVec(1, 0, -1, 1), MinkVec(3e-11, 0, 1, 0), MinkVec(1, 2, 3, 4))
 @example(MinkVec(0, 1, 0, 2), MinkVec(6.1e-5, 0, 0, 1), MinkVec(6.1e-5, 0, 6.1e-5, 0),
          MinkVec(0, 0, 0, 1))
+# a nearly dependent span (r = p + 1e-9 e0) whose <w, q> reads 6.2e-8, above
+# a fixed 1e-8 times the largest component
+@example(MinkVec(0, 1.90625, 0, 3), MinkVec(0.2761394511160038, 0, 1, 0),
+         MinkVec(1e-09, 1.90625, 0, 3), MinkVec(0, 0, 0, 1))
+# a subnormal component: <w, p> errs by underflow, not by a relative error
+@example(MinkVec(0, 0, 4, 2.225073858507e-311), MinkVec(0, 1, 0, 0), MinkVec(1, 0, 0, 0),
+         MinkVec(0, 0, 0, 1))
 def test_plane_normal_orthogonality_property(p, q, r, witness):
     try:
         w = plane_normal(p, q, r, witness)
     except (DegenerateSpan, AmbiguousOrientation, NonSpacelike):
         assume(False)
         return
-    scale = max(max(map(abs, v)) for v in (p, q, r))
     for v in (p, q, r):
-        assert abs(mink_inner(w, v)) < 1e-8 * max(scale, 1.0)
+        assert abs(mink_inner(w, v)) <= _orthogonality_bound(w, v, p, q, r)
     unit_tol = max(1e-9, _UNIT_NORM_EPS * sum(x * x for x in w))
     assert mink_inner(w, w) == pytest.approx(1.0, abs=unit_tol)
     assert mink_inner(w, witness) < 0

@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import sys
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
-from antidual.minkowski import DegenerateSpan
+from antidual.minkowski import DegenerateSpan, mink_inner
 from antidual.realization import build_realization, realize, solve_parameters
 from antidual.tilt import (
     SingularPairing,
@@ -63,6 +65,24 @@ def test_gram_tilts_match_oracle(n):
     t_up, t_near = GRAM_TILTS[n]
     assert tv.t_upper == pytest.approx(t_up, abs=1e-11)
     assert tv.t_near == pytest.approx(t_near, abs=1e-11)
+
+
+def test_gram_tilts_are_bit_identical_to_left_to_right_sums():
+    # each tilt adds its Gram row times the reciprocal pairings left to
+    # right from 0.0, on every Python (sum() of floats is compensated since
+    # 3.12); the correctly rounded sum differs on some rows, so the data
+    # can tell the orders apart
+    rounded_differently = 0
+    for n in range(4, 401):
+        real = realize(n)
+        pairs = ((real.normal_upper, real.apex_bottom), (real.normal_lower, real.apex_top),
+                 (real.normal_near, real.mid_lower), (real.normal_far, real.mid_upper))
+        rhs = [-1.0 / mink_inner(face, pole) for face, pole in pairs]
+        products = [[g * x for g, x in zip(row, rhs)] for row in gram_matrix(real)]
+        expected = tuple(reduce(add, row, 0.0) for row in products)
+        assert tuple(tilts_from_gram(real)) == expected, n
+        rounded_differently += sum(math.fsum(row) != e for row, e in zip(products, expected))
+    assert rounded_differently > 0
 
 
 @pytest.mark.parametrize("n", range(4, 101))
